@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 from . import matkit as mk
-from .channel import ChannelClass, ChannelKind, WiretapChannel, singular_values
+from .channel import ChannelClass, ChannelKind, WiretapChannel
 from .errors import InvariantViolated, PreconditionFailed, RankDeficient
-from .matkit import Mat2, Vec2
-from .tolerances import EPS_EIG, EPS_ID, EPS_RANK
+from .matkit import Vec2
+from .tolerances import EPS_EIG, EPS_ID
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,6 @@ class BeamSolution:
     rate: float
     degenerate: bool
     no_eavesdropper: bool = False
-
-
-def rayleigh_matrices(ch: WiretapChannel) -> tuple[Mat2, Mat2]:
-    """The pair (I + P H^T H, I + P g g^T) defining the beam problem."""
-    eye = mk.eye2()
-    a = mk.matadd2(eye, mk.matscale2(ch.P, ch.gram()))
-    b = mk.matadd2(eye, mk.matscale2(ch.P, mk.outer2(ch.g, ch.g)))
-    return mk.symmetrize2(a), mk.symmetrize2(b)
-
-
-def _require_full_rank(ch: WiretapChannel) -> None:
-    smax, smin = singular_values(ch.H)
-    if smax == 0.0 or smin / smax <= EPS_RANK:
-        raise RankDeficient("main channel gain is rank deficient")
 
 
 def beam_rate(ch: WiretapChannel, q: Vec2) -> float:
@@ -70,9 +56,10 @@ def optimal_beam(ch: WiretapChannel) -> BeamSolution:
     main channel; works for degraded channels too (there it is the best
     unit-rank strategy rather than the capacity).
     """
-    _require_full_rank(ch)
-    a, b = rayleigh_matrices(ch)
-    (l1, l2), (q1, _) = mk.gen_eig2_rank1(a, ch.P, ch.g)
+    if ch._rank_deficient:
+        raise RankDeficient("main channel gain is rank deficient")
+    a, b = ch._beam_pencil
+    (l1, l2), (q1, _) = ch._beam_eig
 
     # Fixed-point relation B^{-1} A q = lambda_1 q, verified in the
     # equivalent form A q = lambda_1 B q.  The residual is normalized by
@@ -112,9 +99,10 @@ def null_beam_rate(ch: WiretapChannel) -> float:
     beam.  When g = 0 there is no direction to avoid, so the strongest main
     channel direction is used instead (the continuous limit of the problem).
     """
-    _require_full_rank(ch)
+    if ch._rank_deficient:
+        raise RankDeficient("main channel gain is rank deficient")
     if mk.norm2(ch.g) == 0.0:
-        (l1, _), _ = mk.sym_eig2(ch.gram())
+        (l1, _), _ = ch._gram_eig
         return 0.5 * math.log(1.0 + ch.P * l1)
     g_perp = mk.orth_perp(mk.unit2(ch.g))
     hg = mk.matvec2(ch.H, g_perp)

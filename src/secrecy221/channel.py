@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import matkit as mk
 from .errors import (
@@ -35,7 +36,13 @@ def _check_finite(values, what: str) -> None:
 
 @dataclass(frozen=True)
 class WiretapChannel:
-    """Channel instance: main gain H (2x2), eavesdropper gain g, power P."""
+    """Channel instance: main gain H (2x2), eavesdropper gain g, power P.
+
+    The per-channel quantities every stage reads are cached members, each
+    derived once, on first use.  Only _ht_inv, which cannot fail once the
+    rank test passed, is on classify's path; _w and _resolvent_inv raise
+    SingularMatrix when H^T H or H^T H - g g^T is numerically singular.
+    """
 
     H: Mat2
     g: Vec2
@@ -50,6 +57,58 @@ class WiretapChannel:
     def gram(self) -> Mat2:
         """H^T H."""
         return mk.symmetrize2(mk.matmul2(mk.transpose2(self.H), self.H))
+
+    @cached_property
+    def _gram(self) -> Mat2:
+        return self.gram()
+
+    @cached_property
+    def _gram_eig(self) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
+        return mk.sym_eig2(self._gram)
+
+    @cached_property
+    def _sv_ratio(self) -> float:
+        """sigma_min / sigma_max of H, 0 for H = 0.
+
+        sigma_min is taken as |det H| / sigma_max: the square root of the
+        small Gram eigenvalue bottoms out near 1e-8 sigma_max on an exactly
+        rank-one H, just above EPS_RANK.
+        """
+        l1 = self._gram_eig[0][0]
+        return abs(mk.det2(self.H)) / l1 if l1 > 0.0 else 0.0
+
+    @cached_property
+    def _rank_deficient(self) -> bool:
+        return self._sv_ratio <= EPS_RANK
+
+    @cached_property
+    def _ht_inv(self) -> Mat2:
+        """H^{-T}."""
+        return mk.inv2(mk.transpose2(self.H))
+
+    @cached_property
+    def _w(self) -> Mat2:
+        """W = (H^T H)^{-1}."""
+        return mk.symmetrize2(mk.inv2(self._gram))
+
+    @cached_property
+    def _resolvent_inv(self) -> Mat2:
+        """(H^T H - g g^T)^{-1}."""
+        m = mk.matadd2(self._gram, mk.matscale2(-1.0, mk.outer2(self.g, self.g)))
+        return mk.inv2(mk.symmetrize2(m))
+
+    @cached_property
+    def _beam_pencil(self) -> tuple[Mat2, Mat2]:
+        """(I + P H^T H, I + P g g^T)."""
+        eye = mk.eye2()
+        a = mk.matadd2(eye, mk.matscale2(self.P, self._gram))
+        b = mk.matadd2(eye, mk.matscale2(self.P, mk.outer2(self.g, self.g)))
+        return mk.symmetrize2(a), mk.symmetrize2(b)
+
+    @cached_property
+    def _beam_eig(self) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
+        """Both eigenpairs of the beam pencil; B = I + P g g^T is rank-one."""
+        return mk.gen_eig2_rank1(self._beam_pencil[0], self.P, self.g)
 
     def with_power(self, power: float) -> "WiretapChannel":
         return WiretapChannel(self.H, self.g, power)
@@ -83,23 +142,12 @@ class MisoChannel:
     g: Vec2
     P: float
 
-    def __post_init__(self):
-        if mk.norm2(self.h) <= 0.0:
-            raise ValueError("effective main channel row must be nonzero")
-
 
 @dataclass(frozen=True)
 class CovMat:
     """Validated transmit covariance: symmetric PSD with trace within budget."""
 
     S: Mat2
-
-
-def singular_values(h: Mat2) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of a 2x2 matrix, via the Gram eigenvalues."""
-    gram = mk.symmetrize2(mk.matmul2(mk.transpose2(h), h))
-    (l1, l2), _ = mk.sym_eig2(gram)
-    return math.sqrt(max(l1, 0.0)), math.sqrt(max(l2, 0.0))
 
 
 def classify(ch: WiretapChannel) -> ChannelClass:
@@ -109,19 +157,16 @@ def classify(ch: WiretapChannel) -> ChannelClass:
     the two regimes use different machinery and neither covers the boundary,
     so the caller has to pick a branch explicitly.
     """
-    smax, smin = singular_values(ch.H)
-    ratio = smin / smax if smax > 0.0 else 0.0
-    if ratio <= EPS_RANK:
-        return ChannelClass(ChannelKind.REDUCED_RANK, None, ratio)
-    ht_inv = mk.inv2(mk.transpose2(ch.H))
-    eve_norm = mk.norm2(mk.matvec2(ht_inv, ch.g))
+    if ch._rank_deficient:
+        return ChannelClass(ChannelKind.REDUCED_RANK, None, ch._sv_ratio)
+    eve_norm = mk.norm2(mk.matvec2(ch._ht_inv, ch.g))
     if abs(eve_norm - 1.0) < EPS_CLASS:
         raise BoundaryAmbiguous(
             f"||H^-T g|| = {eve_norm!r} is within {EPS_CLASS} of 1; "
             "choose the degraded or non-degraded branch explicitly"
         )
     kind = ChannelKind.GENERAL if eve_norm > 1.0 else ChannelKind.DEGRADED
-    return ChannelClass(kind, eve_norm, ratio)
+    return ChannelClass(kind, eve_norm, ch._sv_ratio)
 
 
 def reduce_rank_deficient(ch: WiretapChannel) -> MisoChannel:
@@ -131,11 +176,9 @@ def reduce_rank_deficient(ch: WiretapChannel) -> MisoChannel:
     informative output with row gain sigma_1 v_1 (top singular pair of H);
     g and P carry over unchanged.
     """
-    cls = classify(ch)
-    if cls.kind is not ChannelKind.REDUCED_RANK:
+    if not ch._rank_deficient:
         raise NotRankDeficient("channel has a full-rank main gain")
-    gram = ch.gram()
-    (l1, _), (v1, _) = mk.sym_eig2(gram)
+    (l1, _), (v1, _) = ch._gram_eig
     sigma1 = math.sqrt(max(l1, 0.0))
     return MisoChannel(mk.scale2(sigma1, v1), ch.g, ch.P)
 
@@ -173,7 +216,7 @@ def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float
     eye = mk.eye2()
     hsh = mk.matmul2(mk.matmul2(ch.H, s), mk.transpose2(ch.H))
     num_a = mk.det2(mk.matadd2(eye, hsh))
-    num_b = mk.det2(mk.matadd2(eye, mk.matmul2(ch.gram(), s)))
+    num_b = mk.det2(mk.matadd2(eye, mk.matmul2(ch._gram, s)))
     den = 1.0 + mk.quad2(s, ch.g)
     rate_a = 0.5 * math.log(num_a / den)
     rate_b = 0.5 * math.log(num_b / den)

@@ -24,11 +24,16 @@ import sys
 
 from . import matkit as mk
 from .channel import ChannelKind, WiretapChannel, classify
-from .converse import CapacityCertificate, capacity_certificate
+from .converse import LOG2, CapacityCertificate, capacity_certificate
 from .errors import ChannelSpecError, SecrecyError
-from .tolerances import EPS_CERT, RECOMMENDED_MIN_GRID
-
-LOG2 = math.log(2.0)
+from .tolerances import (
+    EPS_CERT,
+    EPS_GRID,
+    EPS_GRID_BEAM,
+    EPS_GRID_EXCESS,
+    EPS_MONOTONE,
+    RECOMMENDED_MIN_GRID,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -235,7 +240,7 @@ def cmd_sweep(args) -> int:
     for power in powers:
         cert = capacity_certificate(ch.with_power(power))
         cap = max(0.0, cert.capacity_nats)
-        if cap < previous - 1e-12:
+        if cap < previous - EPS_MONOTONE:
             sys.stderr.write(
                 f"warning: capacity decreased at P={_fmt_float(power)} "
                 f"({_fmt_float(cap)} < {_fmt_float(previous)})\n"
@@ -261,7 +266,6 @@ def cmd_oracle(args) -> int:
     from . import oracle
     from .achievable import beam_rate, optimal_beam
     from .channel import beam_covariance
-    from .converse import optimize_alpha
 
     ch = read_channel(args.channel)
     if args.grid < RECOMMENDED_MIN_GRID:
@@ -298,13 +302,13 @@ def cmd_oracle(args) -> int:
     }
 
     if cls.kind is ChannelKind.GENERAL:
-        checks.append(-1e-12 <= gap <= 1e-3 * max(1.0, abs(beam.rate)))
-        checks.append(se2 <= 1e-3 * ch.P)
+        checks.append(-EPS_GRID_EXCESS <= gap <= EPS_GRID * max(1.0, abs(beam.rate)))
+        checks.append(se2 <= EPS_GRID * ch.P)
     else:
         # Degraded: the grid may legitimately beat the best unit-rank beam.
-        checks.append(grid_rate >= beam.rate - 1e-9)
+        checks.append(grid_rate >= beam.rate - EPS_GRID_BEAM)
 
-    kkt_opt = oracle.kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(beam.q_a, ch.P))
+    kkt_opt = oracle.kkt_check(ch._gram, ch.g, ch.P, beam_covariance(beam.q_a, ch.P))
     doc["kkt_optimum"] = {
         "multiplier": kkt_opt.multiplier,
         "residual_stationarity": kkt_opt.residual_stationarity,
@@ -317,7 +321,7 @@ def cmd_oracle(args) -> int:
         beam.q_a[0] * math.cos(rot) - beam.q_a[1] * math.sin(rot),
         beam.q_a[0] * math.sin(rot) + beam.q_a[1] * math.cos(rot),
     )
-    kkt_pert = oracle.kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(q_rot, ch.P))
+    kkt_pert = oracle.kkt_check(ch._gram, ch.g, ch.P, beam_covariance(q_rot, ch.P))
     doc["kkt_perturbed"] = {
         "rotation_rad": rot,
         "rate_nats": beam_rate(ch, q_rot),
@@ -327,9 +331,9 @@ def cmd_oracle(args) -> int:
         checks.append(kkt_opt.passes)
         checks.append(not kkt_pert.passes)
 
-        a_best, min_value = oracle.min_over_a(ch, args.samples, args.seed, grid)
-        tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
-        star_value = oracle.brute_force_upper(ch, tc.a_star, grid)
+        a_best, min_value, tc, star_value = oracle._min_over_a_detail(
+            ch, args.samples, args.seed, grid
+        )
         doc["min_over_a"] = {
             "a_best": list(a_best),
             "value_nats": min_value,
@@ -339,8 +343,8 @@ def cmd_oracle(args) -> int:
             "min_minus_lower_nats": min_value - beam.rate,
             "a_star_minus_min_nats": star_value - min_value,
         }
-        checks.append(min_value >= beam.rate - 1e-3 * max(1.0, abs(beam.rate)))
-        checks.append(star_value <= min_value + 1e-3 * max(1.0, abs(min_value)))
+        checks.append(min_value >= beam.rate - EPS_GRID * max(1.0, abs(beam.rate)))
+        checks.append(star_value <= min_value + EPS_GRID * max(1.0, abs(min_value)))
 
     doc["passes"] = all(checks)
     sys.stdout.write(dumps(doc) + "\n")

@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import matkit as mk
-from .achievable import BeamSolution, optimal_beam, rayleigh_matrices
+from .achievable import BeamSolution, optimal_beam
 from .channel import (
     ChannelKind,
     CovMat,
     WiretapChannel,
     beam_covariance,
     classify,
+    reduce_rank_deficient,
     validate_covariance,
     _gaussian_rate_detail,
 )
@@ -40,6 +41,7 @@ from .errors import (
     DegenerateDirection,
     EigenStructureMismatch,
     InvariantViolated,
+    MatrixError,
     NoiseDegenerate,
     NormOne,
     PreconditionFailed,
@@ -58,6 +60,10 @@ from .tolerances import (
 )
 
 LOG2 = math.log(2.0)
+
+# Degraded channels are resolved by the oracle's covariance grid search.
+_DEGRADED_GRID = (512, 512)
+_DEGRADED_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -141,15 +147,6 @@ RESIDUAL_TOLERANCES: dict[str, float] = {
 }
 
 
-def _inv_gram(ch: WiretapChannel) -> Mat2:
-    return mk.symmetrize2(mk.inv2(ch.gram()))
-
-
-def _solve_ht(ch: WiretapChannel, rhs: Vec2) -> Vec2:
-    """x with H^T x = rhs, i.e. x = H^{-T} rhs."""
-    return mk.matvec2(mk.inv2(mk.transpose2(ch.H)), rhs)
-
-
 def theta_of_alpha(ch: WiretapChannel, q_perp: Vec2, alpha: float) -> float:
     """theta(alpha) = alpha^2 / (1 - ||a||^2) for a = H^{-T}(alpha q_perp + g).
 
@@ -163,17 +160,13 @@ def theta_of_alpha(ch: WiretapChannel, q_perp: Vec2, alpha: float) -> float:
     """
     if abs(alpha) <= EPS_SING:
         raise ZeroAlpha("alpha = 0 is not an admissible correlation parameter")
-    a = _solve_ht(ch, mk.add2(mk.scale2(alpha, q_perp), ch.g))
+    a = mk.matvec2(ch._ht_inv, mk.add2(mk.scale2(alpha, q_perp), ch.g))
     s = 1.0 - mk.dot2(a, a)
     if abs(s) <= EPS_NORM:
         raise NormOne(f"correlation norm hits 1 at alpha = {alpha!r}")
     theta = alpha * alpha / s
 
-    w = _inv_gram(ch)
-    x = 1.0 / alpha
-    t0 = -mk.quad2(w, q_perp)
-    t1 = -2.0 * mk.dot2(ch.g, mk.matvec2(w, q_perp)) * x
-    t2 = -(mk.quad2(w, ch.g) - 1.0) * x * x
+    t0, t1, t2 = _theta_reciprocal_terms(ch, q_perp, 1.0 / alpha)
     recip_poly = t0 + t1 + t2
     # Compare the reciprocals, scaled by the polynomial's term magnitudes:
     # on badly conditioned channels the coefficients (entries of (H^T H)^{-1})
@@ -186,14 +179,22 @@ def theta_of_alpha(ch: WiretapChannel, q_perp: Vec2, alpha: float) -> float:
     return theta
 
 
+def _theta_reciprocal_terms(
+    ch: WiretapChannel, q_perp: Vec2, inv_alpha: float
+) -> tuple[float, float, float]:
+    """The constant, linear and quadratic terms of 1/theta at x = 1/alpha."""
+    w = ch._w
+    return (
+        -mk.quad2(w, q_perp),
+        -2.0 * mk.dot2(ch.g, mk.matvec2(w, q_perp)) * inv_alpha,
+        -(mk.quad2(w, ch.g) - 1.0) * inv_alpha * inv_alpha,
+    )
+
+
 def theta_reciprocal_poly(ch: WiretapChannel, q_perp: Vec2, inv_alpha: float) -> float:
     """The concave quadratic 1/theta as a function of x = 1/alpha."""
-    w = _inv_gram(ch)
-    return (
-        -mk.quad2(w, q_perp)
-        - 2.0 * mk.dot2(ch.g, mk.matvec2(w, q_perp)) * inv_alpha
-        - (mk.quad2(w, ch.g) - 1.0) * inv_alpha * inv_alpha
-    )
+    t0, t1, t2 = _theta_reciprocal_terms(ch, q_perp, inv_alpha)
+    return t0 + t1 + t2
 
 
 def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
@@ -215,7 +216,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
         raise PreconditionFailed(
             "the tight correlation exists only for non-degraded full-rank channels"
         )
-    w = _inv_gram(ch)
+    w = ch._w
     gwg = mk.quad2(w, ch.g)
     if not gwg > 1.0:
         raise PreconditionFailed(
@@ -229,7 +230,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
     inv_alpha = gwq / (1.0 - gwg)
     alpha_star = 1.0 / inv_alpha
 
-    a_star = _solve_ht(ch, mk.add2(mk.scale2(alpha_star, q_perp), ch.g))
+    a_star = mk.matvec2(ch._ht_inv, mk.add2(mk.scale2(alpha_star, q_perp), ch.g))
     a_norm = mk.norm2(a_star)
     if not a_norm < 1.0 - EPS_NORM:
         raise InvariantViolated(f"||a*|| = {a_norm!r} is not inside the unit disk")
@@ -238,10 +239,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
     qwq = mk.quad2(w, q_perp)
     recip_direct = 1.0 / theta_direct
     recip_stationary = -qwq + gwq * gwq / (gwg - 1.0)
-    m = mk.symmetrize2(
-        mk.matadd2(ch.gram(), mk.matscale2(-1.0, mk.outer2(ch.g, ch.g)))
-    )
-    recip_resolvent = -mk.quad2(mk.inv2(m), q_perp)
+    recip_resolvent = -mk.quad2(ch._resolvent_inv, q_perp)
     # Scale the three-way comparison by the magnitude of the terms that
     # produced the reciprocals; they inherit the conditioning of (H^T H)^{-1}.
     scale = max(1.0, abs(qwq) + gwq * gwq / abs(gwg - 1.0))
@@ -257,7 +255,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
         raise InvariantViolated(f"theta* = {theta_direct!r} is not positive")
 
     a_mat = mk.symmetrize2(
-        mk.matadd2(ch.gram(), mk.matscale2(theta_direct, mk.outer2(q_perp, q_perp)))
+        mk.matadd2(ch._gram, mk.matscale2(theta_direct, mk.outer2(q_perp, q_perp)))
     )
     return TightCorrelation(
         alpha_star=alpha_star,
@@ -298,7 +296,7 @@ def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
     if abs(k) <= EPS_NORM:
         raise NoiseDegenerate("correlation norm at 1")
     v = mk.sub2(mk.matvec2(mk.transpose2(ch.H), a), ch.g)
-    return mk.symmetrize2(mk.matadd2(ch.gram(), mk.matscale2(1.0 / k, mk.outer2(v, v))))
+    return mk.symmetrize2(mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v))))
 
 
 def _upper_value_detail(
@@ -358,7 +356,7 @@ def upper_value(ch: WiretapChannel, cov, a: Vec2) -> float:
 def _upper_bound_max_detail(
     ch: WiretapChannel, tc: TightCorrelation
 ) -> tuple[float, tuple[float, float], dict[str, float]]:
-    a_rayleigh, b = rayleigh_matrices(ch)
+    a_rayleigh, b = ch._beam_pencil
     abar = mk.symmetrize2(
         mk.matadd2(
             a_rayleigh,
@@ -366,16 +364,13 @@ def _upper_bound_max_detail(
         )
     )
     (lmax, lmin), _ = mk.gen_eig2_rank1(abar, ch.P, ch.g)
-
-    # Reference top eigenvalue of the achievable problem.
-    (lam1, _), _ = mk.gen_eig2_rank1(a_rayleigh, ch.P, ch.g)
+    (lam1, _), _ = ch._beam_eig
 
     # The second eigenvector: q_1 = -theta* (H^T H - g g^T)^{-1} q_perp,
     # normalized against q_perp and fixed by the bound matrix.  Residuals
     # are scaled by the magnitude of the resolvent product, which is the
     # accuracy this construction can achieve near the degradedness boundary.
-    m = mk.symmetrize2(mk.matadd2(ch.gram(), mk.matscale2(-1.0, mk.outer2(ch.g, ch.g))))
-    minv = mk.inv2(m)
+    minv = ch._resolvent_inv
     q1 = mk.scale2(-tc.theta_star, mk.matvec2(minv, tc.q_perp))
     q1_scale = max(1.0, abs(tc.theta_star) * mk.fro2(minv))
     coupling = abs(mk.dot2(q1, tc.q_perp) - 1.0) / q1_scale
@@ -425,11 +420,33 @@ def _certificate_verdict(gap_rel: float, residuals: dict[str, float], eps_cert: 
     return "Tight"
 
 
+def _inapplicable(
+    kind: ChannelKind,
+    value: float,
+    upper: float | None,
+    lambda1: float,
+    beam: BeamSolution | None,
+    flags: dict[str, Any],
+) -> CapacityCertificate:
+    """Certificate of a channel the tight construction does not cover."""
+    return CapacityCertificate(
+        kind=kind,
+        lower=value,
+        upper=upper,
+        lambda1=lambda1,
+        eigenvalues_of_bound=None,
+        residuals={},
+        verdict="Inapplicable",
+        capacity_nats=value,
+        capacity_bits=value / LOG2,
+        beam=beam,
+        correlation=None,
+        flags=flags,
+    )
+
+
 def capacity_certificate(
-    ch: WiretapChannel,
-    eps_cert: float = EPS_CERT,
-    degraded_grid: tuple[int, int] = (512, 512),
-    degraded_seed: int = 0,
+    ch: WiretapChannel, eps_cert: float = EPS_CERT
 ) -> CapacityCertificate:
     """Run both bounds and certify whether they coincide.
 
@@ -446,55 +463,27 @@ def capacity_certificate(
     cls = classify(ch)
 
     if cls.kind is ChannelKind.REDUCED_RANK:
-        from .channel import reduce_rank_deficient
-
         miso = reduce_rank_deficient(ch)
-        eye = mk.eye2()
-        a_m = mk.matadd2(eye, mk.matscale2(miso.P, mk.outer2(miso.h, miso.h)))
-        b_m = mk.matadd2(eye, mk.matscale2(miso.P, mk.outer2(miso.g, miso.g)))
-        lam, _ = mk.gen_rayleigh_max(mk.symmetrize2(a_m), mk.symmetrize2(b_m))
+        a_m = mk.matadd2(mk.eye2(), mk.matscale2(miso.P, mk.outer2(miso.h, miso.h)))
+        (lam, _), _ = mk.gen_eig2_rank1(a_m, miso.P, miso.g)
         value = 0.5 * math.log(lam)
-        return CapacityCertificate(
-            kind=cls.kind,
-            lower=value,
-            upper=value,
-            lambda1=lam,
-            eigenvalues_of_bound=None,
-            residuals={},
-            verdict="Inapplicable",
-            capacity_nats=value,
-            capacity_bits=value / LOG2,
-            beam=None,
-            correlation=None,
-            flags={"reduced_rank": True, "miso_capacity": True},
-        )
+        flags = {"reduced_rank": True, "miso_capacity": True}
+        return _inapplicable(cls.kind, value, value, lam, None, flags)
 
     beam = optimal_beam(ch)
 
     if cls.kind is ChannelKind.DEGRADED:
         from .oracle import brute_force_gaussian
 
-        _, grid_rate = brute_force_gaussian(ch, degraded_grid, degraded_seed)
+        _, grid_rate = brute_force_gaussian(ch, _DEGRADED_GRID, _DEGRADED_SEED)
+        flags = {
+            "degraded_formula": "numerical",
+            "grid": list(_DEGRADED_GRID),
+            "seed": _DEGRADED_SEED,
+            "no_eavesdropper": beam.no_eavesdropper,
+        }
         value = max(beam.rate, grid_rate)
-        return CapacityCertificate(
-            kind=cls.kind,
-            lower=value,
-            upper=None,
-            lambda1=beam.lambda1,
-            eigenvalues_of_bound=None,
-            residuals={},
-            verdict="Inapplicable",
-            capacity_nats=value,
-            capacity_bits=value / LOG2,
-            beam=beam,
-            correlation=None,
-            flags={
-                "degraded_formula": "numerical",
-                "grid": list(degraded_grid),
-                "seed": degraded_seed,
-                "no_eavesdropper": beam.no_eavesdropper,
-            },
-        )
+        return _inapplicable(cls.kind, value, None, beam.lambda1, beam, flags)
 
     try:
         q_perp = mk.orth_perp(beam.q_a)
@@ -529,7 +518,6 @@ def capacity_certificate(
             "a_zero_orth": a0_orth,
         }
         verdict = _certificate_verdict(residuals["bound_gap_rel"], residuals, eps_cert)
-        capacity = 0.5 * math.log(beam.lambda1)
         return CapacityCertificate(
             kind=cls.kind,
             lower=beam.rate,
@@ -538,31 +526,20 @@ def capacity_certificate(
             eigenvalues_of_bound=eigs,
             residuals=residuals,
             verdict=verdict,
-            capacity_nats=capacity,
-            capacity_bits=capacity / LOG2,
+            capacity_nats=beam.rate,
+            capacity_bits=beam.rate / LOG2,
             beam=beam,
             correlation=tc,
             flags={"degenerate": beam.degenerate, "no_eavesdropper": beam.no_eavesdropper},
         )
-    except (ConverseError, InvariantViolated) as exc:
-        # The tight construction failed (degenerate direction or a blown
-        # identity).  The lower bound still stands; report it without a
-        # certified converse rather than guessing.
-        return CapacityCertificate(
-            kind=cls.kind,
-            lower=beam.rate,
-            upper=None,
-            lambda1=beam.lambda1,
-            eigenvalues_of_bound=None,
-            residuals={},
-            verdict="Inapplicable",
-            capacity_nats=beam.rate,
-            capacity_bits=beam.rate / LOG2,
-            beam=beam,
-            correlation=None,
-            flags={
-                "tight_path_error": type(exc).__name__,
-                "tight_path_message": str(exc),
-                "degenerate": beam.degenerate,
-            },
-        )
+    except (ConverseError, InvariantViolated, MatrixError) as exc:
+        # The tight construction failed (degenerate direction, a blown
+        # identity, or a numerically singular H^T H or resolvent).  The
+        # lower bound still stands; report it without a certified converse
+        # rather than guessing.
+        flags = {
+            "tight_path_error": type(exc).__name__,
+            "tight_path_message": str(exc),
+            "degenerate": beam.degenerate,
+        }
+        return _inapplicable(cls.kind, beam.rate, None, beam.lambda1, beam, flags)

@@ -24,10 +24,6 @@ class NotPositiveDefinite(MatrixError):
     """A matrix required to be positive definite is not."""
 
 
-class SingularUpdate(MatrixError):
-    """Rank-one inverse update denominator vanished."""
-
-
 class NoiseDegenerate(MatrixError):
     """Noise cross-correlation has norm at (or beyond) one."""
 

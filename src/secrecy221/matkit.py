@@ -1,8 +1,9 @@
 """Closed-form dense linear algebra for 2x2 and 3x3 real matrices.
 
 Everything here is exact-formula arithmetic on plain tuples: determinants,
-inverses, symmetric and generalized eigenproblems, Sherman-Morrison rank-one
-inverse updates, and the block inverse of the bordered noise covariance.
+inverses, the symmetric eigenproblem, the generalized eigenproblem for a
+pencil whose second matrix is a rank-one update of the identity, and the
+block inverse of the bordered noise covariance.
 No iterative solver is used anywhere, so there is no convergence ambiguity
 and results are bit-reproducible.
 
@@ -19,15 +20,13 @@ from .errors import (
     NoiseDegenerate,
     NotPositiveDefinite,
     SingularMatrix,
-    SingularUpdate,
 )
-from .tolerances import EPS_ID, EPS_NORM, EPS_PD, EPS_SING, EPS_UNIT
+from .tolerances import EPS_ID, EPS_NORM, EPS_SING, EPS_UNIT
 
 Vec2 = tuple[float, float]
 Mat2 = tuple[Vec2, Vec2]
 Vec3 = tuple[float, float, float]
 Mat3 = tuple[Vec3, Vec3, Vec3]
-Mat32 = tuple[Vec2, Vec2, Vec2]
 
 
 # --------------------------------------------------------------------------
@@ -152,24 +151,6 @@ def inv2(m: Mat2) -> Mat2:
     return ((m[1][1] * r, -m[0][1] * r), (-m[1][0] * r, m[0][0] * r))
 
 
-def rank1_update_inverse(minv: Mat2, c: float, u: Vec2) -> Mat2:
-    """Inverse of (M + c u u^T) from M's inverse (Sherman-Morrison).
-
-    Returns minv - (c / (1 + c u^T minv u)) * (minv u)(u^T minv).
-    """
-    x = matvec2(minv, u)
-    y = matvec2(transpose2(minv), u)
-    umu = dot2(u, x)
-    denom = 1.0 + c * umu
-    if abs(denom) <= EPS_SING * max(1.0, abs(c * umu)):
-        raise SingularUpdate("rank-one update denominator vanished")
-    f = c / denom
-    return (
-        (minv[0][0] - f * x[0] * y[0], minv[0][1] - f * x[0] * y[1]),
-        (minv[1][0] - f * x[1] * y[0], minv[1][1] - f * x[1] * y[1]),
-    )
-
-
 # --------------------------------------------------------------------------
 # symmetric and generalized eigenproblems
 # --------------------------------------------------------------------------
@@ -200,53 +181,6 @@ def sym_eig2(m: Mat2) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
     return (l1, l2), (v1, v2)
 
 
-def _inv_sqrt_spd2(b: Mat2) -> Mat2:
-    """B^{-1/2} for symmetric positive definite B via its eigenbasis."""
-    (l1, l2), (v1, v2) = sym_eig2(b)
-    if l2 <= EPS_PD:
-        raise NotPositiveDefinite(f"matrix is not positive definite (min eig {l2!r})")
-    r1 = 1.0 / math.sqrt(l1)
-    r2 = 1.0 / math.sqrt(l2)
-    return (
-        (
-            r1 * v1[0] * v1[0] + r2 * v2[0] * v2[0],
-            r1 * v1[0] * v1[1] + r2 * v2[0] * v2[1],
-        ),
-        (
-            r1 * v1[1] * v1[0] + r2 * v2[1] * v2[0],
-            r1 * v1[1] * v1[1] + r2 * v2[1] * v2[1],
-        ),
-    )
-
-
-def gen_eig2(
-    a: Mat2, b: Mat2
-) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
-    """Both eigenpairs of the generalized problem A q = lambda B q.
-
-    A must be symmetric and B symmetric positive definite.  The problem is
-    reduced to the symmetric one for B^{-1/2} A B^{-1/2}; eigenvalues come
-    back descending and the returned vectors are unit Euclidean norm with
-    the same orientation rule as sym_eig2.
-    """
-    bih = _inv_sqrt_spd2(symmetrize2(b))
-    c = symmetrize2(matmul2(matmul2(bih, symmetrize2(a)), bih))
-    (l1, l2), (w1, w2) = sym_eig2(c)
-    q1 = _sign_fix(unit2(matvec2(bih, w1)))
-    q2 = _sign_fix(unit2(matvec2(bih, w2)))
-    return (l1, l2), (q1, q2)
-
-
-def gen_rayleigh_max(a: Mat2, b: Mat2) -> tuple[float, Vec2]:
-    """Maximizer of the generalized Rayleigh quotient q^T A q / q^T B q.
-
-    Returns the largest generalized eigenvalue and its unit-norm eigenvector
-    (the quotient's argmax over nonzero q).
-    """
-    (l1, _), (q1, _) = gen_eig2(a, b)
-    return l1, q1
-
-
 def gen_eig2_rank1(
     a: Mat2, c: float, v: Vec2
 ) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
@@ -254,7 +188,7 @@ def gen_eig2_rank1(
 
     Exploits the rank-one structure: B's eigenvalues are exactly
     {1 + c ||v||^2, 1}, so B^{-1/2} and det B are computed without the
-    cancellation the generic route suffers when c ||v||^2 is huge, and the
+    cancellation a generic route suffers when c ||v||^2 is huge, and the
     smaller generalized eigenvalue comes from the product identity
     l1 l2 = det(A) / det(B) instead of a catastrophic subtraction.
     """

@@ -28,7 +28,7 @@ from .channel import (
     classify,
     validate_covariance,
 )
-from .converse import coupling_gain_matrix
+from .converse import TightCorrelation, coupling_gain_matrix
 from .errors import (
     BoundaryAmbiguous,
     InvariantViolated,
@@ -37,7 +37,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_KKT, EPS_NORM, EPS_SING
+from .tolerances import EPS_GRID, EPS_KKT, EPS_NORM, EPS_RIM, EPS_SING
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def brute_force_gaussian(
     nphi, npower = grid
     if nphi < 2 or npower < 2:
         raise ValueError("grid sizes must be at least 2")
-    best, param = _grid_max_ratio(ch.gram(), ch.g, ch.P, nphi, npower, seed)
+    best, param = _grid_max_ratio(ch._gram, ch.g, ch.P, nphi, npower, seed)
     s_best = validate_covariance(covariance_from_param(param), ch.P)
     return s_best, 0.5 * math.log(best)
 
@@ -337,7 +337,7 @@ def min_over_a(
     samples: int,
     seed: int,
     grid: tuple[int, int] = (256, 256),
-    tol: float = 1e-3,
+    tol: float = EPS_GRID,
 ) -> tuple[Vec2, float]:
     """Sample admissible correlations and minimize the grid upper bound.
 
@@ -346,6 +346,18 @@ def min_over_a(
     the optimized correlation must do at least as well as every sample.
     Both facts are asserted; violations raise InvariantViolated.
     """
+    best_a, best_value, _, _ = _min_over_a_detail(ch, samples, seed, grid, tol)
+    return best_a, best_value
+
+
+def _min_over_a_detail(
+    ch: WiretapChannel,
+    samples: int,
+    seed: int,
+    grid: tuple[int, int],
+    tol: float = EPS_GRID,
+) -> tuple[Vec2, float, TightCorrelation, float]:
+    """min_over_a, plus the optimized correlation and its grid value."""
     cls = classify(ch)
     if cls.kind is not ChannelKind.GENERAL:
         raise PreconditionFailed("min_over_a applies to General channels only")
@@ -360,7 +372,7 @@ def min_over_a(
         while True:
             u, v = rng.random(2)
             r = math.sqrt(u)
-            if r < 1.0 - 1e-6:  # stay off the rim where the bound degenerates
+            if r < 1.0 - EPS_RIM:
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
@@ -385,7 +397,7 @@ def min_over_a(
             f"optimized correlation value {star_value!r} is beaten by a sample "
             f"({best_value!r})"
         )
-    return best_a, best_value
+    return best_a, best_value, tc, star_value
 
 
 def sample_general_channels(

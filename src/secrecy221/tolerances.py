@@ -10,9 +10,8 @@ EPS_UNIT = 1e-10
 EPS_ID = 1e-10
 EPS_EIG = 1e-10
 
-# Singularity and positive-definiteness thresholds (absolute, inputs O(1)).
+# Singularity and positive-semidefiniteness thresholds (absolute, inputs O(1)).
 EPS_SING = 1e-12
-EPS_PD = 1e-12
 EPS_PSD = 1e-12
 
 # Open-unit-disk margin for noise correlations.
@@ -38,6 +37,20 @@ EIGEN_ONE_TOL = 1e-8
 
 # Tolerance on the unit-coupling identity of the optimized correlation.
 UNIT_COUPLING_TOL = 1e-9
+
+# Oracle grid checks: relative agreement with the closed form (and the grid
+# winner's unit-rank margin relative to P), the roundoff by which a grid rate
+# may exceed the closed-form optimum, and how close the grid must come to the
+# best beam on Degraded channels.
+EPS_GRID = 1e-3
+EPS_GRID_EXCESS = 1e-12
+EPS_GRID_BEAM = 1e-9
+
+# Sampled noise correlations stay this far inside the unit circle.
+EPS_RIM = 1e-6
+
+# Slack before a power sweep warns that capacity decreased with power.
+EPS_MONOTONE = 1e-12
 
 # Grid sizes below this trigger a CLI warning.
 RECOMMENDED_MIN_GRID = 64

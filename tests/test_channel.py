@@ -8,6 +8,7 @@ import pytest
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
+    capacity_certificate,
     classify,
     gaussian_rate,
     reduce_rank_deficient,
@@ -53,6 +54,14 @@ class TestWiretapChannel:
         with pytest.raises(ValueError):
             WiretapChannel(((1.0, float("inf")), (0.0, 1.0)), (1.0, 0.0), 1.0)
 
+    def test_cached_members_keep_equality_and_hash(self):
+        ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
+        fresh = WiretapChannel(ch.H, ch.g, ch.P)
+        capacity_certificate(ch)
+        assert "_beam_eig" in vars(ch)
+        assert ch == fresh
+        assert hash(ch) == hash(fresh)
+
 
 class TestClassify:
     def test_general(self, example_a):
@@ -69,6 +78,18 @@ class TestClassify:
         cls = classify(WiretapChannel(((1.0, 1.0), (1.0, 1.0)), (1.0, 0.0), 1.0))
         assert cls.kind is ChannelKind.REDUCED_RANK
         assert cls.eve_norm is None
+
+    def test_random_rank_one_products_are_reduced_rank(self):
+        # H = u v^T: the square root of the small Gram eigenvalue can land
+        # near 1.5e-8 sigma_max, above EPS_RANK, while |det H| / sigma_max^2
+        # stays at roundoff level.
+        rng = random.Random(1)
+        for _ in range(2000):
+            u = (rng.gauss(0, 1), rng.gauss(0, 1))
+            v = (rng.gauss(0, 1), rng.gauss(0, 1))
+            cls = classify(WiretapChannel(mk.outer2(u, v), (1.0, 0.0), 1.0))
+            assert cls.kind is ChannelKind.REDUCED_RANK
+            assert cls.sv_ratio < 1e-12
 
     def test_boundary_refused(self):
         with pytest.raises(BoundaryAmbiguous):
@@ -113,6 +134,12 @@ class TestReduceRankDeficient:
         miso = reduce_rank_deficient(WiretapChannel(h, (1.0, 0.0), 1.0))
         fro = math.sqrt(sum(x * x for row in h for x in row))
         assert math.isclose(mk.norm2(miso.h), fro, rel_tol=1e-12)
+
+    def test_zero_channel(self):
+        miso = reduce_rank_deficient(
+            WiretapChannel(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0), 1.0)
+        )
+        assert miso.h == (0.0, 0.0)
 
     def test_full_rank_rejected(self, example_a):
         with pytest.raises(NotRankDeficient):

@@ -50,6 +50,26 @@ class TestCapacity:
         assert doc["flags"]["degraded_formula"] == "numerical"
         assert doc["capacity_nats"] > 0.0
 
+    def test_singular_gram_falls_back_with_exit_zero(self, capsys, tmp_path):
+        path = tmp_path / "near_singular.json"
+        path.write_text('{"H": [[1, 0], [0, 1e-7]], "g": [0.3, 1e-6], "P": 1}')
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["class"] == "General"
+        assert doc["verdict"] == "Inapplicable"
+        assert doc["upper_nats"] is None
+        assert doc["flags"]["tight_path_error"] == "SingularMatrix"
+
+    def test_zero_channel_has_zero_capacity(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text('{"H": [[0,0],[0,0]], "g": [1,0], "P": 1}')
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["class"] == "ReducedRank"
+        assert doc["capacity"] == 0.0
+
     def test_malformed_spec_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -298,6 +298,42 @@ class TestCapacityCertificate:
         assert cert.flags["reduced_rank"]
         assert cert.lower == cert.upper
 
+    def test_rank_one_product_gets_reduced_rank_certificate(self):
+        h = (
+            (-0.18319133149809555, -1.0114871424800451),
+            (-0.17396599828495232, -0.9605496562252137),
+        )
+        cert = capacity_certificate(WiretapChannel(h, (1.0, 0.0), 1.0))
+        assert cert.kind is ChannelKind.REDUCED_RANK
+        assert cert.verdict == "Inapplicable"
+        # For rank-one H the reduced row h = sigma_1 v_1 has h h^T = H^T H, so
+        # lambda_1 is the top eigenvalue of B^{-1} A with A = I + H^T H and
+        # B = I + g g^T = diag(2, 1): trace a00 / 2 + a11, determinant det(A) / 2.
+        hh = mk.matmul2(mk.transpose2(h), h)
+        a = ((1.0 + hh[0][0], hh[0][1]), (hh[1][0], 1.0 + hh[1][1]))
+        tr = a[0][0] / 2.0 + a[1][1]
+        det = mk.det2(a) / 2.0
+        lam = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
+        assert math.isclose(cert.lambda1, lam, rel_tol=1e-12)
+        assert cert.lower == cert.upper == cert.capacity_nats
+
+    def test_zero_channel_has_zero_capacity(self):
+        cert = capacity_certificate(WiretapChannel(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0), 1.0))
+        assert cert.kind is ChannelKind.REDUCED_RANK
+        assert cert.lambda1 == 1.0
+        assert cert.capacity_nats == 0.0
+
+    def test_singular_gram_falls_back_to_beam(self):
+        # sigma_min / sigma_max = 1e-7 passes the rank test, but (H^T H)^{-1}
+        # is numerically singular: the tight path must fall back, not raise.
+        ch = WiretapChannel(((1.0, 0.0), (0.0, 1e-7)), (0.3, 1e-6), 1.0)
+        cert = capacity_certificate(ch)
+        assert cert.kind is ChannelKind.GENERAL
+        assert cert.verdict == "Inapplicable"
+        assert cert.upper is None
+        assert cert.flags["tight_path_error"] == "SingularMatrix"
+        assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
+
     def test_boundary_propagates(self):
         with pytest.raises(BoundaryAmbiguous):
             capacity_certificate(WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0))

@@ -1,0 +1,40 @@
+"""Byte-identity of CLI stdout on fixed inputs.
+
+The expected outputs in tests/golden/ were recorded before the per-channel
+quantities moved onto WiretapChannel; any change to them is a contract
+change and has to be made deliberately.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from secrecy221.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
+EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
+
+CASES = [
+    ("capacity_example_a", EXAMPLE_A, ["capacity"]),
+    ("capacity_example_a_bits", EXAMPLE_A, ["capacity", "--bits"]),
+    ("capacity_example_diag", EXAMPLE_DIAG, ["capacity"]),
+    ("capacity_example_diag_bits", EXAMPLE_DIAG, ["capacity", "--bits"]),
+    (
+        "sweep_example_a",
+        EXAMPLE_A,
+        ["sweep", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"],
+    ),
+    ("oracle_example_a", EXAMPLE_A, ["oracle", "--grid", "64", "--samples", "4"]),
+]
+
+
+@pytest.mark.parametrize("name,spec,argv", CASES, ids=[c[0] for c in CASES])
+def test_stdout_is_byte_identical(capsys, tmp_path, name, spec, argv):
+    path = tmp_path / "channel.json"
+    path.write_text(spec)
+    code = main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from secrecy221 import matkit as mk
-from secrecy221.errors import (
-    NoiseDegenerate,
-    NotPositiveDefinite,
-    SingularMatrix,
-    SingularUpdate,
-)
+from secrecy221.errors import NoiseDegenerate, NotPositiveDefinite, SingularMatrix
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -35,6 +30,15 @@ def rand_spd2(rng, shift: float = 0.1) -> mk.Mat2:
     m = rand_mat2(rng)
     g = mk.matmul2(mk.transpose2(m), m)
     return mk.matadd2(g, mk.matscale2(shift, I2))
+
+
+def rand_rank1_weight(rng) -> tuple[float, mk.Vec2]:
+    return abs(rng.gauss(0, 2)), (rng.gauss(0, 1), rng.gauss(0, 1))
+
+
+def rank1_pencil(c: float, v: mk.Vec2) -> mk.Mat2:
+    """B = I + c v v^T."""
+    return mk.matadd2(I2, mk.matscale2(c, mk.outer2(v, v)))
 
 
 def max_abs_diff2(a: mk.Mat2, b: mk.Mat2) -> float:
@@ -117,27 +121,33 @@ class TestSymEig2:
 
 
 class TestGenRayleighMax:
+    """The top eigenpair of the pencil (A, I + c v v^T) maximizes the
+    generalized Rayleigh quotient q^T A q / q^T B q."""
+
     def test_diagonal_case(self):
-        lam, q = mk.gen_rayleigh_max(((2.0, 0.0), (0.0, 2.0)), ((5.0, 0.0), (0.0, 1.0)))
+        # B = diag(5, 1) = I + 4 e1 e1^T
+        (lam, _), (q, _) = mk.gen_eig2_rank1(((2.0, 0.0), (0.0, 2.0)), 4.0, (1.0, 0.0))
         assert lam == 2.0
         assert q == (0.0, 1.0)
 
     def test_identity_pair(self):
-        lam, q = mk.gen_rayleigh_max(I2, I2)
+        (lam, _), (q, _) = mk.gen_eig2_rank1(I2, 0.0, (1.0, 0.0))
         assert lam == 1.0
         assert q == (1.0, 0.0)
 
     def test_not_positive_definite(self):
+        # B = diag(1, 0) = I - e2 e2^T
         with pytest.raises(NotPositiveDefinite):
-            mk.gen_rayleigh_max(I2, ((1.0, 0.0), (0.0, 0.0)))
+            mk.gen_eig2_rank1(I2, -1.0, (0.0, 1.0))
 
     def test_against_characteristic_polynomial(self):
         # det(A - lambda B) = det(B) l^2 - (a00 b11 + a11 b00 - 2 a01 b01) l + det(A)
         rng = random.Random(17)
         for _ in range(500):
             a = rand_spd2(rng)
-            b = rand_spd2(rng)
-            lam, q = mk.gen_rayleigh_max(a, b)
+            c, v = rand_rank1_weight(rng)
+            b = rank1_pencil(c, v)
+            (lam, _), (q, _) = mk.gen_eig2_rank1(a, c, v)
             c2 = mk.det2(b)
             c1 = -(a[0][0] * b[1][1] + a[1][1] * b[0][0] - 2.0 * a[0][1] * b[0][1])
             c0 = mk.det2(a)
@@ -154,8 +164,9 @@ class TestGenRayleighMax:
         rng = random.Random(23)
         for _ in range(10):
             a = rand_spd2(rng)
-            b = rand_spd2(rng)
-            lam, _ = mk.gen_rayleigh_max(a, b)
+            c, v = rand_rank1_weight(rng)
+            b = rank1_pencil(c, v)
+            (lam, _), _ = mk.gen_eig2_rank1(a, c, v)
             for _ in range(100):
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 q = (math.cos(ang), math.sin(ang))
@@ -165,17 +176,22 @@ class TestGenRayleighMax:
 
 class TestGenEig2Rank1:
     def test_matches_generic_solver(self):
+        # Reference: numpy's general eigensolver on B^{-1} A.
         rng = random.Random(19)
         for _ in range(500):
             a = rand_spd2(rng)
-            c = abs(rng.gauss(0, 2))
-            v = (rng.gauss(0, 1), rng.gauss(0, 1))
-            b = mk.matadd2(I2, mk.matscale2(c, mk.outer2(v, v)))
+            c, v = rand_rank1_weight(rng)
+            b = rank1_pencil(c, v)
             (l1, l2), (q1, _) = mk.gen_eig2_rank1(a, c, v)
-            (g1, g2), (p1, _) = mk.gen_eig2(a, b)
+            m = np.linalg.solve(np.array(b), np.array(a))
+            w, vecs = np.linalg.eig(m)
+            order = np.argsort(w.real)[::-1]
+            g1, g2 = (float(w.real[k]) for k in order)
+            p1 = vecs[:, order[0]].real
+            p1 = p1 / np.linalg.norm(p1)
             assert math.isclose(l1, g1, rel_tol=1e-10)
             assert math.isclose(l2, g2, rel_tol=1e-9, abs_tol=1e-12)
-            assert abs(abs(mk.dot2(q1, p1)) - 1.0) <= 1e-9
+            assert abs(abs(mk.dot2(q1, (float(p1[0]), float(p1[1])))) - 1.0) <= 1e-9
 
     def test_stable_at_extreme_scale(self):
         # B's small eigenvalue is exactly 1; the structured route must keep
@@ -197,41 +213,6 @@ class TestGenEig2Rank1:
     def test_negative_weight_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             mk.gen_eig2_rank1(I2, -0.5, (1.0, 0.0))
-
-
-class TestRank1UpdateInverse:
-    def test_zero_update(self):
-        assert mk.rank1_update_inverse(I2, 0.0, (0.3, -0.7)) == I2
-
-    def test_diagonal_case(self):
-        out = mk.rank1_update_inverse(I2, 3.0, (1.0, 0.0))
-        assert out == ((0.25, 0.0), (0.0, 1.0))
-
-    def test_singular_update(self):
-        with pytest.raises(SingularUpdate):
-            mk.rank1_update_inverse(I2, -1.0, (1.0, 0.0))
-
-    def test_against_direct_inverse(self):
-        rng = random.Random(5)
-        checked = 0
-        while checked < 500:
-            m = rand_mat2(rng)
-            c = rng.gauss(0, 1)
-            u = (rng.gauss(0, 1), rng.gauss(0, 1))
-            updated = mk.matadd2(m, mk.matscale2(c, mk.outer2(u, u)))
-            (s1, s2) = sorted(
-                (abs(x) for x in np.linalg.svd(np.array(m), compute_uv=False)),
-                reverse=True,
-            )
-            if s2 == 0 or s1 / s2 > 1e6 or abs(mk.det2(updated)) < 1e-6:
-                continue
-            got = mk.rank1_update_inverse(mk.inv2(m), c, u)
-            want = mk.inv2(updated)
-            scale = mk.fro2(want)
-            assert max_abs_diff2(got, want) <= 1e-10 * max(1.0, scale)
-            # product with the updated matrix recovers the identity
-            assert max_abs_diff2(mk.matmul2(updated, got), I2) <= 1e-9
-            checked += 1
 
 
 class TestInvN:
