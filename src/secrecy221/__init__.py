@@ -22,12 +22,10 @@ from .channel import (
 )
 from .converse import (
     CapacityCertificate,
-    NoiseCorrelation,
     TightCorrelation,
     a_zero_witness,
     capacity_certificate,
     coupling_gain_matrix,
-    noise_correlation,
     optimize_alpha,
     theta_of_alpha,
     upper_bound_max,
@@ -56,7 +54,6 @@ __all__ = [
     "CovParam",
     "KKTReport",
     "MisoChannel",
-    "NoiseCorrelation",
     "TightCorrelation",
     "WiretapChannel",
     "a_zero_witness",
@@ -74,7 +71,6 @@ __all__ = [
     "kkt_check",
     "min_over_a",
     "no_nonneg_roots",
-    "noise_correlation",
     "null_beam_rate",
     "optimal_beam",
     "optimize_alpha",

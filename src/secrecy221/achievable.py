@@ -110,21 +110,17 @@ def null_beam_rate(ch: WiretapChannel) -> float:
 
 
 def assert_lambda_exceeds_one(
-    sol: BeamSolution, cls: ChannelClass, ch: WiretapChannel | None = None
+    sol: BeamSolution, cls: ChannelClass, ch: WiretapChannel
 ) -> bool:
     """Check lambda_1 > 1 on a non-degraded channel.
 
-    When the channel is supplied, the gap threshold is half the guaranteed
-    excess implied by the positive null-beam rate (lambda_1 >= 1 + P ||H
-    g_perp||^2); otherwise a bare eigenvalue tolerance is used.  Failure is
-    an InvariantViolated, i.e. an implementation bug, never a valid outcome.
+    The gap threshold is half the guaranteed excess implied by the positive
+    null-beam rate (lambda_1 >= 1 + P ||H g_perp||^2).  Failure is an
+    InvariantViolated, i.e. an implementation bug, never a valid outcome.
     """
     if cls.kind is not ChannelKind.GENERAL:
         raise PreconditionFailed("lambda_1 > 1 is only asserted for General channels")
-    if ch is not None:
-        gap = 0.5 * math.expm1(2.0 * null_beam_rate(ch))
-    else:
-        gap = EPS_EIG
+    gap = 0.5 * math.expm1(2.0 * null_beam_rate(ch))
     if not sol.lambda1 > 1.0 + gap:
         raise InvariantViolated(
             f"lambda_1 = {sol.lambda1!r} does not exceed 1 + {gap!r}"

@@ -211,6 +211,13 @@ def beam_covariance(q: Vec2, power: float) -> CovMat:
     return CovMat(mk.symmetrize2(mk.matscale2(power, mk.outer2(q, q))))
 
 
+def _require_positive(route: str, **log_args: float) -> None:
+    """Refuse log arguments (each >= 1 exactly) that cancelled to <= 0 at huge P."""
+    for name, x in log_args.items():
+        if not x > 0.0:
+            raise InvariantViolated(f"{route}: {name} = {x!r} is not positive")
+
+
 def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float]:
     s = cov.S
     eye = mk.eye2()
@@ -218,6 +225,7 @@ def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float
     num_a = mk.det2(mk.matadd2(eye, hsh))
     num_b = mk.det2(mk.matadd2(eye, mk.matmul2(ch._gram, s)))
     den = 1.0 + mk.quad2(s, ch.g)
+    _require_positive("Gaussian rate", num_a=num_a, num_b=num_b, den=den)
     rate_a = 0.5 * math.log(num_a / den)
     rate_b = 0.5 * math.log(num_b / den)
     residual = abs(rate_a - rate_b) / max(1.0, abs(rate_a))

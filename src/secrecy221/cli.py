@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import matkit as mk
@@ -188,27 +187,16 @@ def certificate_to_dict(cert: CapacityCertificate) -> dict:
     return out
 
 
-def _resolve_tol(flag_value: float | None) -> float:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SECRECY_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ChannelSpecError(f"invalid SECRECY_TOL: {env!r}") from exc
-    return EPS_CERT
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
 def cmd_capacity(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ChannelSpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
     ch = read_channel(args.channel)
-    tol = _resolve_tol(args.tol)
-    cert = capacity_certificate(ch, eps_cert=tol)
-    doc = {"channel": channel_to_dict(ch), "tolerance": tol}
+    cert = capacity_certificate(ch, eps_cert=args.tol)
+    doc = {"channel": channel_to_dict(ch), "tolerance": args.tol}
     doc.update(certificate_to_dict(cert))
     if args.bits:
         doc["capacity"] = doc["capacity_bits"]
@@ -331,7 +319,7 @@ def cmd_oracle(args) -> int:
         checks.append(kkt_opt.passes)
         checks.append(not kkt_pert.passes)
 
-        a_best, min_value, tc, star_value = oracle._min_over_a_detail(
+        a_best, min_value, tc, star_value = oracle.min_over_a(
             ch, args.samples, args.seed, grid
         )
         doc["min_over_a"] = {
@@ -343,8 +331,6 @@ def cmd_oracle(args) -> int:
             "min_minus_lower_nats": min_value - beam.rate,
             "a_star_minus_min_nats": star_value - min_value,
         }
-        checks.append(min_value >= beam.rate - EPS_GRID * max(1.0, abs(beam.rate)))
-        checks.append(star_value <= min_value + EPS_GRID * max(1.0, abs(min_value)))
 
     doc["passes"] = all(checks)
     sys.stdout.write(dumps(doc) + "\n")
@@ -385,10 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     units.add_argument("--bits", action="store_true", help="report capacity in bits")
     units.add_argument("--nats", action="store_true", help="report capacity in nats (default)")
     p_cap.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="tightness tolerance (overrides SECRECY_TOL and the default)",
+        "--tol", type=float, default=EPS_CERT, help="tightness tolerance, finite and >= 0"
     )
     p_cap.set_defaults(func=cmd_capacity)
 

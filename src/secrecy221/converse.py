@@ -35,6 +35,7 @@ from .channel import (
     reduce_rank_deficient,
     validate_covariance,
     _gaussian_rate_detail,
+    _require_positive,
 )
 from .errors import (
     ConverseError,
@@ -64,27 +65,6 @@ LOG2 = math.log(2.0)
 # Degraded channels are resolved by the oracle's covariance grid search.
 _DEGRADED_GRID = (512, 512)
 _DEGRADED_SEED = 0
-
-
-@dataclass(frozen=True)
-class NoiseCorrelation:
-    """A noise cross-correlation a with its derived covariance and inverse."""
-
-    a: Vec2
-    k: float
-    N: Mat3
-    Ninv: Mat3
-
-
-def noise_correlation(a: Vec2) -> NoiseCorrelation:
-    """Build the joint noise covariance for cross-correlation a, ||a|| < 1."""
-    ninv = mk.inv_N(a)  # raises NoiseDegenerate at the boundary
-    return NoiseCorrelation(
-        a=a,
-        k=1.0 - (a[0] * a[0] + a[1] * a[1]),
-        N=mk.noise_cov3(a),
-        Ninv=ninv,
-    )
 
 
 @dataclass(frozen=True)
@@ -311,8 +291,9 @@ def _upper_value_detail(
     (route-1 value, worst pairwise relative disagreement).
     """
     s = cov.S
-    corr = noise_correlation(a)
+    ninv = mk.inv_N(a)  # raises NoiseDegenerate at the boundary
     den = 1.0 + mk.quad2(s, ch.g)
+    _require_positive("genie bound", den=den)  # before route 3 divides by it
 
     # Route 1: 3x3 determinant.
     rows = (ch.H[0], ch.H[1], ch.g)
@@ -320,12 +301,11 @@ def _upper_value_detail(
     hsh3: Mat3 = tuple(
         tuple(mk.dot2(rows[i], srows[j]) for j in range(3)) for i in range(3)
     )  # type: ignore[assignment]
-    m3 = mk.matadd3(mk.eye3(), mk.matmul3(corr.Ninv, hsh3))
-    u1 = 0.5 * (math.log(mk.det3(m3)) - math.log(den))
+    det_1 = mk.det3(mk.matadd3(mk.eye3(), mk.matmul3(ninv, hsh3)))
 
     # Route 2: 2x2 determinant with the collapsed gain matrix.
     gain = coupling_gain_matrix(ch, a)
-    u2 = 0.5 * (math.log(mk.det2(mk.matadd2(mk.eye2(), mk.matmul2(gain, s)))) - math.log(den))
+    det_2 = mk.det2(mk.matadd2(mk.eye2(), mk.matmul2(gain, s)))
 
     # Route 3: linear-estimation error covariance over det N.
     hsg = mk.add2(mk.matvec2(ch.H, mk.matvec2(s, ch.g)), a)
@@ -334,7 +314,12 @@ def _upper_value_detail(
         mk.matadd2(mk.eye2(), hsh2),
         mk.matscale2(-1.0 / den, mk.outer2(hsg, hsg)),
     )
-    u3 = 0.5 * (math.log(mk.det2(err)) - math.log(mk.det3(corr.N)))
+    det_3 = mk.det2(err)
+    det_n = mk.det3(mk.noise_cov3(a))
+    _require_positive("genie bound", route_1=det_1, route_2=det_2, route_3=det_3, det_N=det_n)
+    u1 = 0.5 * (math.log(det_1) - math.log(den))
+    u2 = 0.5 * (math.log(det_2) - math.log(den))
+    u3 = 0.5 * (math.log(det_3) - math.log(det_n))
 
     worst = max(abs(u1 - u2), abs(u1 - u3), abs(u2 - u3)) / max(1.0, abs(u1))
     return u1, worst

@@ -188,6 +188,18 @@ def _grid_max_ratio(
     return best, best_param
 
 
+def _grid_optimum(
+    ch: WiretapChannel, d_mat: Mat2, grid: tuple[int, int], seed: int
+) -> tuple[CovMat, float]:
+    """Grid-maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
+    nphi, npower = grid
+    if nphi < 2 or npower < 2:
+        raise ValueError("grid sizes must be at least 2")
+    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower, seed)
+    s_best = validate_covariance(covariance_from_param(param), ch.P)
+    return s_best, 0.5 * math.log(best)
+
+
 def brute_force_gaussian(
     ch: WiretapChannel, grid: tuple[int, int] = (512, 512), seed: int = 0
 ) -> tuple[CovMat, float]:
@@ -209,45 +221,22 @@ def brute_force_gaussian(
         exceeds the closed-form optimum and approaches it as the grid is
         refined.
     """
-    nphi, npower = grid
-    if nphi < 2 or npower < 2:
-        raise ValueError("grid sizes must be at least 2")
-    best, param = _grid_max_ratio(ch._gram, ch.g, ch.P, nphi, npower, seed)
-    s_best = validate_covariance(covariance_from_param(param), ch.P)
-    return s_best, 0.5 * math.log(best)
-
-
-def brute_force_upper_detail(
-    ch: WiretapChannel,
-    a: Vec2,
-    grid: tuple[int, int] = (512, 512),
-    seed: int = 0,
-) -> tuple[float, CovMat]:
-    if mk.norm2(a) >= 1.0 - EPS_NORM:
-        raise NoiseDegenerate(f"||a|| = {mk.norm2(a)!r} is not < 1")
-    nphi, npower = grid
-    if nphi < 2 or npower < 2:
-        raise ValueError("grid sizes must be at least 2")
-    gain = coupling_gain_matrix(ch, a)
-    best, param = _grid_max_ratio(gain, ch.g, ch.P, nphi, npower, seed)
-    s_best = validate_covariance(covariance_from_param(param), ch.P)
-    return 0.5 * math.log(best), s_best
+    return _grid_optimum(ch, ch._gram, grid, seed)
 
 
 def brute_force_upper(
-    ch: WiretapChannel,
-    a: Vec2,
-    grid: tuple[int, int] = (512, 512),
-    seed: int = 0,
-) -> float:
+    ch: WiretapChannel, a: Vec2, grid: tuple[int, int] = (512, 512)
+) -> tuple[CovMat, float]:
     """Grid-maximize the genie upper bound U(S, a) over covariances.
 
     Uses the collapsed 2x2 form of the bound (gain matrix A(a)), which the
     converse module has already cross-checked against the 3x3 and
-    estimation-theoretic routes.
+    estimation-theoretic routes.  Returns (S_best, value) like
+    ``brute_force_gaussian``; the random refinement stage uses seed 0.
     """
-    value, _ = brute_force_upper_detail(ch, a, grid, seed)
-    return value
+    if mk.norm2(a) >= 1.0 - EPS_NORM:
+        raise NoiseDegenerate(f"||a|| = {mk.norm2(a)!r} is not < 1")
+    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, 0)
 
 
 # --------------------------------------------------------------------------
@@ -337,29 +326,18 @@ def min_over_a(
     samples: int,
     seed: int,
     grid: tuple[int, int] = (256, 256),
-    tol: float = EPS_GRID,
-) -> tuple[Vec2, float]:
+) -> tuple[Vec2, float, TightCorrelation, float]:
     """Sample admissible correlations and minimize the grid upper bound.
 
     Every member of the family is a valid upper bound, so the sampled
-    minimum must stay above the achievable rate (up to grid tolerance), and
-    the optimized correlation must do at least as well as every sample.
-    Both facts are asserted; violations raise InvariantViolated.
+    minimum must stay above the achievable rate (up to EPS_GRID), and the
+    optimized correlation must do at least as well as every sample.  Both
+    facts are asserted; violations raise InvariantViolated.
+
+    Returns (a_best, value, tc, star_value): the best sample and its grid
+    value, and ``optimize_alpha``'s correlation with the grid value at a*.
     """
-    best_a, best_value, _, _ = _min_over_a_detail(ch, samples, seed, grid, tol)
-    return best_a, best_value
-
-
-def _min_over_a_detail(
-    ch: WiretapChannel,
-    samples: int,
-    seed: int,
-    grid: tuple[int, int],
-    tol: float = EPS_GRID,
-) -> tuple[Vec2, float, TightCorrelation, float]:
-    """min_over_a, plus the optimized correlation and its grid value."""
-    cls = classify(ch)
-    if cls.kind is not ChannelKind.GENERAL:
+    if classify(ch).kind is not ChannelKind.GENERAL:
         raise PreconditionFailed("min_over_a applies to General channels only")
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -376,13 +354,13 @@ def _min_over_a_detail(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        value = brute_force_upper(ch, a, grid)
+        _, value = brute_force_upper(ch, a, grid)
         if value < best_value:
             best_value = value
             best_a = a
     assert best_a is not None
 
-    floor = beam.rate - tol * max(1.0, abs(beam.rate))
+    floor = beam.rate - EPS_GRID * max(1.0, abs(beam.rate))
     if best_value < floor:
         raise InvariantViolated(
             f"sampled upper bound {best_value!r} dipped below the lower bound {beam.rate!r}"
@@ -391,8 +369,8 @@ def _min_over_a_detail(
     from .converse import optimize_alpha
 
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
-    star_value = brute_force_upper(ch, tc.a_star, grid)
-    if star_value > best_value + tol * max(1.0, abs(best_value)):
+    _, star_value = brute_force_upper(ch, tc.a_star, grid)
+    if star_value > best_value + EPS_GRID * max(1.0, abs(best_value)):
         raise InvariantViolated(
             f"optimized correlation value {star_value!r} is beaten by a sample "
             f"({best_value!r})"

@@ -165,12 +165,12 @@ def test_criterion_5_upper_bound_validity(suite1000):
                     break
             ang = rng.uniform(0.0, 2.0 * math.pi)
             a = (r * math.cos(ang), r * math.sin(ang))
-            value = brute_force_upper(ch, a, (512, 512))
+            _, value = brute_force_upper(ch, a, (512, 512))
             values.append(value)
             worst_floor = min(worst_floor, value - lower)
             assert value >= lower - 1e-3
         tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-        star = brute_force_upper(ch, tc.a_star, (512, 512))
+        _, star = brute_force_upper(ch, tc.a_star, (512, 512))
         excess = star - min(values)
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-3

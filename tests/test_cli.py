@@ -61,6 +61,30 @@ class TestCapacity:
         assert doc["upper_nats"] is None
         assert doc["flags"]["tight_path_error"] == "SingularMatrix"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"H": [[1.3876555174965057, 1.1830863365109388], '
+            '[0.3197712146866956, 0.18389087740931595]], '
+            '"g": [123.5296812238942, 150.5091860907951], "P": 605833754515.1425}',
+            '{"H": [[1.1094968675107775, 1.11669000377543], '
+            '[-0.03938338001097003, 0.023625996982681623]], '
+            '"g": [-409.4379219575822, -281.8457096192032], "P": 185479192680.91147}',
+        ],
+        ids=["sylvester_den", "genie_route_2"],
+    )
+    def test_large_power_cancellation_falls_back_with_exit_zero(self, capsys, tmp_path, spec):
+        path = tmp_path / "large_p.json"
+        path.write_text(spec)
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["class"] == "General"
+        assert doc["verdict"] == "Inapplicable"
+        assert doc["upper_nats"] is None
+        assert doc["flags"]["tight_path_error"] == "InvariantViolated"
+        assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 11.0
+
     def test_zero_channel_has_zero_capacity(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text('{"H": [[0,0],[0,0]], "g": [1,0], "P": 1}')
@@ -93,7 +117,7 @@ class TestCapacity:
 
 
 class TestToleranceOverrides:
-    """Verdict tolerance precedence: flag > environment > default."""
+    """The verdict tolerance comes from --tol alone (default EPS_CERT)."""
 
     @pytest.fixture
     def float_gap_channel(self, capsys, tmp_path):
@@ -111,17 +135,21 @@ class TestToleranceOverrides:
         assert code == 2
         assert json.loads(out)["verdict"] == "NotTight"
 
-    def test_env_forces_nottight(self, capsys, monkeypatch, float_gap_channel):
-        monkeypatch.setenv("SECRECY_TOL", "1e-30")
-        code, out, _ = run(capsys, ["capacity", float_gap_channel])
-        assert code == 2
-        assert json.loads(out)["verdict"] == "NotTight"
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_one(self, capsys, example_a_path, tol):
+        code, out, err = run(capsys, ["capacity", example_a_path, "--tol", tol])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert "--tol must be finite and >= 0" in error["message"]
 
-    def test_flag_overrides_env(self, capsys, monkeypatch, float_gap_channel):
-        monkeypatch.setenv("SECRECY_TOL", "1e-30")
-        code, out, _ = run(capsys, ["capacity", float_gap_channel, "--tol", "1e-6"])
+    def test_zero_tolerance_is_valid(self, capsys, example_a_path):
+        code, out, _ = run(capsys, ["capacity", example_a_path, "--tol", "0"])
         assert code == 0
-        assert json.loads(out)["verdict"] == "Tight"
+        doc = json.loads(out)
+        assert doc["tolerance"] == 0.0
+        assert doc["verdict"] == "Tight"
 
 
 class TestSweep:

@@ -1,8 +1,9 @@
 """Byte-identity of CLI stdout on fixed inputs.
 
-The expected outputs in tests/golden/ were recorded before the per-channel
-quantities moved onto WiretapChannel; any change to them is a contract
-change and has to be made deliberately.
+The expected outputs in tests/golden/ were recorded before the refactors
+they guard (per-channel quantities cached on WiretapChannel; the oracle's
+grid and min-over-a entry points folded into one each); any change to them
+is a contract change and has to be made deliberately.
 """
 
 from pathlib import Path
@@ -27,6 +28,7 @@ CASES = [
         ["sweep", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"],
     ),
     ("oracle_example_a", EXAMPLE_A, ["oracle", "--grid", "64", "--samples", "4"]),
+    ("oracle_example_a_defaults", EXAMPLE_A, ["oracle"]),
 ]
 
 

@@ -21,6 +21,7 @@ from secrecy221 import (
 from secrecy221 import matkit as mk
 from secrecy221.errors import NoiseDegenerate, NotUnitRank, PreconditionFailed
 from secrecy221.oracle import CovParam, covariance_from_param
+from secrecy221.tolerances import EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -90,20 +91,19 @@ class TestBruteForceGaussian:
 
 class TestBruteForceUpper:
     def test_example_a_at_tight_correlation(self, example_a):
-        value = brute_force_upper(example_a, (0.5, 0.0), (256, 256))
+        _, value = brute_force_upper(example_a, (0.5, 0.0), (256, 256))
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-9)
 
     def test_zero_correlation_is_looser(self, example_a):
-        value = brute_force_upper(example_a, (0.0, 0.0), (256, 256))
+        _, value = brute_force_upper(example_a, (0.0, 0.0), (256, 256))
         assert value >= 0.5 * math.log(2.0) + 1e-3
 
     def test_unit_rank_at_tight_correlation(self, suite1000):
         from secrecy221 import optimize_alpha
-        from secrecy221.oracle import brute_force_upper_detail
 
         for ch in suite1000[:20]:
             tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            value, s_best = brute_force_upper_detail(ch, tc.a_star, (256, 256))
+            s_best, value = brute_force_upper(ch, tc.a_star, (256, 256))
             (l1, l2), _ = mk.sym_eig2(s_best.S)
             assert l2 <= 1e-3 * ch.P
             assert value <= optimal_beam(ch).rate + 1e-12
@@ -175,7 +175,7 @@ class TestNoNonnegRoots:
 
 class TestMinOverA:
     def test_example_a(self, example_a):
-        a_best, value = min_over_a(example_a, 200, seed=3)
+        a_best, value, _, _ = min_over_a(example_a, 200, seed=3)
         lower = 0.5 * math.log(2.0)
         assert value >= lower - 1e-3
         assert value <= lower + 0.05
@@ -183,15 +183,25 @@ class TestMinOverA:
         assert mk.norm2(mk.sub2(a_best, (0.5, 0.0))) <= 0.25
 
     def test_zero_sample_is_valid_bound(self, example_a):
-        assert brute_force_upper(example_a, (0.0, 0.0), (128, 128)) >= 0.5 * math.log(
-            2.0
-        ) - 1e-9
+        _, value = brute_force_upper(example_a, (0.0, 0.0), (128, 128))
+        assert value >= 0.5 * math.log(2.0) - 1e-9
 
     def test_dominance_on_random_channels(self, suite1000):
         for ch in suite1000[:3]:
             # min_over_a asserts internally that the optimized correlation
             # is never beaten by more than the tolerance.
             min_over_a(ch, 25, seed=8, grid=(256, 128))
+
+    def test_returns_optimized_correlation_and_its_grid_value(self, suite1000):
+        from secrecy221 import optimize_alpha
+
+        grid = (128, 64)
+        for ch in suite1000[:2]:
+            _, _, tc, star_value = min_over_a(ch, 4, seed=5, grid=grid)
+            assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
+            s_star, grid_value = brute_force_upper(ch, tc.a_star, grid)
+            assert star_value == grid_value
+            assert mk.trace2(s_star.S) <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
     def test_requires_general(self):
         with pytest.raises(PreconditionFailed):
