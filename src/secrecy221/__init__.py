@@ -28,7 +28,6 @@ from .converse import (
     coupling_gain_matrix,
     optimize_alpha,
     theta_of_alpha,
-    upper_bound_max,
     upper_value,
 )
 from .oracle import (
@@ -78,7 +77,6 @@ __all__ = [
     "sample_general_channels",
     "theta_of_alpha",
     "tolerances",
-    "upper_bound_max",
     "upper_value",
     "validate_covariance",
 ]

@@ -25,7 +25,7 @@ from .errors import (
     PowerExceeded,
 )
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_CLASS, EPS_ID, EPS_PSD, EPS_RANK, EPS_TRACE
+from .tolerances import EPS_CLASS, EPS_ID, EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
 
 
 def _check_finite(values, what: str) -> None:
@@ -53,6 +53,13 @@ class WiretapChannel:
         _check_finite(self.g, "g entries")
         if not (math.isfinite(self.P) and self.P > 0.0):
             raise ValueError(f"power budget must be finite and positive, got {self.P!r}")
+        h0, h1 = self.H
+        gain_sq = max(mk.dot2(h0, h0) + mk.dot2(h1, h1), mk.dot2(self.g, self.g))
+        if not (max(gain_sq, self.P) <= MAX_GAIN_SQ and self.P * gain_sq <= MAX_SNR):
+            raise ValueError(
+                f"max(||H||_F^2, ||g||^2) = {gain_sq!r} at P = {self.P!r} exceeds the "
+                f"supported range (gain and P {MAX_GAIN_SQ!r}, P * gain {MAX_SNR!r})"
+            )
 
     def gram(self) -> Mat2:
         """H^T H."""

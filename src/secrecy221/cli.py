@@ -130,15 +130,14 @@ def channel_from_dict(doc) -> WiretapChannel:
         raise ChannelSpecError("invalid channel spec: H must be a 2x2 array")
     if not isinstance(g, list) or len(g) != 2:
         raise ChannelSpecError("invalid channel spec: g must be a 2-vector")
+    numbers = (*h[0], *h[1], *g, p)
+    # JSON numbers only: float() would also take booleans and numeric strings.
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
+        raise ChannelSpecError("invalid channel spec: H, g and P must be JSON numbers")
     try:
-        hmat = ((float(h[0][0]), float(h[0][1])), (float(h[1][0]), float(h[1][1])))
-        gvec = (float(g[0]), float(g[1]))
-        power = float(p)
-    except (TypeError, ValueError) as exc:
-        raise ChannelSpecError(f"invalid channel spec: {exc}") from exc
-    try:
-        return WiretapChannel(hmat, gvec, power)
-    except ValueError as exc:
+        h00, h01, h10, h11, g0, g1, power = map(float, numbers)  # big ints overflow
+        return WiretapChannel(((h00, h01), (h10, h11)), (g0, g1), power)
+    except (OverflowError, ValueError) as exc:
         raise ChannelSpecError(f"invalid channel spec: {exc}") from exc
 
 
@@ -210,8 +209,8 @@ def cmd_capacity(args) -> int:
 
 def cmd_sweep(args) -> int:
     ch = read_channel(args.channel)
-    if not (0.0 < args.pmin <= args.pmax):
-        raise ChannelSpecError("sweep requires 0 < pmin <= pmax")
+    if not (0.0 < args.pmin <= args.pmax < math.inf):
+        raise ChannelSpecError("sweep requires 0 < pmin <= pmax < inf")
     if args.steps < 2:
         raise ChannelSpecError("sweep requires steps >= 2")
     if args.log_spacing:
@@ -223,10 +222,15 @@ def cmd_sweep(args) -> int:
             for i in range(args.steps)
         ]
 
+    try:
+        channels = [ch.with_power(power) for power in powers]
+    except ValueError as exc:
+        raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
+
     sys.stdout.write("P,capacity_nats,capacity_bits,lambda1,verdict\n")
     previous = -math.inf
-    for power in powers:
-        cert = capacity_certificate(ch.with_power(power))
+    for power, ch_p in zip(powers, channels):
+        cert = capacity_certificate(ch_p)
         cap = max(0.0, cert.capacity_nats)
         if cap < previous - EPS_MONOTONE:
             sys.stderr.write(
@@ -255,6 +259,8 @@ def cmd_oracle(args) -> int:
     from .achievable import beam_rate, optimal_beam
     from .channel import beam_covariance
 
+    if args.grid < 2 or args.samples < 1 or args.seed < 0:
+        raise ChannelSpecError("oracle requires --grid >= 2, --samples >= 1 and --seed >= 0")
     ch = read_channel(args.channel)
     if args.grid < RECOMMENDED_MIN_GRID:
         sys.stderr.write(
@@ -342,9 +348,12 @@ def cmd_random(args) -> int:
 
     if args.count < 1:
         raise ChannelSpecError("count must be at least 1")
-    if args.power <= 0.0 or not math.isfinite(args.power):
-        raise ChannelSpecError("power must be finite and positive")
-    channels, attempts = sample_general_channels(args.seed, args.count, args.power)
+    if args.seed < 0:
+        raise ChannelSpecError("random requires --seed >= 0")
+    try:
+        channels, attempts = sample_general_channels(args.seed, args.count, args.power)
+    except ValueError as exc:
+        raise ChannelSpecError(f"invalid channel: {exc}") from exc
     for ch in channels:
         sys.stdout.write(dumps(channel_to_dict(ch), compact=True) + "\n")
     sys.stderr.write(

@@ -77,10 +77,6 @@ class DegenerateDirection(ConverseError):
     """The optimizing alpha is unbounded for this direction."""
 
 
-class EigenStructureMismatch(ConverseError):
-    """The bound matrix spectrum is not the expected pair."""
-
-
 # --- oracle ------------------------------------------------------------------
 
 class NotUnitRank(SecrecyError):

@@ -332,16 +332,18 @@ def min_over_a(
     Every member of the family is a valid upper bound, so the sampled
     minimum must stay above the achievable rate (up to EPS_GRID), and the
     optimized correlation must do at least as well as every sample.  Both
-    facts are asserted; violations raise InvariantViolated.
+    facts are asserted; violations raise InvariantViolated.  Channels that
+    are not General fail in optimal_beam or optimize_alpha, before any grid.
 
     Returns (a_best, value, tc, star_value): the best sample and its grid
     value, and ``optimize_alpha``'s correlation with the grid value at a*.
     """
-    if classify(ch).kind is not ChannelKind.GENERAL:
-        raise PreconditionFailed("min_over_a applies to General channels only")
+    from .converse import optimize_alpha
+
     if samples < 1:
         raise ValueError("need at least one sample")
     beam = optimal_beam(ch)
+    tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
 
     rng = np.random.default_rng(seed)
     best_a: Vec2 | None = None
@@ -366,9 +368,6 @@ def min_over_a(
             f"sampled upper bound {best_value!r} dipped below the lower bound {beam.rate!r}"
         )
 
-    from .converse import optimize_alpha
-
-    tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
     _, star_value = brute_force_upper(ch, tc.a_star, grid)
     if star_value > best_value + EPS_GRID * max(1.0, abs(best_value)):
         raise InvariantViolated(

@@ -52,5 +52,12 @@ EPS_RIM = 1e-6
 # Slack before a power sweep warns that capacity decreased with power.
 EPS_MONOTONE = 1e-12
 
+# Supported magnitude range, refused beyond with ValueError.  The rank-one
+# pencil solver's B^{-1/2} entries 1 + r v_i^2 cancel to 0 near P ||g||^2 ~ 1e32:
+MAX_SNR = 1e30  # bounds P * max(||H||_F^2, ||g||^2)
+# Determinants square the squared gains, and the oracle grid squares P;
+# either overflows beyond ~1e154:
+MAX_GAIN_SQ = 1e150  # bounds max(||H||_F^2, ||g||^2) and P
+
 # Grid sizes below this trigger a CLI warning.
 RECOMMENDED_MIN_GRID = 64

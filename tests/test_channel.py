@@ -23,6 +23,7 @@ from secrecy221.errors import (
     NotRankDeficient,
     PowerExceeded,
 )
+from secrecy221.tolerances import MAX_GAIN_SQ, MAX_SNR
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -53,6 +54,43 @@ class TestWiretapChannel:
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):
             WiretapChannel(((1.0, float("inf")), (0.0, 1.0)), (1.0, 0.0), 1.0)
+
+    def test_snr_bound(self):
+        # ||H||_F^2 = 2 and ||g||^2 = 4: P * 4 = MAX_SNR exactly is served.
+        at_bound = MAX_SNR / 4.0
+        cert = capacity_certificate(WiretapChannel(I2, (2.0, 0.0), at_bound))
+        assert cert.kind is ChannelKind.GENERAL
+        with pytest.raises(ValueError, match="exceeds the supported"):
+            WiretapChannel(I2, (2.0, 0.0), math.nextafter(at_bound, math.inf))
+
+    def test_gain_and_power_bound(self):
+        x = math.sqrt(MAX_GAIN_SQ)
+        while x * x > MAX_GAIN_SQ:
+            x = math.nextafter(x, 0.0)
+        above = math.nextafter(x, math.inf)
+        assert above * above > MAX_GAIN_SQ
+        h = ((x / 4.0, 0.0), (0.0, x / 4.0))
+        capacity_certificate(WiretapChannel(h, (x, 0.0), 1e-121))
+        with pytest.raises(ValueError, match="exceeds the supported"):
+            WiretapChannel(h, (above, 0.0), 1e-121)
+        # P itself is bounded too: the oracle grid squares it.
+        tiny_h = ((1e-80, 0.0), (0.0, 1e-80))
+        capacity_certificate(WiretapChannel(tiny_h, (0.5e-80, 0.0), MAX_GAIN_SQ))
+        with pytest.raises(ValueError, match="exceeds the supported"):
+            WiretapChannel(tiny_h, (0.5e-80, 0.0), math.nextafter(MAX_GAIN_SQ, math.inf))
+
+    @pytest.mark.parametrize(
+        "h,g,power",
+        [
+            (I2, (2.0, 0.0), 1e34),  # example A: the rank-one solver cancels
+            (I2, (0.5, 0.0), 1e34),
+            (((1e100, 5e99), (2e99, 1.2e100)), (1.1e100, 9e99), 1.0),  # overflow
+            (((1e-80, 0.0), (0.0, 1e-80)), (0.5e-80, 0.0), 1e160),  # grid overflow
+        ],
+    )
+    def test_out_of_range_magnitudes_refused(self, h, g, power):
+        with pytest.raises(ValueError, match="exceeds the supported"):
+            WiretapChannel(h, g, power)
 
     def test_cached_members_keep_equality_and_hash(self):
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)

@@ -116,6 +116,65 @@ class TestCapacity:
         assert "cannot read" in json.loads(err)["error"]["message"]
 
 
+class TestRefusedInputs:
+    """Out-of-range arguments and specs exit 1 with ChannelSpecError and an
+    empty stdout."""
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["sweep", "{path}", "--pmin", "1", "--pmax", "inf", "--steps", "3"], "pmax"),
+            (["sweep", "{path}", "--pmin", "1", "--pmax", "1e40", "--steps", "3"], "supported"),
+            (["oracle", "{path}", "--grid", "1"], "oracle requires"),
+            (["oracle", "{path}", "--grid", "0"], "oracle requires"),
+            (["oracle", "{path}", "--samples", "0"], "oracle requires"),
+            (["oracle", "{path}", "--samples", "-3"], "oracle requires"),
+            (["oracle", "{path}", "--seed", "-1"], "oracle requires"),
+            (["random", "--seed", "-1"], "random requires"),
+            (["random", "--power", "1e40"], "supported"),
+        ],
+    )
+    def test_arguments(self, capsys, example_a_path, argv, fragment):
+        code, out, err = run(capsys, [a.format(path=example_a_path) for a in argv])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert fragment in error["message"]
+
+    @pytest.mark.parametrize(
+        "spec,fragment",
+        [
+            ('{"H": [[true, false], [0, 1]], "g": ["2", 0], "P": "1"}', "JSON numbers"),
+            ('{"H": [[1, 0], [0, 1]], "g": [2, 0], "P": 1' + "0" * 400 + "}", "too large"),
+            ('{"H": [[1, 0], [0, 1]], "g": [2, 0], "P": 1e34}', "supported"),
+            ('{"H": [[1, 0], [0, 1]], "g": [0.5, 0], "P": 1e34}', "supported"),
+            (
+                '{"H": [[1e100, 5e99], [2e99, 1.2e100]], "g": [1.1e100, 9e99], "P": 1}',
+                "supported",
+            ),
+            ('{"H": [[1e-80, 0], [0, 1e-80]], "g": [0.5e-80, 0], "P": 1e160}', "supported"),
+        ],
+        ids=[
+            "non_numbers",
+            "huge_integer",
+            "example_a_huge_power",
+            "degraded_huge_power",
+            "huge_gains",
+            "huge_power_tiny_gains",
+        ],
+    )
+    def test_specs(self, capsys, tmp_path, spec, fragment):
+        path = tmp_path / "channel.json"
+        path.write_text(spec)
+        code, out, err = run(capsys, ["capacity", str(path)])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert fragment in error["message"]
+
+
 class TestToleranceOverrides:
     """The verdict tolerance comes from --tol alone (default EPS_CERT)."""
 

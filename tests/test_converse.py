@@ -1,6 +1,8 @@
 """Upper-bound tests: the correlation family, its optimizer, the bound
 evaluations, and the capacity certificate."""
 
+import dataclasses
+import json
 import math
 import random
 
@@ -20,21 +22,28 @@ from secrecy221 import (
     optimal_beam,
     optimize_alpha,
     theta_of_alpha,
-    upper_bound_max,
     upper_value,
     validate_covariance,
 )
 from secrecy221 import matkit as mk
-from secrecy221.converse import RESIDUAL_TOLERANCES, _upper_value_detail, theta_reciprocal_poly
+from secrecy221 import converse
+from secrecy221.cli import main
+from secrecy221.converse import (
+    RESIDUAL_TOLERANCES,
+    _certificate_verdict,
+    _upper_bound_max_detail,
+    _upper_value_detail,
+    theta_reciprocal_poly,
+)
 from secrecy221.errors import (
     BoundaryAmbiguous,
     DegenerateDirection,
-    EigenStructureMismatch,
     NoiseDegenerate,
     NormOne,
     PreconditionFailed,
     ZeroAlpha,
 )
+from secrecy221.tolerances import EPS_CERT
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -144,18 +153,32 @@ class TestOptimizeAlpha:
 class TestAZeroWitness:
     def test_orthogonal_beam_gives_zero(self, example_a, diag_example):
         for ch in (example_a, diag_example):
-            a0 = a_zero_witness(ch, optimal_beam(ch).q_a)
+            a0, _ = a_zero_witness(ch, optimal_beam(ch).q_a)
             assert mk.norm2(a0) <= 1e-15
 
     def test_random_suite(self, suite1000):
         for ch in suite1000[:300]:
             beam = optimal_beam(ch)
-            a0 = a_zero_witness(ch, beam.q_a)
+            a0, _ = a_zero_witness(ch, beam.q_a)
             assert mk.norm2(a0) < 1.0
             expected = abs(mk.dot2(ch.g, beam.q_a)) / mk.norm2(
                 mk.matvec2(ch.H, beam.q_a)
             )
             assert math.isclose(mk.norm2(a0), expected, rel_tol=1e-10, abs_tol=1e-14)
+
+    def test_residual_is_the_certificates_and_unit_norm_fails(self, suite1000):
+        for ch in suite1000[:20]:
+            cert = capacity_certificate(ch)
+            _, orth = a_zero_witness(ch, cert.beam.q_a)
+            assert orth == cert.residuals["a_zero_orth"]
+        # ||a_0|| < 1 is strict: the table fails exactly 1.0 (and NaN) and
+        # passes the largest double below 1.
+        residuals = dict(capacity_certificate(suite1000[0]).residuals)
+        for norm, verdict in [
+            (math.nextafter(1.0, 0.0), "Tight"), (1.0, "NotTight"), (math.nan, "NotTight")
+        ]:
+            residuals["a_zero_norm"] = norm
+            assert _certificate_verdict(residuals, EPS_CERT) == verdict
 
 
 class TestUpperValue:
@@ -210,14 +233,14 @@ class TestUpperValue:
 class TestUpperBoundMax:
     def test_example_a(self, example_a):
         tc = optimize_alpha(example_a, (1.0, 0.0))
-        value, eigs = upper_bound_max(example_a, tc)
+        value, eigs, _ = _upper_bound_max_detail(example_a, tc)
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-13)
         assert math.isclose(eigs[0], 2.0, rel_tol=1e-13)
         assert math.isclose(eigs[1], 1.0, abs_tol=1e-13)
 
     def test_diagonal_example(self, diag_example):
         tc = optimize_alpha(diag_example, (1.0, 0.0))
-        value, eigs = upper_bound_max(diag_example, tc)
+        value, eigs, _ = _upper_bound_max_detail(diag_example, tc)
         assert math.isclose(value, 0.5 * math.log(5.0), rel_tol=1e-13)
         assert math.isclose(eigs[0], 5.0, rel_tol=1e-13)
         assert math.isclose(eigs[1], 1.0, abs_tol=1e-13)
@@ -226,7 +249,7 @@ class TestUpperBoundMax:
         for ch in suite1000[:300]:
             beam = optimal_beam(ch)
             tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
-            _, eigs = upper_bound_max(ch, tc)
+            _, eigs, _ = _upper_bound_max_detail(ch, tc)
             assert math.isclose(eigs[0], beam.lambda1, rel_tol=1e-10)
             assert abs(eigs[1] - 1.0) <= 1e-8
 
@@ -239,8 +262,8 @@ class TestUpperBoundMax:
             A_star=tc.A_star,
             q_perp=tc.q_perp,
         )
-        with pytest.raises(EigenStructureMismatch):
-            upper_bound_max(example_a, broken)
+        _, _, resid = _upper_bound_max_detail(example_a, broken)
+        assert resid["eigen_one_abs"] > RESIDUAL_TOLERANCES["eigen_one_abs"]
 
 
 class TestCapacityCertificate:
@@ -265,6 +288,27 @@ class TestCapacityCertificate:
         _, min_val, _, _ = min_over_a(ch, 50, seed=6)
         assert min_val >= cert.lower - 1e-3
         assert brute_force_upper(ch, cert.correlation.a_star, (256, 256))[1] <= min_val + 1e-3
+
+    def test_blown_identity_is_nottight(self, monkeypatch, tmp_path, capsys):
+        # A wrong theta* blows the {lambda_1, 1} spectrum identity: the
+        # residual table, not a raise, must turn that into NotTight.
+        real = converse.optimize_alpha
+
+        def doubled(ch, q_perp):
+            tc = real(ch, q_perp)
+            return dataclasses.replace(tc, theta_star=2.0 * tc.theta_star)
+
+        monkeypatch.setattr(converse, "optimize_alpha", doubled)
+        ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
+        cert = capacity_certificate(ch)
+        assert cert.verdict == "NotTight"
+        assert cert.upper is not None
+        assert "tight_path_error" not in cert.flags
+        assert cert.residuals["eigen_one_abs"] > RESIDUAL_TOLERANCES["eigen_one_abs"]
+        path = tmp_path / "channel.json"
+        path.write_text('{"H": [[1.0, 0.5], [0.2, 1.2]], "g": [1.1, 0.9], "P": 2.0}')
+        assert main(["capacity", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["verdict"] == "NotTight"
 
     def test_degraded_inapplicable(self):
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)

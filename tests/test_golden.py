@@ -2,10 +2,13 @@
 
 The expected outputs in tests/golden/ were recorded before the refactors
 they guard (per-channel quantities cached on WiretapChannel; the oracle's
-grid and min-over-a entry points folded into one each); any change to them
-is a contract change and has to be made deliberately.
+grid and min-over-a entry points folded into one each; the certificate's
+residual table made the only gate on the identities it records); any change
+to them is a contract change and has to be made deliberately.
 """
 
+import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,10 @@ import pytest
 from secrecy221.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# SHA-256 over `capacity -` on every line of `random --seed 0 --count 1000`:
+# each line's stdout followed by "exit <code>\n".  Recorded on x86-64 Linux.
+RANDOM_SUITE_DIGEST = "a6e90e953772e39ed8c5743321ab9cb8baefe797b372eb6f69b7950a253df034"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -40,3 +47,16 @@ def test_stdout_is_byte_identical(capsys, tmp_path, name, spec, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_random_suite_capacity_digest(capsys, monkeypatch):
+    assert main(["random", "--seed", "0", "--count", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1000
+    digest = hashlib.sha256()
+    for line in lines:
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        code = main(["capacity", "-"])
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(f"exit {code}\n".encode())
+    assert digest.hexdigest() == RANDOM_SUITE_DIGEST

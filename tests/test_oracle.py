@@ -19,6 +19,7 @@ from secrecy221 import (
     sample_general_channels,
 )
 from secrecy221 import matkit as mk
+from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate, NotUnitRank, PreconditionFailed
 from secrecy221.oracle import CovParam, covariance_from_param
 from secrecy221.tolerances import EPS_TRACE
@@ -203,9 +204,19 @@ class TestMinOverA:
             assert star_value == grid_value
             assert mk.trace2(s_star.S) <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
-    def test_requires_general(self):
+    def test_requires_general(self, monkeypatch):
+        # The precondition fails before any grid is searched.
+        calls = []
+        real = oracle.brute_force_upper
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "brute_force_upper", counted)
         with pytest.raises(PreconditionFailed):
             min_over_a(WiretapChannel(I2, (0.5, 0.0), 1.0), 10, seed=0)
+        assert calls == []
 
 
 class TestSampling:
