@@ -100,11 +100,11 @@ def read_channel(path: str) -> WiretapChannel:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChannelSpecError(f"cannot read channel spec: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ChannelSpecError(f"invalid channel spec: {exc}") from exc
     return channel_from_dict(doc)
 
@@ -328,6 +328,10 @@ def cmd_oracle(args) -> int:
         a_best, min_value, tc, star_value = oracle.min_over_a(
             ch, args.samples, args.seed, grid
         )
+        # Every sampled correlation gives a valid upper bound, and a* is the
+        # best member of the family.
+        checks.append(min_value >= beam.rate - EPS_GRID * max(1.0, abs(beam.rate)))
+        checks.append(star_value <= min_value + EPS_GRID * max(1.0, abs(min_value)))
         doc["min_over_a"] = {
             "a_best": list(a_best),
             "value_nats": min_value,

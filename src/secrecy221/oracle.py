@@ -37,7 +37,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_GRID, EPS_KKT, EPS_NORM, EPS_RIM, EPS_SING
+from .tolerances import EPS_KKT, EPS_NORM, EPS_RIM, EPS_SING
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,6 @@ def _power_pairs(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     The lattice always contains the corners (P, 0), (0, P) and the origin,
     so the full-power unit-rank optima sit exactly on grid points.
     """
-    if npower < 2:
-        raise ValueError("power grid needs at least 2 points")
     m = 1
     while (m + 2) * (m + 3) // 2 <= npower:
         m += 1
@@ -234,7 +232,7 @@ def brute_force_upper(
     estimation-theoretic routes.  Returns (S_best, value) like
     ``brute_force_gaussian``; the random refinement stage uses seed 0.
     """
-    if mk.norm2(a) >= 1.0 - EPS_NORM:
+    if not mk.norm2(a) < 1.0 - EPS_NORM:
         raise NoiseDegenerate(f"||a|| = {mk.norm2(a)!r} is not < 1")
     return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, 0)
 
@@ -330,10 +328,11 @@ def min_over_a(
     """Sample admissible correlations and minimize the grid upper bound.
 
     Every member of the family is a valid upper bound, so the sampled
-    minimum must stay above the achievable rate (up to EPS_GRID), and the
-    optimized correlation must do at least as well as every sample.  Both
-    facts are asserted; violations raise InvariantViolated.  Channels that
-    are not General fail in optimal_beam or optimize_alpha, before any grid.
+    minimum should stay above the achievable rate (up to EPS_GRID), and the
+    optimized correlation should do at least as well as every sample.  The
+    values are returned, not judged: the oracle verb checks both relations.
+    Channels that are not General fail in optimal_beam or optimize_alpha,
+    before any grid.
 
     Returns (a_best, value, tc, star_value): the best sample and its grid
     value, and ``optimize_alpha``'s correlation with the grid value at a*.
@@ -362,18 +361,7 @@ def min_over_a(
             best_a = a
     assert best_a is not None
 
-    floor = beam.rate - EPS_GRID * max(1.0, abs(beam.rate))
-    if best_value < floor:
-        raise InvariantViolated(
-            f"sampled upper bound {best_value!r} dipped below the lower bound {beam.rate!r}"
-        )
-
     _, star_value = brute_force_upper(ch, tc.a_star, grid)
-    if star_value > best_value + EPS_GRID * max(1.0, abs(best_value)):
-        raise InvariantViolated(
-            f"optimized correlation value {star_value!r} is beaten by a sample "
-            f"({best_value!r})"
-        )
     return best_a, best_value, tc, star_value
 
 

@@ -154,6 +154,8 @@ class TestRefusedInputs:
                 "supported",
             ),
             ('{"H": [[1e-80, 0], [0, 1e-80]], "g": [0.5e-80, 0], "P": 1e160}', "supported"),
+            (b'\xff\xfe{"H": 1}', "cannot read channel spec"),
+            ("[" * 100000, "recursion"),
         ],
         ids=[
             "non_numbers",
@@ -162,11 +164,16 @@ class TestRefusedInputs:
             "degraded_huge_power",
             "huge_gains",
             "huge_power_tiny_gains",
+            "not_utf8",
+            "deeply_nested",
         ],
     )
     def test_specs(self, capsys, tmp_path, spec, fragment):
         path = tmp_path / "channel.json"
-        path.write_text(spec)
+        if isinstance(spec, bytes):
+            path.write_bytes(spec)
+        else:
+            path.write_text(spec)
         code, out, err = run(capsys, ["capacity", str(path)])
         assert code == 1
         assert out == ""
@@ -288,6 +295,27 @@ class TestOracleCommand:
         assert not doc["kkt_perturbed"]["passes"]
         assert doc["grid_search"]["gap_nats"] <= 1e-3
         assert doc["min_over_a"]["value_nats"] >= doc["closed_form"]["rate_nats"] - 1e-3
+
+    def test_failed_min_over_a_relation_exits_two(
+        self, capsys, monkeypatch, example_a_path
+    ):
+        # A grid bound 0.1 nats below the achievable rate breaks the first
+        # min-over-a relation: a report with passes false, not a bare error.
+        from secrecy221 import oracle
+
+        real = oracle.brute_force_upper
+
+        def low(*args):
+            cov, value = real(*args)
+            return cov, value - 0.1
+
+        monkeypatch.setattr(oracle, "brute_force_upper", low)
+        argv = ["oracle", example_a_path, "--grid", "64", "--samples", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["passes"] is False
+        assert doc["min_over_a"]["min_minus_lower_nats"] < 0.0
 
     def test_small_grid_warns(self, capsys, example_a_path):
         code, _, err = run(

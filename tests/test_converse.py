@@ -41,6 +41,7 @@ from secrecy221.errors import (
     NoiseDegenerate,
     NormOne,
     PreconditionFailed,
+    SingularMatrix,
     ZeroAlpha,
 )
 from secrecy221.tolerances import EPS_CERT
@@ -130,6 +131,10 @@ class TestOptimizeAlpha:
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
         with pytest.raises(PreconditionFailed):
             optimize_alpha(ch, (1.0, 0.0))
+        # Rank deficiency surfaces where (H^T H)^{-1} is formed.
+        rank_one = WiretapChannel(((1.0, 2.0), (2.0, 4.0)), (1.0, 0.0), 1.0)
+        with pytest.raises(SingularMatrix):
+            optimize_alpha(rank_one, (1.0, 0.0))
 
     def test_theta_star_is_admissible_minimum(self, suite1000):
         # The stationary point maximizes 1/theta, so theta* is the smallest
@@ -309,6 +314,72 @@ class TestCapacityCertificate:
         path.write_text('{"H": [[1.0, 0.5], [0.2, 1.2]], "g": [1.1, 0.9], "P": 2.0}')
         assert main(["capacity", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["verdict"] == "NotTight"
+
+    @staticmethod
+    def _perturb_theta(monkeypatch):
+        real = converse.optimize_alpha
+
+        def perturbed(ch, q_perp):
+            tc = real(ch, q_perp)
+            theta = tc.theta_star * (1.0 + 1e-7)
+            rank_one = mk.matscale2(theta, mk.outer2(q_perp, q_perp))
+            a_mat = mk.symmetrize2(mk.matadd2(ch.gram(), rank_one))
+            return dataclasses.replace(tc, theta_star=theta, A_star=a_mat)
+
+        monkeypatch.setattr(converse, "optimize_alpha", perturbed)
+
+    @staticmethod
+    def _perturb_inv_n(monkeypatch):
+        real = mk.inv_N
+
+        def perturbed(a):
+            (n00, *row0), *rows = real(a)
+            return ((n00 * (1.0 + 1e-6), *row0), *rows)
+
+        monkeypatch.setattr(mk, "inv_N", perturbed)
+
+    @pytest.mark.parametrize(
+        "perturb,judged_by,only",
+        [
+            ("_perturb_theta", "unit_coupling", False),
+            ("_perturb_inv_n", "three_path_u_rel", True),
+        ],
+        ids=["theta_star", "inv_N"],
+    )
+    def test_stage_error_is_judged_by_the_table(
+        self, monkeypatch, suite1000, perturb, judged_by, only
+    ):
+        # theta* and N^{-1} are not re-checked by the stages that produce
+        # them; the residual table alone must turn their errors into NotTight.
+        getattr(self, perturb)(monkeypatch)
+        gates = {**RESIDUAL_TOLERANCES, "bound_gap_rel": EPS_CERT}
+        for ch in suite1000[:200]:
+            cert = capacity_certificate(ch)
+            assert cert.verdict == "NotTight"
+            failing = {n for n, tol in gates.items() if not cert.residuals[n] <= tol}
+            assert judged_by in failing
+            if only:
+                assert failing == {judged_by}
+
+    def test_classify_runs_once(self, monkeypatch, capsys, tmp_path):
+        from secrecy221 import channel, cli, oracle
+
+        calls = []
+
+        def counted(ch):
+            calls.append(ch)
+            return channel_classify(ch)
+
+        channel_classify = channel.classify
+        for module in (channel, converse, cli, oracle):
+            monkeypatch.setattr(module, "classify", counted)
+        capacity_certificate(WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0))
+        assert len(calls) == 1
+        path = tmp_path / "channel.json"
+        path.write_text('{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}')
+        assert main(["oracle", str(path), "--grid", "64", "--samples", "4"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
 
     def test_degraded_inapplicable(self):
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)

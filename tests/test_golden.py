@@ -3,8 +3,10 @@
 The expected outputs in tests/golden/ were recorded before the refactors
 they guard (per-channel quantities cached on WiretapChannel; the oracle's
 grid and min-over-a entry points folded into one each; the certificate's
-residual table made the only gate on the identities it records); any change
-to them is a contract change and has to be made deliberately.
+residual table made the only gate on the identities it records; theta*
+computed once with no classify, re-derivation or inv_N self-check ahead of
+that table, and the min-over-a relations judged by the oracle verb); any
+change to them is a contract change and has to be made deliberately.
 """
 
 import hashlib
@@ -13,13 +15,21 @@ from pathlib import Path
 
 import pytest
 
-from secrecy221.cli import main
+from secrecy221 import capacity_certificate, sample_general_channels
+from secrecy221.cli import certificate_to_dict, dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # SHA-256 over `capacity -` on every line of `random --seed 0 --count 1000`:
 # each line's stdout followed by "exit <code>\n".  Recorded on x86-64 Linux.
 RANDOM_SUITE_DIGEST = "a6e90e953772e39ed8c5743321ab9cb8baefe797b372eb6f69b7950a253df034"
+
+# SHA-256 over the first 100 channels of `sample_general_channels(0, 100)` at
+# P = 10**k, k = -24..27 (5,200 certificates, the fallback, NotTight and
+# optimal_beam-refusal regions included): each certificate's JSON, or
+# "<ExcType>: <message>" when the call raises, followed by "\n".  Recorded on
+# x86-64 Linux.
+WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a900062694"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -60,3 +70,17 @@ def test_random_suite_capacity_digest(capsys, monkeypatch):
         digest.update(capsys.readouterr().out.encode())
         digest.update(f"exit {code}\n".encode())
     assert digest.hexdigest() == RANDOM_SUITE_DIGEST
+
+
+def test_wide_power_certificate_digest():
+    channels, _ = sample_general_channels(0, 100)
+    digest = hashlib.sha256()
+    for k in range(-24, 28):
+        for ch in channels:
+            try:
+                cert = capacity_certificate(ch.with_power(10.0**k))
+                text = dumps(certificate_to_dict(cert))
+            except Exception as exc:  # noqa: BLE001 - refusals are part of the record
+                text = f"{type(exc).__name__}: {exc}"
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == WIDE_POWER_DIGEST

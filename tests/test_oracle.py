@@ -22,7 +22,7 @@ from secrecy221 import matkit as mk
 from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate, NotUnitRank, PreconditionFailed
 from secrecy221.oracle import CovParam, covariance_from_param
-from secrecy221.tolerances import EPS_TRACE
+from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -110,8 +110,9 @@ class TestBruteForceUpper:
             assert value <= optimal_beam(ch).rate + 1e-12
 
     def test_degenerate_correlation_rejected(self, example_a):
-        with pytest.raises(NoiseDegenerate):
-            brute_force_upper(example_a, (0.8, 0.6), (64, 64))
+        for a in ((0.8, 0.6), (math.nan, 0.0)):
+            with pytest.raises(NoiseDegenerate):
+                brute_force_upper(example_a, a, (64, 64))
 
 
 class TestKKTCheck:
@@ -189,9 +190,12 @@ class TestMinOverA:
 
     def test_dominance_on_random_channels(self, suite1000):
         for ch in suite1000[:3]:
-            # min_over_a asserts internally that the optimized correlation
-            # is never beaten by more than the tolerance.
-            min_over_a(ch, 25, seed=8, grid=(256, 128))
+            # Every sample upper-bounds the achievable rate, and the
+            # optimized correlation is never beaten by more than the tolerance.
+            _, min_value, _, star_value = min_over_a(ch, 25, seed=8, grid=(256, 128))
+            lower = optimal_beam(ch).rate
+            assert min_value >= lower - EPS_GRID * max(1.0, abs(lower))
+            assert star_value <= min_value + EPS_GRID * max(1.0, abs(min_value))
 
     def test_returns_optimized_correlation_and_its_grid_value(self, suite1000):
         from secrecy221 import optimize_alpha
