@@ -17,9 +17,11 @@ Exit codes: 0 success (Tight or resolved), 1 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import matkit as mk
 from .channel import ChannelKind, WiretapChannel, classify
@@ -53,33 +55,30 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
     """JSON with 17-significant-digit floats and stable key order.
 
     ``compact`` renders everything on one line (used for line-oriented
-    output such as random channel specs).
+    output such as random channel specs).  Strings are escaped by the C
+    encoder behind ``json.dumps`` (ASCII output), so the bytes match it.
     """
-    pad = " " * indent
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if compact:
-            items = ", ".join(
-                f"{json.dumps(str(k))}: {dumps(v, compact=True)}" for k, v in obj.items()
-            )
-            return "{" + items + "}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+            items = [f"{_quote(str(k))}: {dumps(v, compact=True)}" for k, v in obj.items()]
+            return "{" + ", ".join(items) + "}"
+        pad = " " * indent
+        items = [f"{pad}  {_quote(str(k))}: {dumps(v, indent + 2)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v, indent, compact) for v in obj) + "]"
+        return "[" + ", ".join([dumps(v, indent, compact) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -208,11 +207,11 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ch = read_channel(args.channel)
     if not (0.0 < args.pmin <= args.pmax < math.inf):
         raise ChannelSpecError("sweep requires 0 < pmin <= pmax < inf")
     if args.steps < 2:
         raise ChannelSpecError("sweep requires steps >= 2")
+    ch = read_channel(args.channel)
     if args.log_spacing:
         lo, hi = math.log(args.pmin), math.log(args.pmax)
         powers = [math.exp(lo + (hi - lo) * i / (args.steps - 1)) for i in range(args.steps)]
@@ -371,7 +370,15 @@ def cmd_random(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    Building it costs several times a certificate; ``parse_args`` leaves it
+    unchanged (each call returns a fresh namespace) and argparse looks up
+    ``sys.stdout``, ``sys.stderr`` and the terminal width only when it
+    prints, so every in-process ``main`` call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="secrecy221",
         description="Secrecy capacity of the 2-2-1 Gaussian MIMO wiretap channel",
@@ -413,14 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SecrecyError as exc:
         return _error_exit(type(exc).__name__, str(exc))
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - contract: never print a traceback
         return _error_exit(type(exc).__name__, str(exc))
 

@@ -3,10 +3,15 @@
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from secrecy221.cli import main
+from secrecy221 import cli
+from secrecy221.cli import dumps, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 
@@ -267,6 +272,19 @@ class TestSweep:
         assert all(row[4] == "Inapplicable" for row in rows)
         assert float(rows[1][1]) >= float(rows[0][1]) - 1e-12
 
+    def test_arguments_checked_before_spec(self, capsys, monkeypatch):
+        # A refused argument wins over a malformed spec, and stdin is left unread.
+        stdin = io.StringIO("{nope")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["sweep", "-", "--pmin", "1", "--pmax", "4", "--steps", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert error["message"] == "sweep requires steps >= 2"
+        assert stdin.read() == "{nope"
+
     def test_usage_errors(self, capsys, example_a_path):
         code, _, err = run(
             capsys,
@@ -376,3 +394,129 @@ class TestRandom:
         code, out, _ = run(capsys, ["random", "--seed", "3", "--count", "1", "--power", "2.5"])
         assert code == 0
         assert json.loads(out)["P"] == 2.5
+
+
+class TestParserReuse:
+    """One parser serves every in-process call: no call's arguments or
+    defaults leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_sequence(self, capsys, example_a_path):
+        def golden(name):
+            return (GOLDEN / f"{name}.out").read_text()
+
+        assert run(capsys, ["capacity", example_a_path, "--bits"]) == (
+            0, golden("capacity_example_a_bits"), ""
+        )
+        assert run(capsys, ["capacity", example_a_path]) == (
+            0, golden("capacity_example_a"), ""
+        )
+        code, out, _ = run(capsys, ["capacity", example_a_path, "--tol", "0"])
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.0
+        assert run(capsys, ["capacity", example_a_path]) == (
+            0, golden("capacity_example_a"), ""
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", example_a_path, "--bits", "--nats"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+        sweep = ["--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"]
+        code, out, _ = run(capsys, ["sweep", example_a_path, *sweep])
+        assert (code, out) == (0, golden("sweep_example_a"))
+        code, out, _ = run(capsys, ["oracle", example_a_path, "--grid", "64", "--samples", "4"])
+        assert (code, out) == (0, golden("oracle_example_a"))
+
+
+NESTED = {
+    "a": (1, 2.5, "s"),
+    "e": {},
+    "l": [],
+    "d": {"inner": {"deep": [1, {"k": [True, None]}]}, "t": ()},
+}
+
+
+class TestDumps:
+    """The serializer's bytes, recorded from its json.dumps-based version."""
+
+    @pytest.mark.parametrize(
+        "obj,compact,expected",
+        [
+            (
+                {
+                    'q"uote': "back\\slash",
+                    "ctl\n\t\x00\x1f": "\u00e9 \u00fc \U0001d11e \u2028",
+                    "": "",
+                },
+                False,
+                '{\n  "q\\"uote": "back\\\\slash",\n'
+                '  "ctl\\n\\t\\u0000\\u001f": '
+                '"\\u00e9 \\u00fc \\ud834\\udd1e \\u2028",\n'
+                '  "": ""\n}',
+            ),
+            (
+                {'q"uote': "back\\slash", "ctl\n\t\x00\x1f": "\u00e9"},
+                True,
+                '{"q\\"uote": "back\\\\slash", '
+                '"ctl\\n\\t\\u0000\\u001f": "\\u00e9"}',
+            ),
+            (
+                [True, 1, 1.0, False, 0, -0.0, None, 1e-300, 123456789012345678901234567890],
+                False,
+                "[true, 1, 1, false, 0, -0, null, 1e-300, 123456789012345678901234567890]",
+            ),
+            (
+                {"x": np.float64(0.1), "y": [np.float64(1e300), np.float64(-2.5)]},
+                False,
+                '{\n  "x": 0.10000000000000001,\n  "y": [1.0000000000000001e+300, -2.5]\n}',
+            ),
+            (
+                NESTED,
+                False,
+                '{\n  "a": [1, 2.5, "s"],\n  "e": {},\n  "l": [],\n  "d": {\n'
+                '    "inner": {\n      "deep": [1, {\n        "k": [true, null]\n      }]\n'
+                '    },\n    "t": []\n  }\n}',
+            ),
+            (
+                NESTED,
+                True,
+                '{"a": [1, 2.5, "s"], "e": {}, "l": [], '
+                '"d": {"inner": {"deep": [1, {"k": [true, null]}]}, "t": []}}',
+            ),
+            (
+                {2.5: "b", None: "c", 1: "d"},
+                False,
+                '{\n  "2.5": "b",\n  "None": "c",\n  "1": "d"\n}',
+            ),
+        ],
+        ids=[
+            "escapes",
+            "escapes_compact",
+            "scalars",
+            "numpy_float",
+            "nested",
+            "nested_compact",
+            "keys",
+        ],
+    )
+    def test_bytes(self, obj, compact, expected):
+        assert dumps(obj, compact=compact) == expected
+
+    def test_indent(self):
+        assert dumps([{"a": 1}, {"b": {"c": 2}}], indent=4) == (
+            '[{\n      "a": 1\n    }, {\n      "b": {\n        "c": 2\n      }\n    }]'
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"x": [value]})
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}], ids=["numpy_int64", "set"])
+    def test_unsupported_type_refused(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps({"x": value})
