@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import matkit as mk
-from .channel import ChannelClass, ChannelKind, WiretapChannel
-from .errors import InvariantViolated, PreconditionFailed, RankDeficient
+from .channel import WiretapChannel
+from .errors import InvariantViolated, RankDeficient
 from .matkit import Vec2
 from .tolerances import EPS_EIG, EPS_ID
 
@@ -90,39 +90,3 @@ def optimal_beam(ch: WiretapChannel) -> BeamSolution:
         degenerate=degenerate,
         no_eavesdropper=mk.norm2(ch.g) == 0.0,
     )
-
-
-def null_beam_rate(ch: WiretapChannel) -> float:
-    """Rate of beaming orthogonally to the eavesdropper: (1/2) log(1 + P ||H g_perp||^2).
-
-    Strictly positive for full-rank H, and never better than the optimal
-    beam.  When g = 0 there is no direction to avoid, so the strongest main
-    channel direction is used instead (the continuous limit of the problem).
-    """
-    if ch._rank_deficient:
-        raise RankDeficient("main channel gain is rank deficient")
-    if mk.norm2(ch.g) == 0.0:
-        (l1, _), _ = ch._gram_eig
-        return 0.5 * math.log(1.0 + ch.P * l1)
-    g_perp = mk.orth_perp(mk.unit2(ch.g))
-    hg = mk.matvec2(ch.H, g_perp)
-    return 0.5 * math.log(1.0 + ch.P * mk.dot2(hg, hg))
-
-
-def assert_lambda_exceeds_one(
-    sol: BeamSolution, cls: ChannelClass, ch: WiretapChannel
-) -> bool:
-    """Check lambda_1 > 1 on a non-degraded channel.
-
-    The gap threshold is half the guaranteed excess implied by the positive
-    null-beam rate (lambda_1 >= 1 + P ||H g_perp||^2).  Failure is an
-    InvariantViolated, i.e. an implementation bug, never a valid outcome.
-    """
-    if cls.kind is not ChannelKind.GENERAL:
-        raise PreconditionFailed("lambda_1 > 1 is only asserted for General channels")
-    gap = 0.5 * math.expm1(2.0 * null_beam_rate(ch))
-    if not sol.lambda1 > 1.0 + gap:
-        raise InvariantViolated(
-            f"lambda_1 = {sol.lambda1!r} does not exceed 1 + {gap!r}"
-        )
-    return True

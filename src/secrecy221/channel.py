@@ -25,7 +25,7 @@ from .errors import (
     PowerExceeded,
 )
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_CLASS, EPS_ID, EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
+from .tolerances import EPS_CLASS, EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
 
 
 def _check_finite(values, what: str) -> None:
@@ -142,15 +142,6 @@ class ChannelClass:
 
 
 @dataclass(frozen=True)
-class MisoChannel:
-    """Equivalent 2-1-1 channel after rotating out a rank-deficient H."""
-
-    h: Vec2
-    g: Vec2
-    P: float
-
-
-@dataclass(frozen=True)
 class CovMat:
     """Validated transmit covariance: symmetric PSD with trace within budget."""
 
@@ -176,8 +167,8 @@ def classify(ch: WiretapChannel) -> ChannelClass:
     return ChannelClass(kind, eve_norm, ch._sv_ratio)
 
 
-def reduce_rank_deficient(ch: WiretapChannel) -> MisoChannel:
-    """Collapse a rank-deficient channel to its equivalent 2-1-1 form.
+def reduce_rank_deficient(ch: WiretapChannel) -> Vec2:
+    """Row gain h of the equivalent 2-1-1 channel (h, g, P) of a rank-deficient H.
 
     Rotating the receiver by the left singular basis of H leaves a single
     informative output with row gain sigma_1 v_1 (top singular pair of H);
@@ -187,7 +178,7 @@ def reduce_rank_deficient(ch: WiretapChannel) -> MisoChannel:
         raise NotRankDeficient("channel has a full-rank main gain")
     (l1, _), (v1, _) = ch._gram_eig
     sigma1 = math.sqrt(max(l1, 0.0))
-    return MisoChannel(mk.scale2(sigma1, v1), ch.g, ch.P)
+    return mk.scale2(sigma1, v1)
 
 
 def validate_covariance(s, power: float) -> CovMat:
@@ -226,6 +217,12 @@ def _require_positive(route: str, **log_args: float) -> None:
 
 
 def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float]:
+    """Secrecy rate of a Gaussian input with covariance S (nats, unclamped).
+
+    Evaluates (1/2) log det(I + H S H^T) - (1/2) log(1 + g^T S g) and the
+    algebraically equal form with det(I + H^T H S) (Sylvester).  Returns
+    (rate, relative disagreement); the certificate gates the disagreement.
+    """
     s = cov.S
     eye = mk.eye2()
     hsh = mk.matmul2(mk.matmul2(ch.H, s), mk.transpose2(ch.H))
@@ -237,20 +234,3 @@ def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float
     rate_b = 0.5 * math.log(num_b / den)
     residual = abs(rate_a - rate_b) / max(1.0, abs(rate_a))
     return rate_a, residual
-
-
-def gaussian_rate(ch: WiretapChannel, cov) -> float:
-    """Secrecy rate of a Gaussian input with covariance S (nats, unclamped).
-
-    Computes (1/2) log det(I + H S H^T) - (1/2) log(1 + g^T S g) and
-    cross-checks the determinant against the algebraically equal form
-    det(I + H^T H S); disagreement means a broken kernel, not a property of
-    the input.
-    """
-    cov = validate_covariance(cov, ch.P)
-    rate, residual = _gaussian_rate_detail(ch, cov)
-    if residual > EPS_ID:
-        raise InvariantViolated(
-            f"determinant identity residual {residual!r} exceeds {EPS_ID}"
-        )
-    return rate

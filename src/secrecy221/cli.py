@@ -325,7 +325,7 @@ def cmd_oracle(args) -> int:
         checks.append(not kkt_pert.passes)
 
         a_best, min_value, tc, star_value = oracle.min_over_a(
-            ch, args.samples, args.seed, grid
+            ch, beam, args.samples, args.seed, grid
         )
         # Every sampled correlation gives a valid upper bound, and a* is the
         # best member of the family.

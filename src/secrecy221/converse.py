@@ -33,7 +33,6 @@ from .channel import (
     beam_covariance,
     classify,
     reduce_rank_deficient,
-    validate_covariance,
     _gaussian_rate_detail,
     _require_positive,
 )
@@ -43,10 +42,8 @@ from .errors import (
     InvariantViolated,
     MatrixError,
     NoiseDegenerate,
-    NormOne,
     PreconditionFailed,
     RankDeficient,
-    ZeroAlpha,
 )
 from .matkit import Mat2, Mat3, Vec2
 from .tolerances import (
@@ -126,56 +123,6 @@ RESIDUAL_TOLERANCES: dict[str, float] = {
 }
 
 
-def theta_of_alpha(ch: WiretapChannel, q_perp: Vec2, alpha: float) -> float:
-    """theta(alpha) = alpha^2 / (1 - ||a||^2) for a = H^{-T}(alpha q_perp + g).
-
-    Evaluated both directly and through the quadratic-in-1/alpha form
-
-        1/theta = -q^T W q - 2 (g^T W q)/alpha - (g^T W g - 1)/alpha^2,
-
-    with W = (H^T H)^{-1}; the two must agree.  alpha = 0 is excluded (it
-    would give a = H^{-T} g, which has norm > 1 on non-degraded channels),
-    as is any alpha whose a lands on the unit circle.
-    """
-    if abs(alpha) <= EPS_SING:
-        raise ZeroAlpha("alpha = 0 is not an admissible correlation parameter")
-    a = mk.matvec2(ch._ht_inv, mk.add2(mk.scale2(alpha, q_perp), ch.g))
-    s = 1.0 - mk.dot2(a, a)
-    if abs(s) <= EPS_NORM:
-        raise NormOne(f"correlation norm hits 1 at alpha = {alpha!r}")
-    theta = alpha * alpha / s
-
-    t0, t1, t2 = _theta_reciprocal_terms(ch, q_perp, 1.0 / alpha)
-    recip_poly = t0 + t1 + t2
-    # Compare the reciprocals, scaled by the polynomial's term magnitudes:
-    # on badly conditioned channels the coefficients (entries of (H^T H)^{-1})
-    # dominate the achievable absolute accuracy.
-    scale = max(1.0, abs(t0) + abs(t1) + abs(t2))
-    if abs(s / (alpha * alpha) - recip_poly) > EPS_ID * scale:
-        raise InvariantViolated(
-            f"theta evaluations disagree: {theta!r} vs {1.0 / recip_poly!r}"
-        )
-    return theta
-
-
-def _theta_reciprocal_terms(
-    ch: WiretapChannel, q_perp: Vec2, inv_alpha: float
-) -> tuple[float, float, float]:
-    """The constant, linear and quadratic terms of 1/theta at x = 1/alpha."""
-    w = ch._w
-    return (
-        -mk.quad2(w, q_perp),
-        -2.0 * mk.dot2(ch.g, mk.matvec2(w, q_perp)) * inv_alpha,
-        -(mk.quad2(w, ch.g) - 1.0) * inv_alpha * inv_alpha,
-    )
-
-
-def theta_reciprocal_poly(ch: WiretapChannel, q_perp: Vec2, inv_alpha: float) -> float:
-    """The concave quadratic 1/theta as a function of x = 1/alpha."""
-    t0, t1, t2 = _theta_reciprocal_terms(ch, q_perp, inv_alpha)
-    return t0 + t1 + t2
-
-
 def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
     """Pick the correlation that makes the genie bound tight.
 
@@ -241,12 +188,15 @@ def a_zero_witness(ch: WiretapChannel, q_a: Vec2) -> tuple[Vec2, float]:
 
 
 def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
-    """A(a) = H^T H + (H^T a - g)(H^T a - g)^T / (1 - ||a||^2)."""
+    """A(a) = H^T H + (H^T a - g)(H^T a - g)^T / (1 - ||a||^2).
+
+    Defined for a strictly inside the unit disk; any other a, NaN and inf
+    entries included, raises NoiseDegenerate.
+    """
+    a_norm = mk.norm2(a)
+    if not a_norm < 1.0 - EPS_NORM:
+        raise NoiseDegenerate(f"||a|| = {a_norm!r} is not < 1")
     k = 1.0 - mk.dot2(a, a)
-    if not math.isfinite(k):
-        raise ValueError("correlation entries must be finite")
-    if abs(k) <= EPS_NORM:
-        raise NoiseDegenerate("correlation norm at 1")
     v = mk.sub2(mk.matvec2(mk.transpose2(ch.H), a), ch.g)
     return mk.symmetrize2(mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v))))
 
@@ -295,19 +245,6 @@ def _upper_value_detail(
 
     worst = max(abs(u1 - u2), abs(u1 - u3), abs(u2 - u3)) / max(1.0, abs(u1))
     return u1, worst
-
-
-def upper_value(ch: WiretapChannel, cov, a: Vec2) -> float:
-    """U(S, a): the genie upper bound's objective for one covariance.
-
-    Valid for any ||a|| < 1.  The three evaluation routes must agree; a
-    disagreement indicates a kernel bug and raises InvariantViolated.
-    """
-    cov = validate_covariance(cov, ch.P)
-    value, resid = _upper_value_detail(ch, cov, a)
-    if resid > EPS_ID:
-        raise InvariantViolated(f"genie bound evaluation routes disagree by {resid!r}")
-    return value
 
 
 def _upper_bound_max_detail(
@@ -399,9 +336,9 @@ def capacity_certificate(
     cls = classify(ch)
 
     if cls.kind is ChannelKind.REDUCED_RANK:
-        miso = reduce_rank_deficient(ch)
-        a_m = mk.matadd2(mk.eye2(), mk.matscale2(miso.P, mk.outer2(miso.h, miso.h)))
-        (lam, _), _ = mk.gen_eig2_rank1(a_m, miso.P, miso.g)
+        h = reduce_rank_deficient(ch)
+        a_m = mk.matadd2(mk.eye2(), mk.matscale2(ch.P, mk.outer2(h, h)))
+        (lam, _), _ = mk.gen_eig2_rank1(a_m, ch.P, ch.g)
         value = 0.5 * math.log(lam)
         flags = {"reduced_rank": True, "miso_capacity": True}
         return _inapplicable(cls.kind, value, value, lam, None, flags)

@@ -65,14 +65,6 @@ class ConverseError(SecrecyError):
     """Base class for upper-bound construction failures."""
 
 
-class NormOne(ConverseError):
-    """The candidate noise correlation has unit norm (pole of theta)."""
-
-
-class ZeroAlpha(ConverseError):
-    """alpha = 0 is outside the admissible correlation family."""
-
-
 class DegenerateDirection(ConverseError):
     """The optimizing alpha is unbounded for this direction."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit as mk
-from .achievable import optimal_beam
+from .achievable import BeamSolution
 from .channel import (
     ChannelKind,
     CovMat,
@@ -29,15 +29,9 @@ from .channel import (
     validate_covariance,
 )
 from .converse import TightCorrelation, coupling_gain_matrix
-from .errors import (
-    BoundaryAmbiguous,
-    InvariantViolated,
-    NoiseDegenerate,
-    NotUnitRank,
-    PreconditionFailed,
-)
+from .errors import BoundaryAmbiguous, NotUnitRank
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_KKT, EPS_NORM, EPS_RIM, EPS_SING
+from .tolerances import EPS_KKT, EPS_RIM
 
 
 @dataclass(frozen=True)
@@ -231,9 +225,8 @@ def brute_force_upper(
     converse module has already cross-checked against the 3x3 and
     estimation-theoretic routes.  Returns (S_best, value) like
     ``brute_force_gaussian``; the random refinement stage uses seed 0.
+    An a not strictly inside the unit disk raises NoiseDegenerate.
     """
-    if not mk.norm2(a) < 1.0 - EPS_NORM:
-        raise NoiseDegenerate(f"||a|| = {mk.norm2(a)!r} is not < 1")
     return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, 0)
 
 
@@ -286,41 +279,13 @@ def kkt_check(d_mat: Mat2, g: Vec2, power: float, s) -> KKTReport:
     )
 
 
-def no_nonneg_roots(d_mat: Mat2, g: Vec2, lam: float) -> bool:
-    """Check that the full-rank stationarity quadratic has no root >= 0.
-
-    The quadratic gamma^2 + (1 + c) gamma + c + (||g||^2 / lam)(c - 1) with
-    c = g^T D^{-1} g >= 1 has positive linear and constant coefficients, so
-    its roots (if real) are both negative; a nonnegative root would let a
-    full-rank covariance satisfy stationarity, contradicting unit-rank
-    optimality.  Verified both by the sign analysis and by evaluating the
-    roots when they are real.
-    """
-    if not lam > 0.0:
-        raise PreconditionFailed("multiplier must be positive")
-    w = mk.inv2(mk.symmetrize2(d_mat))
-    gdg = mk.quad2(w, g)
-    if gdg < 1.0 - EPS_SING:
-        raise PreconditionFailed(f"g^T D^{{-1}} g = {gdg!r} is below 1")
-    lin = 1.0 + gdg
-    const = gdg + (mk.dot2(g, g) / lam) * (gdg - 1.0)
-    verdict = lin > 0.0 and const > 0.0
-    disc = lin * lin - 4.0 * const
-    if disc >= 0.0:
-        root_hi = 0.5 * (-lin + math.sqrt(disc))
-        if verdict and root_hi >= 0.0:
-            raise InvariantViolated(
-                f"sign analysis and explicit root {root_hi!r} disagree"
-            )
-    return verdict
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
 
 def min_over_a(
     ch: WiretapChannel,
+    beam: BeamSolution,
     samples: int,
     seed: int,
     grid: tuple[int, int] = (256, 256),
@@ -331,8 +296,8 @@ def min_over_a(
     minimum should stay above the achievable rate (up to EPS_GRID), and the
     optimized correlation should do at least as well as every sample.  The
     values are returned, not judged: the oracle verb checks both relations.
-    Channels that are not General fail in optimal_beam or optimize_alpha,
-    before any grid.
+    ``beam`` is the channel's ``optimal_beam``; channels that are not
+    General fail in optimal_beam or optimize_alpha, before any grid.
 
     Returns (a_best, value, tc, star_value): the best sample and its grid
     value, and ``optimize_alpha``'s correlation with the grid value at a*.
@@ -341,7 +306,6 @@ def min_over_a(
 
     if samples < 1:
         raise ValueError("need at least one sample")
-    beam = optimal_beam(ch)
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
 
     rng = np.random.default_rng(seed)

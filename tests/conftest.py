@@ -1,8 +1,44 @@
+"""Fixtures shared by the test modules, and the reference code of the facts
+that more than one module checks but the library does not compute: the
+null-beam rate and the root-sign lemma of the full-rank stationarity
+quadratic.  Import the helpers with ``from conftest import ...``."""
+
+import math
+
 import pytest
 
 from secrecy221 import WiretapChannel, sample_general_channels
+from secrecy221 import matkit as mk
 
 SUITE_SEED = 20260808
+
+
+def null_beam_rate(ch: WiretapChannel) -> float:
+    """(1/2) log(1 + P ||H g_perp||^2): the rate of beaming orthogonally to g.
+
+    On a full-rank H it is strictly positive and never better than the
+    optimal beam, so it forces lambda_1 >= 1 + P ||H g_perp||^2 > 1.
+    """
+    g_perp = mk.orth_perp(mk.unit2(ch.g))
+    hg = mk.matvec2(ch.H, g_perp)
+    return 0.5 * math.log(1.0 + ch.P * mk.dot2(hg, hg))
+
+
+def no_nonneg_roots(d_mat: mk.Mat2, g: mk.Vec2, lam: float) -> bool:
+    """Root-sign lemma for a PD D, g^T D^{-1} g >= 1 and a multiplier lam > 0.
+
+    The full-rank stationarity quadratic
+    gamma^2 + (1 + c) gamma + c + (||g||^2 / lam)(c - 1), c = g^T D^{-1} g,
+    has positive linear and constant coefficients, so it has no root >= 0
+    and no full-rank covariance satisfies stationarity.  True when both the
+    sign analysis and the larger root (when real) say so.
+    """
+    c = mk.quad2(mk.inv2(mk.symmetrize2(d_mat)), g)
+    lin = 1.0 + c
+    const = c + (mk.dot2(g, g) / lam) * (c - 1.0)
+    disc = lin * lin - 4.0 * const
+    root_hi = 0.5 * (-lin + math.sqrt(disc)) if disc >= 0.0 else -math.inf
+    return lin > 0.0 and const > 0.0 and root_hi < 0.0
 
 
 @pytest.fixture

@@ -26,14 +26,13 @@ import subprocess
 import sys
 import time
 
+from conftest import no_nonneg_roots, null_beam_rate
 from secrecy221 import (
     beam_covariance,
     brute_force_gaussian,
     brute_force_upper,
     capacity_certificate,
     kkt_check,
-    no_nonneg_roots,
-    null_beam_rate,
     optimal_beam,
     optimize_alpha,
 )

@@ -5,20 +5,27 @@ import random
 
 import pytest
 
+from conftest import null_beam_rate
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
-    assert_lambda_exceeds_one,
     beam_rate,
     brute_force_gaussian,
     classify,
-    null_beam_rate,
     optimal_beam,
 )
 from secrecy221 import matkit as mk
-from secrecy221.errors import PreconditionFailed, RankDeficient
+from secrecy221.errors import RankDeficient
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
+
+
+def lambda_exceeds_one(ch: WiretapChannel) -> bool:
+    """lambda_1 > 1 + gap on a General channel, with gap half the excess
+    (1/2) expm1(2 * null-beam rate) = P ||H g_perp||^2 / 2 that the positive
+    null-beam rate guarantees."""
+    gap = 0.5 * math.expm1(2.0 * null_beam_rate(ch))
+    return optimal_beam(ch).lambda1 > 1.0 + gap
 
 
 class TestOptimalBeam:
@@ -107,25 +114,14 @@ class TestNullBeamRate:
             assert nb > 0.0
             assert nb <= sol.rate + 1e-12
 
-    def test_zero_eavesdropper_convention(self):
-        ch = WiretapChannel(((1.0, 0.2), (0.0, 2.0)), (0.0, 0.0), 1.0)
-        (l1, _), _ = mk.sym_eig2(ch.gram())
-        assert math.isclose(
-            null_beam_rate(ch), 0.5 * math.log(1.0 + ch.P * l1), rel_tol=1e-12
-        )
-
 
 class TestLambdaExceedsOne:
     def test_examples(self, example_a, diag_example):
         for ch in (example_a, diag_example):
-            assert assert_lambda_exceeds_one(optimal_beam(ch), classify(ch), ch)
-
-    def test_requires_general(self):
-        ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
-        with pytest.raises(PreconditionFailed):
-            assert_lambda_exceeds_one(optimal_beam(ch), classify(ch), ch)
+            assert classify(ch).kind is ChannelKind.GENERAL
+            assert lambda_exceeds_one(ch)
 
     def test_random_suite(self, suite1000):
         for ch in suite1000[:200]:
-            assert assert_lambda_exceeds_one(optimal_beam(ch), classify(ch), ch)
+            assert lambda_exceeds_one(ch)
             assert classify(ch).kind is ChannelKind.GENERAL

@@ -7,14 +7,15 @@ import random
 import numpy as np
 import pytest
 
+from conftest import no_nonneg_roots
 from secrecy221 import (
     WiretapChannel,
     beam_covariance,
     brute_force_gaussian,
     brute_force_upper,
+    coupling_gain_matrix,
     kkt_check,
     min_over_a,
-    no_nonneg_roots,
     optimal_beam,
     sample_general_channels,
 )
@@ -113,6 +114,10 @@ class TestBruteForceUpper:
         for a in ((0.8, 0.6), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
                 brute_force_upper(example_a, a, (64, 64))
+        # Outside the unit disk A(a) would be I or indefinite, not a bound.
+        for a in ((2.0, 0.0), (0.0, 1.5), (math.nan, 0.0)):
+            with pytest.raises(NoiseDegenerate):
+                coupling_gain_matrix(example_a, a)
 
 
 class TestKKTCheck:
@@ -154,12 +159,6 @@ class TestNoNonnegRoots:
         assert no_nonneg_roots(I2, (1.0, 0.0), 0.3)
         assert no_nonneg_roots(I2, (1.0, 0.0), 100.0)
 
-    def test_precondition_failures(self):
-        with pytest.raises(PreconditionFailed):
-            no_nonneg_roots(I2, (0.5, 0.0), 1.0)
-        with pytest.raises(PreconditionFailed):
-            no_nonneg_roots(I2, (2.0, 0.0), 0.0)
-
     def test_random_instances(self):
         rng = random.Random(61)
         for _ in range(1000):
@@ -177,7 +176,7 @@ class TestNoNonnegRoots:
 
 class TestMinOverA:
     def test_example_a(self, example_a):
-        a_best, value, _, _ = min_over_a(example_a, 200, seed=3)
+        a_best, value, _, _ = min_over_a(example_a, optimal_beam(example_a), 200, seed=3)
         lower = 0.5 * math.log(2.0)
         assert value >= lower - 1e-3
         assert value <= lower + 0.05
@@ -192,7 +191,9 @@ class TestMinOverA:
         for ch in suite1000[:3]:
             # Every sample upper-bounds the achievable rate, and the
             # optimized correlation is never beaten by more than the tolerance.
-            _, min_value, _, star_value = min_over_a(ch, 25, seed=8, grid=(256, 128))
+            _, min_value, _, star_value = min_over_a(
+                ch, optimal_beam(ch), 25, seed=8, grid=(256, 128)
+            )
             lower = optimal_beam(ch).rate
             assert min_value >= lower - EPS_GRID * max(1.0, abs(lower))
             assert star_value <= min_value + EPS_GRID * max(1.0, abs(min_value))
@@ -202,7 +203,7 @@ class TestMinOverA:
 
         grid = (128, 64)
         for ch in suite1000[:2]:
-            _, _, tc, star_value = min_over_a(ch, 4, seed=5, grid=grid)
+            _, _, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5, grid=grid)
             assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
             s_star, grid_value = brute_force_upper(ch, tc.a_star, grid)
             assert star_value == grid_value
@@ -218,8 +219,9 @@ class TestMinOverA:
             return real(*args)
 
         monkeypatch.setattr(oracle, "brute_force_upper", counted)
+        degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
         with pytest.raises(PreconditionFailed):
-            min_over_a(WiretapChannel(I2, (0.5, 0.0), 1.0), 10, seed=0)
+            min_over_a(degraded, optimal_beam(degraded), 10, seed=0)
         assert calls == []
 
 
