@@ -213,7 +213,8 @@ def _upper_value_detail(
     (route-1 value, worst pairwise relative disagreement).
     """
     s = cov.S
-    ninv = mk.inv_N(a)  # raises NoiseDegenerate at the boundary
+    gain = coupling_gain_matrix(ch, a)  # the unit-disk gate, ahead of inv_N
+    ninv = mk.inv_N(a)
     den = 1.0 + mk.quad2(s, ch.g)
     _require_positive("genie bound", den=den)  # before route 3 divides by it
 
@@ -226,7 +227,6 @@ def _upper_value_detail(
     det_1 = mk.det3(mk.matadd3(mk.eye3(), mk.matmul3(ninv, hsh3)))
 
     # Route 2: 2x2 determinant with the collapsed gain matrix.
-    gain = coupling_gain_matrix(ch, a)
     det_2 = mk.det2(mk.matadd2(mk.eye2(), mk.matmul2(gain, s)))
 
     # Route 3: linear-estimation error covariance over det N.

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import NoiseDegenerate, NotPositiveDefinite, SingularMatrix
-from .tolerances import EPS_NORM, EPS_SING, EPS_UNIT
+from .errors import NotPositiveDefinite, SingularMatrix
+from .tolerances import EPS_SING, EPS_UNIT
 
 Vec2 = tuple[float, float]
 Mat2 = tuple[Vec2, Vec2]
@@ -261,12 +261,10 @@ def inv_N(a: Vec2) -> Mat3:
     With k = 1 - ||a||^2 the inverse is
     [[I + a a^T / k, -a / k], [-a^T / k, 1 / k]].  It feeds route 1 of the
     genie bound, so the certificate's three-route comparison judges it.
+    The caller gates a strictly inside the unit disk
+    (``converse.coupling_gain_matrix`` raises NoiseDegenerate otherwise).
     """
     n2 = a[0] * a[0] + a[1] * a[1]
-    if not math.isfinite(n2):
-        raise ValueError("noise correlation entries must be finite")
-    if math.sqrt(n2) >= 1.0 - EPS_NORM:
-        raise NoiseDegenerate(f"noise correlation norm {math.sqrt(n2)!r} is not < 1")
     r = 1.0 / (1.0 - n2)
     return (
         (1.0 + r * a[0] * a[0], r * a[0] * a[1], -r * a[0]),

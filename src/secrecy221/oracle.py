@@ -8,14 +8,23 @@ at every grid point, and only then takes the best.  Nothing here reuses the
 closed-form eigen solution, so agreement between the two is evidence, not
 circularity.
 
+Only the numerator det(I + D S) of the grid's ratio depends on the gain
+matrix D; the angles, the power lattice, the denominator 1 + g^T S g and the
+seeded random stage form a frame that every grid over one channel, budget,
+grid size and seed shares.  ``min_over_a`` builds one frame per report for
+its sampled correlations and a*; a standalone grid call builds its own.
+The exhaustive stage runs in row blocks of at most 8,192 points.
+
 All randomness is seeded and every reduction is performed in a fixed order,
-so identical seeds give bit-identical results regardless of thread count.
+so identical seeds give bit-identical results regardless of thread count
+and block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,6 +84,12 @@ class KKTReport:
 # grid engine
 # --------------------------------------------------------------------------
 
+# Row blocks of the exhaustive stage hold at most this many grid points
+# (64 KiB of float64), so their buffers stay below glibc's 128 KiB mmap
+# threshold and are reused from the heap rather than faulted in per call.
+_BLOCK_POINTS = 8192
+
+
 def _power_pairs(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     """Triangular lattice on {p1, p2 >= 0, p1 + p2 <= P} with ~npower points.
 
@@ -89,21 +104,33 @@ def _power_pairs(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     return power * ii / m, power * jj / m
 
 
-def _direction_profile(d: np.ndarray, g: np.ndarray, phis: np.ndarray):
-    """Per-angle gains q_i^T D q_i and (g^T q_i)^2 for q1 = (c, s), q2 = (-s, c)."""
-    c = np.cos(phis)
-    s = np.sin(phis)
+def _beam_gains(d: np.ndarray, c: np.ndarray, s: np.ndarray):
+    """Per-angle gains q_i^T D q_i for q1 = (c, s), q2 = (-s, c)."""
     d1 = d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
     d2 = d[0, 0] * s * s - 2.0 * d[0, 1] * c * s + d[1, 1] * c * c
-    e1 = (g[0] * c + g[1] * s) ** 2
-    e2 = (g[1] * c - g[0] * s) ** 2
-    return d1, d2, e1, e2
+    return d1, d2
+
+
+def _eve_gains(g: np.ndarray, c: np.ndarray, s: np.ndarray):
+    """Per-angle eavesdropper gains (g^T q_i)^2 for q1 = (c, s), q2 = (-s, c)."""
+    return (g[0] * c + g[1] * s) ** 2, (g[1] * c - g[0] * s) ** 2
+
+
+def _affine_outer(out, x1, p1, x2, p2, tmp) -> None:
+    """out = (1 + x1 (x) p1) + x2 (x) p2, rounded as numpy evaluates it."""
+    np.multiply(x1[:, None], p1, out=out)
+    out += 1.0
+    np.multiply(x2[:, None], p2, out=tmp)
+    out += tmp
 
 
 def _face_ratio(
     d: np.ndarray, g: np.ndarray, power: float, psis: np.ndarray
 ) -> np.ndarray:
-    d1, _, e1, _ = _direction_profile(d, g, psis)
+    c = np.cos(psis)
+    s = np.sin(psis)
+    d1, _ = _beam_gains(d, c, s)
+    e1, _ = _eve_gains(g, c, s)
     return (1.0 + power * d1) / (1.0 + power * e1)
 
 
@@ -125,42 +152,43 @@ def _zoom_face(
     return best_psi, best
 
 
-def _grid_max_ratio(
-    d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int, seed: int
-) -> tuple[float, CovParam]:
-    """Maximize (det(I + D S)) / (1 + g^T S g) over the covariance grid.
+def _block_rows(npoints: int) -> int:
+    """Grid rows per block: at most _BLOCK_POINTS points, at least one row."""
+    return max(1, _BLOCK_POINTS // npoints)
 
-    Three deterministic stages: the exhaustive (angle x power-pair) grid with
-    first-encountered row-major argmax, a bracket zoom along the full-power
-    unit-rank face, and nphi seeded random simplex points.  Later stages
-    replace the incumbent only on strict improvement.
+
+def _grid_frame(
+    g: Vec2, power: float, nphi: int, npower: int, seed: int
+) -> SimpleNamespace:
+    """The part of the (nphi x npower) grid search that does not depend on D.
+
+    Every grid over one channel, budget, grid size and seed shares it: the
+    angles ``phis`` with cosines ``c`` and sines ``s``, the power lattice
+    ``p1``, ``p2`` and ``p12 = p1 p2``, the denominator 1 + g^T S g at every
+    grid point (``den``, nphi x lattice size) and on the full-power face
+    (``face_den``), and the seeded random stage's angles ``rphi`` (cosines
+    ``rc``, sines ``rs``), powers ``rp1``, ``rp2`` and denominators
+    ``rden``.  It lives as long as the report that uses it.
     """
-    d = np.asarray(d_mat, dtype=float)
+    if nphi < 2 or npower < 2:
+        raise ValueError("grid sizes must be at least 2")
     gv = np.asarray(g, dtype=float)
-    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
     phis = np.arange(nphi) * (math.pi / nphi)
-    d1, d2, e1, e2 = _direction_profile(d, gv, phis)
+    c = np.cos(phis)
+    s = np.sin(phis)
+    e1, e2 = _eve_gains(gv, c, s)
     p1, p2 = _power_pairs(npower, power)
-    cross = det_d * (p1 * p2)
-    num = 1.0 + np.outer(d1, p1) + np.outer(d2, p2) + cross[None, :]
-    den = 1.0 + np.outer(e1, p1) + np.outer(e2, p2)
-    ratio = num / den
-    flat = int(np.argmax(ratio))
-    i, k = divmod(flat, p1.shape[0])
-    best = float(ratio[i, k])
-    best_param = CovParam(float(phis[i]), float(p1[k]), float(p2[k]))
-
-    face = (1.0 + power * d1) / (1.0 + power * e1)
-    j = int(np.argmax(face))
-    psi, face_best = _zoom_face(d, gv, power, float(phis[j]), math.pi / nphi)
-    if face_best > best:
-        best = face_best
-        best_param = CovParam(psi, power, 0.0)
+    den = np.empty((nphi, p1.shape[0]))
+    rows = _block_rows(p1.shape[0])
+    tmp = np.empty((rows, p1.shape[0]))
+    for r0 in range(0, nphi, rows):
+        r1 = min(r0 + rows, nphi)
+        _affine_outer(den[r0:r1], e1[r0:r1], p1, e2[r0:r1], p2, tmp[: r1 - r0])
 
     rng = np.random.default_rng(seed)
     u = rng.random((nphi, 3))
-    phir = u[:, 0] * math.pi
+    rphi = u[:, 0] * math.pi
     fr1 = u[:, 1]
     fr2 = u[:, 2]
     swap = fr1 + fr2 > 1.0
@@ -168,26 +196,116 @@ def _grid_max_ratio(
     fr2 = np.where(swap, 1.0 - fr2, fr2)
     rp1 = power * fr1
     rp2 = power * fr2
-    rd1, rd2, re1, re2 = _direction_profile(d, gv, phir)
+    rc = np.cos(rphi)
+    rs = np.sin(rphi)
+    re1, re2 = _eve_gains(gv, rc, rs)
+
+    return SimpleNamespace(
+        phis=phis,
+        c=c,
+        s=s,
+        p1=p1,
+        p2=p2,
+        p12=p1 * p2,
+        den=den,
+        face_den=1.0 + power * e1,
+        rphi=rphi,
+        rc=rc,
+        rs=rs,
+        rp1=rp1,
+        rp2=rp2,
+        rden=1.0 + re1 * rp1 + re2 * rp2,
+    )
+
+
+def _grid_max_ratio(
+    d_mat: Mat2,
+    g: Vec2,
+    power: float,
+    nphi: int,
+    npower: int,
+    seed: int,
+    frame: SimpleNamespace | None = None,
+) -> tuple[float, CovParam]:
+    """Maximize (det(I + D S)) / (1 + g^T S g) over the covariance grid.
+
+    Three deterministic stages: the exhaustive (angle x power-pair) grid with
+    first-encountered row-major argmax, a bracket zoom along the full-power
+    unit-rank face, and nphi seeded random simplex points.  Later stages
+    replace the incumbent only on strict improvement.
+
+    ``frame`` is ``_grid_frame(g, power, nphi, npower, seed)``, built here
+    when not given; only the numerator depends on D.  The exhaustive stage
+    runs in row blocks of at most _BLOCK_POINTS points.  Every element is
+    rounded as the whole-grid expression
+    ((1 + d1 (x) p1) + d2 (x) p2 + det D p1 p2) / den would round it, and
+    the blocks' maxima are combined with a strict ``>`` in row order.  That
+    equals numpy's first-occurrence argmax over the whole grid because no
+    ratio is NaN: the denominator is at least 1, and every numerator term
+    is finite, since MAX_SNR bounds P times the channel's gains and the
+    unit-disk gate keeps 1 - ||a||^2 in A(a) away from 0.  So the result
+    depends neither on the block size nor on the thread count.
+    """
+    if frame is None:
+        frame = _grid_frame(g, power, nphi, npower, seed)
+    d = np.asarray(d_mat, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+
+    d1, d2 = _beam_gains(d, frame.c, frame.s)
+    p1, p2 = frame.p1, frame.p2
+    cross = det_d * frame.p12
+    npoints = p1.shape[0]
+    rows = _block_rows(npoints)
+    num = np.empty((rows, npoints))
+    tmp = np.empty((rows, npoints))
+    best = -math.inf
+    flat = 0
+    for r0 in range(0, nphi, rows):
+        r1 = min(r0 + rows, nphi)
+        blk = num[: r1 - r0]
+        _affine_outer(blk, d1[r0:r1], p1, d2[r0:r1], p2, tmp[: r1 - r0])
+        blk += cross
+        blk /= frame.den[r0:r1]
+        k = int(np.argmax(blk))
+        value = float(blk.flat[k])
+        if value > best:
+            best = value
+            flat = r0 * npoints + k
+    i, k = divmod(flat, npoints)
+    best_param = CovParam(float(frame.phis[i]), float(p1[k]), float(p2[k]))
+
+    face = (1.0 + power * d1) / frame.face_den
+    j = int(np.argmax(face))
+    psi, face_best = _zoom_face(d, gv, power, float(frame.phis[j]), math.pi / nphi)
+    if face_best > best:
+        best = face_best
+        best_param = CovParam(psi, power, 0.0)
+
+    rp1, rp2 = frame.rp1, frame.rp2
+    rd1, rd2 = _beam_gains(d, frame.rc, frame.rs)
     rnum = 1.0 + rd1 * rp1 + rd2 * rp2 + det_d * rp1 * rp2
-    rden = 1.0 + re1 * rp1 + re2 * rp2
-    rr = rnum / rden
+    rr = rnum / frame.rden
     mbest = int(np.argmax(rr))
     if float(rr[mbest]) > best:
         best = float(rr[mbest])
-        best_param = CovParam(float(phir[mbest]), float(rp1[mbest]), float(rp2[mbest]))
+        best_param = CovParam(
+            float(frame.rphi[mbest]), float(rp1[mbest]), float(rp2[mbest])
+        )
 
     return best, best_param
 
 
 def _grid_optimum(
-    ch: WiretapChannel, d_mat: Mat2, grid: tuple[int, int], seed: int
+    ch: WiretapChannel,
+    d_mat: Mat2,
+    grid: tuple[int, int],
+    seed: int,
+    frame: SimpleNamespace | None = None,
 ) -> tuple[CovMat, float]:
     """Grid-maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
     nphi, npower = grid
-    if nphi < 2 or npower < 2:
-        raise ValueError("grid sizes must be at least 2")
-    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower, seed)
+    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower, seed, frame)
     s_best = validate_covariance(covariance_from_param(param), ch.P)
     return s_best, 0.5 * math.log(best)
 
@@ -217,7 +335,10 @@ def brute_force_gaussian(
 
 
 def brute_force_upper(
-    ch: WiretapChannel, a: Vec2, grid: tuple[int, int] = (512, 512)
+    ch: WiretapChannel,
+    a: Vec2,
+    grid: tuple[int, int] = (512, 512),
+    frame: SimpleNamespace | None = None,
 ) -> tuple[CovMat, float]:
     """Grid-maximize the genie upper bound U(S, a) over covariances.
 
@@ -226,8 +347,11 @@ def brute_force_upper(
     estimation-theoretic routes.  Returns (S_best, value) like
     ``brute_force_gaussian``; the random refinement stage uses seed 0.
     An a not strictly inside the unit disk raises NoiseDegenerate.
+    ``frame``, when given, is ``_grid_frame(ch.g, ch.P, *grid, 0)``, shared
+    by every correlation searched over the same grid; the value is the same
+    with or without it.
     """
-    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, 0)
+    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, 0, frame)
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +432,7 @@ def min_over_a(
         raise ValueError("need at least one sample")
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
 
+    frame = _grid_frame(ch.g, ch.P, *grid, 0)
     rng = np.random.default_rng(seed)
     best_a: Vec2 | None = None
     best_value = math.inf
@@ -319,13 +444,13 @@ def min_over_a(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        _, value = brute_force_upper(ch, a, grid)
+        _, value = brute_force_upper(ch, a, grid, frame)
         if value < best_value:
             best_value = value
             best_a = a
     assert best_a is not None
 
-    _, star_value = brute_force_upper(ch, tc.a_star, grid)
+    _, star_value = brute_force_upper(ch, tc.a_star, grid, frame)
     return best_a, best_value, tc, star_value
 
 

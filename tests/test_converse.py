@@ -243,8 +243,17 @@ class TestUpperValue:
             upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (1.0, 0.0))
 
     def test_nonfinite_correlation_rejected(self, example_a):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoiseDegenerate):
             upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (float("nan"), 0.0))
+
+    def test_off_disk_correlation_is_gated(self, example_a):
+        # coupling_gain_matrix is the one unit-disk gate; inv_N has none.
+        cov = validate_covariance(((0.0, 0.0), (0.0, 1.0)), example_a.P)
+        for a in ((1.0, 0.0), (0.8, 0.7)):
+            with pytest.raises(NoiseDegenerate):
+                coupling_gain_matrix(example_a, a)
+            with pytest.raises(NoiseDegenerate):
+                _upper_value_detail(example_a, cov, a)
 
 
 class TestUpperBoundMax:

@@ -5,7 +5,8 @@ they guard (per-channel quantities cached on WiretapChannel; the oracle's
 grid and min-over-a entry points folded into one each; the certificate's
 residual table made the only gate on the identities it records; theta*
 computed once with no classify, re-derivation or inv_N self-check ahead of
-that table, and the min-over-a relations judged by the oracle verb); any
+that table, the min-over-a relations judged by the oracle verb, and the
+oracle grid evaluated in row blocks over a per-report frame); any
 change to them is a contract change and has to be made deliberately.
 """
 
@@ -30,6 +31,11 @@ RANDOM_SUITE_DIGEST = "a6e90e953772e39ed8c5743321ab9cb8baefe797b372eb6f69b7950a2
 # "<ExcType>: <message>" when the call raises, followed by "\n".  Recorded on
 # x86-64 Linux.
 WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a900062694"
+
+# SHA-256 over `oracle - --grid 64 --samples 4` on the first 20 lines of
+# `random --seed 0 --count 1000`: each report's stdout followed by
+# "exit <code>\n".  Recorded on x86-64 Linux.
+ORACLE_SUITE_DIGEST = "f7e96faf468b13e3b8ae5f6c96a20adfb5db807230483e8675c567cf9b05e922"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -70,6 +76,18 @@ def test_random_suite_capacity_digest(capsys, monkeypatch):
         digest.update(capsys.readouterr().out.encode())
         digest.update(f"exit {code}\n".encode())
     assert digest.hexdigest() == RANDOM_SUITE_DIGEST
+
+
+def test_oracle_suite_digest(capsys, monkeypatch):
+    assert main(["random", "--seed", "0", "--count", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:20]
+    digest = hashlib.sha256()
+    for line in lines:
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        code = main(["oracle", "-", "--grid", "64", "--samples", "4"])
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(f"exit {code}\n".encode())
+    assert digest.hexdigest() == ORACLE_SUITE_DIGEST
 
 
 def test_wide_power_certificate_digest():

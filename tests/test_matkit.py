@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from secrecy221 import matkit as mk
-from secrecy221.errors import NoiseDegenerate, NotPositiveDefinite, SingularMatrix
+from secrecy221.errors import NotPositiveDefinite, SingularMatrix
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -242,12 +242,6 @@ class TestInvN:
                 abs(prod[i][j] - eye[i][j]) for i in range(3) for j in range(3)
             )
             assert err <= 1e-12
-
-    def test_degenerate(self):
-        with pytest.raises(NoiseDegenerate):
-            mk.inv_N((1.0, 0.0))
-        with pytest.raises(NoiseDegenerate):
-            mk.inv_N((0.8, 0.7))
 
 
 class TestOrthPerp:

@@ -3,6 +3,7 @@ verification, correlation sampling, and determinism."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from secrecy221 import (
     min_over_a,
     optimal_beam,
     sample_general_channels,
+    validate_covariance,
 )
 from secrecy221 import matkit as mk
 from secrecy221 import oracle
@@ -26,6 +28,84 @@ from secrecy221.oracle import CovParam, covariance_from_param
 from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
+
+
+# Reference: the dense grid engine the blocked one replaced, which built every
+# full-grid array per call.  The blocked engine must match it bit for bit.
+def _dense_direction_profile(d, g, phis):
+    c = np.cos(phis)
+    s = np.sin(phis)
+    d1 = d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
+    d2 = d[0, 0] * s * s - 2.0 * d[0, 1] * c * s + d[1, 1] * c * c
+    e1 = (g[0] * c + g[1] * s) ** 2
+    e2 = (g[1] * c - g[0] * s) ** 2
+    return d1, d2, e1, e2
+
+
+def _dense_face_ratio(d, g, power, psis):
+    d1, _, e1, _ = _dense_direction_profile(d, g, psis)
+    return (1.0 + power * d1) / (1.0 + power * e1)
+
+
+def _dense_zoom_face(d, g, power, psi0, h0):
+    best_psi = psi0
+    best = float(_dense_face_ratio(d, g, power, np.array([psi0]))[0])
+    h = h0
+    for _ in range(3):
+        psis = best_psi + np.linspace(-0.5 * h, 0.5 * h, 33)
+        r = _dense_face_ratio(d, g, power, psis)
+        j = int(np.argmax(r))
+        if float(r[j]) > best:
+            best = float(r[j])
+            best_psi = float(psis[j])
+        h /= 16.0
+    return best_psi, best
+
+
+def dense_grid_max_ratio(d_mat, g, power, nphi, npower, seed):
+    d = np.asarray(d_mat, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+
+    phis = np.arange(nphi) * (math.pi / nphi)
+    d1, d2, e1, e2 = _dense_direction_profile(d, gv, phis)
+    p1, p2 = oracle._power_pairs(npower, power)
+    cross = det_d * (p1 * p2)
+    num = 1.0 + np.outer(d1, p1) + np.outer(d2, p2) + cross[None, :]
+    den = 1.0 + np.outer(e1, p1) + np.outer(e2, p2)
+    ratio = num / den
+    flat = int(np.argmax(ratio))
+    i, k = divmod(flat, p1.shape[0])
+    best = float(ratio[i, k])
+    best_param = CovParam(float(phis[i]), float(p1[k]), float(p2[k]))
+
+    face = (1.0 + power * d1) / (1.0 + power * e1)
+    j = int(np.argmax(face))
+    psi, face_best = _dense_zoom_face(d, gv, power, float(phis[j]), math.pi / nphi)
+    if face_best > best:
+        best = face_best
+        best_param = CovParam(psi, power, 0.0)
+
+    rng = np.random.default_rng(seed)
+    u = rng.random((nphi, 3))
+    phir = u[:, 0] * math.pi
+    fr1 = u[:, 1]
+    fr2 = u[:, 2]
+    swap = fr1 + fr2 > 1.0
+    fr1 = np.where(swap, 1.0 - fr1, fr1)
+    fr2 = np.where(swap, 1.0 - fr2, fr2)
+    rp1 = power * fr1
+    rp2 = power * fr2
+    rd1, rd2, re1, re2 = _dense_direction_profile(d, gv, phir)
+    rnum = 1.0 + rd1 * rp1 + rd2 * rp2 + det_d * rp1 * rp2
+    rden = 1.0 + re1 * rp1 + re2 * rp2
+    rr = rnum / rden
+    mbest = int(np.argmax(rr))
+    if float(rr[mbest]) > best:
+        best = float(rr[mbest])
+        best_param = CovParam(float(phir[mbest]), float(rp1[mbest]), float(rp2[mbest]))
+
+    return best, best_param
 
 
 class TestBruteForceGaussian:
@@ -120,6 +200,70 @@ class TestBruteForceUpper:
                 coupling_gain_matrix(example_a, a)
 
 
+# (2, 2) and (8, 3) fit in one block; the others span many, and (100, 256)
+# ends on a partial one.
+ENGINE_GRIDS = [(2, 2), (8, 3), (100, 256), (64, 4096), (256, 256), (512, 512)]
+
+
+class TestBlockedGridEngine:
+    @pytest.fixture
+    def channels(self, example_a, suite1000):
+        return [example_a, suite1000[0], suite1000[1]]
+
+    @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
+    def test_gaussian_matches_dense_reference(self, channels, grid):
+        for ch in channels:
+            expected = dense_grid_max_ratio(ch.gram(), ch.g, ch.P, *grid, 4)
+            assert oracle._grid_max_ratio(ch.gram(), ch.g, ch.P, *grid, 4) == expected
+            s_best, rate = brute_force_gaussian(ch, grid, seed=4)
+            assert rate == 0.5 * math.log(expected[0])
+            assert s_best == validate_covariance(covariance_from_param(expected[1]), ch.P)
+
+    @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
+    def test_upper_matches_dense_reference_with_and_without_frame(self, channels, grid):
+        for ch in channels:
+            frame = oracle._grid_frame(ch.g, ch.P, *grid, 0)
+            for a in ((0.0, 0.0), (0.3, -0.6)):
+                d = coupling_gain_matrix(ch, a)
+                expected = dense_grid_max_ratio(d, ch.g, ch.P, *grid, 0)
+                args = (d, ch.g, ch.P, *grid, 0)
+                assert oracle._grid_max_ratio(*args) == expected
+                assert oracle._grid_max_ratio(*args, frame) == expected
+                alone = brute_force_upper(ch, a, grid)
+                shared = brute_force_upper(ch, a, grid, frame)
+                assert alone[1] == shared[1] == 0.5 * math.log(expected[0])
+                s_best = validate_covariance(covariance_from_param(expected[1]), ch.P)
+                assert alone[0] == shared[0] == s_best
+
+    def test_ties_keep_the_first_grid_point(self):
+        # D = 0 and g = 0 make every ratio 1, in every block: the first grid
+        # point must win, as numpy's whole-grid argmax picks it.
+        zero = ((0.0, 0.0), (0.0, 0.0))
+        grid = (100, 256)
+        expected = dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid, 0)
+        assert expected == (1.0, CovParam(0.0, 0.0, 0.0))
+        assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid, 0) == expected
+
+    def test_traced_memory_stays_block_sized(self, example_a):
+        # The dense engine peaked at 6.26 MB (one 512^2 grid) and 1.71 MB
+        # (min_over_a at 256^2); only the frame's denominator is grid-sized.
+        beam = optimal_beam(example_a)
+        brute_force_gaussian(example_a, (8, 8), 0)  # one-time lazy set-up untraced
+        peaks = []
+        for run in (
+            lambda: brute_force_gaussian(example_a, (512, 512), 0),
+            lambda: min_over_a(example_a, beam, 32, 0, (256, 256)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 3e6
+        assert peaks[1] <= 1.2e6
+
+
 class TestKKTCheck:
     def test_passes_at_optimum(self, example_a):
         rep = kkt_check(example_a.gram(), example_a.g, 1.0, ((0.0, 0.0), (0.0, 1.0)))
@@ -203,10 +347,13 @@ class TestMinOverA:
 
         grid = (128, 64)
         for ch in suite1000[:2]:
-            _, _, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5, grid=grid)
+            a_best, value, tc, star_value = min_over_a(
+                ch, optimal_beam(ch), 4, seed=5, grid=grid
+            )
             assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
             s_star, grid_value = brute_force_upper(ch, tc.a_star, grid)
             assert star_value == grid_value
+            assert value == brute_force_upper(ch, a_best, grid)[1]
             assert mk.trace2(s_star.S) <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
     def test_requires_general(self, monkeypatch):
