@@ -3,17 +3,25 @@ sampling of admissible noise correlations.
 
 The grid search is a genuinely independent route to the rates: it
 parameterizes transmit covariances by an eigenbasis angle and a pair of
-nonnegative powers on the trace simplex, evaluates the exact rate expression
-at every grid point, and only then takes the best.  Nothing here reuses the
-closed-form eigen solution, so agreement between the two is evidence, not
-circularity.
+nonnegative powers on the trace simplex and finds the grid point where the
+exact rate expression is largest.  Nothing here reuses the closed-form eigen
+solution, so agreement between the two is evidence, not circularity.
+
+The best grid point is found exactly without evaluating every point.  For a
+fixed angle the ratio det(I + D S) / (1 + g^T S g) is linear-fractional, so
+monotone, in p2 at fixed p1 and in p1 along p2 = 0; each angle's row
+therefore peaks at the origin or on the full-power edge p1 + p2 = P.  Those
+candidates are evaluated for every row first, and a row is evaluated in
+full only if its best candidate plus a rounding slack, EPS_PRUNE times the
+absolute size 1 + (|d1| + |d2|) P + |det D| P^2 of its terms, reaches the
+grid's best candidate; every other row provably holds nothing as large.
 
 Only the numerator det(I + D S) of the grid's ratio depends on the gain
-matrix D; the angles, the power lattice, the denominator 1 + g^T S g and the
-seeded random stage form a frame that every grid over one channel, budget,
-grid size and seed shares.  ``min_over_a`` builds one frame per report for
-its sampled correlations and a*; a standalone grid call builds its own.
-The exhaustive stage runs in row blocks of at most 8,192 points.
+matrix D; the angles, the power lattice, the candidates' denominators and
+the seeded random stage form a frame that every grid over one channel,
+budget, grid size and seed shares.  ``min_over_a`` builds one frame per
+report for its sampled correlations and a*; a standalone grid call builds
+its own.  Rows are evaluated in blocks of at most 8,192 points.
 
 All randomness is seeded and every reduction is performed in a fixed order,
 so identical seeds give bit-identical results regardless of thread count
@@ -40,7 +48,7 @@ from .channel import (
 from .converse import TightCorrelation, coupling_gain_matrix
 from .errors import BoundaryAmbiguous, NotUnitRank
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_KKT, EPS_RIM
+from .tolerances import EPS_KKT, EPS_PRUNE, EPS_RIM
 
 
 @dataclass(frozen=True)
@@ -84,9 +92,9 @@ class KKTReport:
 # grid engine
 # --------------------------------------------------------------------------
 
-# Row blocks of the exhaustive stage hold at most this many grid points
-# (64 KiB of float64), so their buffers stay below glibc's 128 KiB mmap
-# threshold and are reused from the heap rather than faulted in per call.
+# Rows evaluated together hold at most this many grid points (64 KiB of
+# float64), so their buffers stay below glibc's 128 KiB mmap threshold and
+# are reused from the heap rather than faulted in per call.
 _BLOCK_POINTS = 8192
 
 
@@ -99,21 +107,31 @@ def _power_pairs(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     m = 1
     while (m + 2) * (m + 3) // 2 <= npower:
         m += 1
-    ii = np.repeat(np.arange(m + 1), np.arange(m + 1, 0, -1))
-    jj = np.concatenate([np.arange(m + 1 - i) for i in range(m + 1)])
+    lens = np.arange(m + 1, 0, -1)
+    ii = np.repeat(np.arange(m + 1), lens)
+    jj = np.arange(ii.shape[0]) - np.repeat(np.cumsum(lens) - lens, lens)
     return power * ii / m, power * jj / m
+
+
+def _beam_gain(d: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-angle gain q1^T D q1 for q1 = (c, s)."""
+    return d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
 
 
 def _beam_gains(d: np.ndarray, c: np.ndarray, s: np.ndarray):
     """Per-angle gains q_i^T D q_i for q1 = (c, s), q2 = (-s, c)."""
-    d1 = d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
     d2 = d[0, 0] * s * s - 2.0 * d[0, 1] * c * s + d[1, 1] * c * c
-    return d1, d2
+    return _beam_gain(d, c, s), d2
+
+
+def _eve_gain(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-angle eavesdropper gain (g^T q1)^2 for q1 = (c, s)."""
+    return (g[0] * c + g[1] * s) ** 2
 
 
 def _eve_gains(g: np.ndarray, c: np.ndarray, s: np.ndarray):
     """Per-angle eavesdropper gains (g^T q_i)^2 for q1 = (c, s), q2 = (-s, c)."""
-    return (g[0] * c + g[1] * s) ** 2, (g[1] * c - g[0] * s) ** 2
+    return _eve_gain(g, c, s), (g[1] * c - g[0] * s) ** 2
 
 
 def _affine_outer(out, x1, p1, x2, p2, tmp) -> None:
@@ -129,9 +147,7 @@ def _face_ratio(
 ) -> np.ndarray:
     c = np.cos(psis)
     s = np.sin(psis)
-    d1, _ = _beam_gains(d, c, s)
-    e1, _ = _eve_gains(g, c, s)
-    return (1.0 + power * d1) / (1.0 + power * e1)
+    return (1.0 + power * _beam_gain(d, c, s)) / (1.0 + power * _eve_gain(g, c, s))
 
 
 def _zoom_face(
@@ -152,9 +168,21 @@ def _zoom_face(
     return best_psi, best
 
 
-def _block_rows(npoints: int) -> int:
-    """Grid rows per block: at most _BLOCK_POINTS points, at least one row."""
-    return max(1, _BLOCK_POINTS // npoints)
+def _row_ratios(frame, rows, d1, d2, cross, bufs) -> np.ndarray:
+    """The ratio at every lattice point of the grid rows ``rows``.
+
+    ``d1``, ``d2`` are the beam gains of every row and ``cross`` is
+    det D p1 p2 over the lattice.  Each element is rounded as the whole-grid
+    expression ((1 + d1 p1) + d2 p2 + det D p1 p2) / ((1 + e1 p1) + e2 p2)
+    rounds it.  The result is a view of the first of ``bufs``, three reused
+    (block rows x lattice size) buffers.
+    """
+    num, den, tmp = (b[: rows.shape[0]] for b in bufs)
+    _affine_outer(num, d1[rows], frame.p1, d2[rows], frame.p2, tmp)
+    num += cross
+    _affine_outer(den, frame.e1[rows], frame.p1, frame.e2[rows], frame.p2, tmp)
+    num /= den
+    return num
 
 
 def _grid_frame(
@@ -163,12 +191,16 @@ def _grid_frame(
     """The part of the (nphi x npower) grid search that does not depend on D.
 
     Every grid over one channel, budget, grid size and seed shares it: the
-    angles ``phis`` with cosines ``c`` and sines ``s``, the power lattice
-    ``p1``, ``p2`` and ``p12 = p1 p2``, the denominator 1 + g^T S g at every
-    grid point (``den``, nphi x lattice size) and on the full-power face
-    (``face_den``), and the seeded random stage's angles ``rphi`` (cosines
-    ``rc``, sines ``rs``), powers ``rp1``, ``rp2`` and denominators
-    ``rden``.  It lives as long as the report that uses it.
+    angles ``phis`` with cosines ``c``, sines ``s`` and eavesdropper gains
+    ``e1``, ``e2``; the power lattice ``p1``, ``p2`` and ``p12 = p1 p2``;
+    each row's pruning candidates, the origin and the m + 1 full-power
+    points (i, m - i) of the side-m lattice, with their powers ``cp1``,
+    ``cp2``, ``cp12`` and denominators 1 + g^T S g (``cden``, nphi x
+    (m + 2)); the denominator on the full-power face (``face_den``); and the
+    seeded random stage's angles ``rphi`` (cosines ``rc``, sines ``rs``),
+    powers ``rp1``, ``rp2`` and denominators ``rden``.  Nothing in it is
+    grid-sized: a re-evaluated row builds its own denominator from ``e1``
+    and ``e2``.  It lives as long as the report that uses it.
     """
     if nphi < 2 or npower < 2:
         raise ValueError("grid sizes must be at least 2")
@@ -179,12 +211,13 @@ def _grid_frame(
     s = np.sin(phis)
     e1, e2 = _eve_gains(gv, c, s)
     p1, p2 = _power_pairs(npower, power)
-    den = np.empty((nphi, p1.shape[0]))
-    rows = _block_rows(p1.shape[0])
-    tmp = np.empty((rows, p1.shape[0]))
-    for r0 in range(0, nphi, rows):
-        r1 = min(r0 + rows, nphi)
-        _affine_outer(den[r0:r1], e1[r0:r1], p1, e2[r0:r1], p2, tmp[: r1 - r0])
+    # The side-m lattice has (m + 1)(m + 2) / 2 points in rows i = 0..m of
+    # m + 1 - i points each; a row's last point (i, m - i) has full power.
+    m = (math.isqrt(8 * p1.shape[0] + 1) - 3) // 2
+    cand = np.concatenate(([0], np.cumsum(np.arange(m + 1, 0, -1)) - 1))
+    cp1, cp2 = p1[cand], p2[cand]
+    cden = np.empty((nphi, cand.shape[0]))
+    _affine_outer(cden, e1, cp1, e2, cp2, np.empty_like(cden))
 
     rng = np.random.default_rng(seed)
     u = rng.random((nphi, 3))
@@ -204,10 +237,15 @@ def _grid_frame(
         phis=phis,
         c=c,
         s=s,
+        e1=e1,
+        e2=e2,
         p1=p1,
         p2=p2,
         p12=p1 * p2,
-        den=den,
+        cp1=cp1,
+        cp2=cp2,
+        cp12=cp1 * cp2,
+        cden=cden,
         face_den=1.0 + power * e1,
         rphi=rphi,
         rc=rc,
@@ -236,15 +274,19 @@ def _grid_max_ratio(
 
     ``frame`` is ``_grid_frame(g, power, nphi, npower, seed)``, built here
     when not given; only the numerator depends on D.  The exhaustive stage
-    runs in row blocks of at most _BLOCK_POINTS points.  Every element is
-    rounded as the whole-grid expression
-    ((1 + d1 (x) p1) + d2 (x) p2 + det D p1 p2) / den would round it, and
-    the blocks' maxima are combined with a strict ``>`` in row order.  That
-    equals numpy's first-occurrence argmax over the whole grid because no
-    ratio is NaN: the denominator is at least 1, and every numerator term
-    is finite, since MAX_SNR bounds P times the channel's gains and the
-    unit-disk gate keeps 1 - ||a||^2 in A(a) away from 0.  So the result
-    depends neither on the block size nor on the thread count.
+    evaluates every row's candidates, then in full only the rows that the
+    module docstring's pruning rule keeps.  The slack of that rule is far
+    above the rounding error of any point in the row, numerator and ratio
+    alike since the denominator is at least 1, so a skipped row holds no
+    value as large as the grid's maximum.  Every evaluated point is rounded
+    as the whole-grid expression ((1 + d1 (x) p1) + d2 (x) p2 + det D p1 p2)
+    / den would round it, and the kept rows, in blocks of at most
+    _BLOCK_POINTS points, are combined in row order with a strict ``>``.
+    That equals numpy's first-occurrence argmax over the whole grid because
+    no ratio is NaN: every numerator term is finite, since MAX_SNR bounds P
+    times the channel's gains and the unit-disk gate keeps 1 - ||a||^2 in
+    A(a) away from 0.  So the result depends neither on the pruning, nor on
+    the block size, nor on the thread count.
     """
     if frame is None:
         frame = _grid_frame(g, power, nphi, npower, seed)
@@ -253,27 +295,31 @@ def _grid_max_ratio(
     det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
     d1, d2 = _beam_gains(d, frame.c, frame.s)
-    p1, p2 = frame.p1, frame.p2
+    cand = np.empty_like(frame.cden)
+    _affine_outer(cand, d1, frame.cp1, d2, frame.cp2, np.empty_like(cand))
+    cand += det_d * frame.cp12
+    cand /= frame.cden
+    row_best = cand.max(axis=1)
+    slack = (np.abs(d1) + np.abs(d2)) * power
+    slack += 1.0 + abs(det_d) * power * power
+    slack *= EPS_PRUNE
+    live = np.flatnonzero(row_best + slack >= row_best.max())
+
     cross = det_d * frame.p12
-    npoints = p1.shape[0]
-    rows = _block_rows(npoints)
-    num = np.empty((rows, npoints))
-    tmp = np.empty((rows, npoints))
+    npoints = frame.p1.shape[0]
+    rows = min(max(1, _BLOCK_POINTS // npoints), live.shape[0])
+    bufs = tuple(np.empty((rows, npoints)) for _ in range(3))
     best = -math.inf
-    flat = 0
-    for r0 in range(0, nphi, rows):
-        r1 = min(r0 + rows, nphi)
-        blk = num[: r1 - r0]
-        _affine_outer(blk, d1[r0:r1], p1, d2[r0:r1], p2, tmp[: r1 - r0])
-        blk += cross
-        blk /= frame.den[r0:r1]
+    for b0 in range(0, live.shape[0], rows):
+        idx = live[b0 : b0 + rows]
+        blk = _row_ratios(frame, idx, d1, d2, cross, bufs)
         k = int(np.argmax(blk))
         value = float(blk.flat[k])
         if value > best:
-            best = value
-            flat = r0 * npoints + k
-    i, k = divmod(flat, npoints)
-    best_param = CovParam(float(frame.phis[i]), float(p1[k]), float(p2[k]))
+            row, col = divmod(k, npoints)
+            best, arg = value, (int(idx[row]), col)
+    i, k = arg
+    best_param = CovParam(float(frame.phis[i]), float(frame.p1[k]), float(frame.p2[k]))
 
     face = (1.0 + power * d1) / frame.face_den
     j = int(np.argmax(face))

@@ -46,6 +46,10 @@ EPS_GRID = 1e-3
 EPS_GRID_EXCESS = 1e-12
 EPS_GRID_BEAM = 1e-9
 
+# Rounding slack of the oracle grid's row pruning, relative to the absolute
+# size 1 + (|d1| + |d2|) P + |det D| P^2 of a row's numerator terms.
+EPS_PRUNE = 1e-9
+
 # Sampled noise correlations stay this far inside the unit circle.
 EPS_RIM = 1e-6
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import no_nonneg_roots
 from secrecy221 import (
@@ -30,8 +32,8 @@ from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
 
-# Reference: the dense grid engine the blocked one replaced, which built every
-# full-grid array per call.  The blocked engine must match it bit for bit.
+# Reference: the dense grid engine, which builds every full-grid array per
+# call.  The pruned engine must match it bit for bit.
 def _dense_direction_profile(d, g, phis):
     c = np.cos(phis)
     s = np.sin(phis)
@@ -200,8 +202,8 @@ class TestBruteForceUpper:
                 coupling_gain_matrix(example_a, a)
 
 
-# (2, 2) and (8, 3) fit in one block; the others span many, and (100, 256)
-# ends on a partial one.
+# (2, 2) and (8, 3) fit in one block of rows; with every row re-evaluated
+# the others span many, and (100, 256) ends on a partial block.
 ENGINE_GRIDS = [(2, 2), (8, 3), (100, 256), (64, 4096), (256, 256), (512, 512)]
 
 
@@ -246,7 +248,9 @@ class TestBlockedGridEngine:
 
     def test_traced_memory_stays_block_sized(self, example_a):
         # The dense engine peaked at 6.26 MB (one 512^2 grid) and 1.71 MB
-        # (min_over_a at 256^2); only the frame's denominator is grid-sized.
+        # (min_over_a at 256^2), the blocked one with a grid-sized denominator
+        # at 2.36 and 0.82 MB; the pruned one stores nothing grid-sized and
+        # peaks at 0.60 and 0.28 MB.
         beam = optimal_beam(example_a)
         brute_force_gaussian(example_a, (8, 8), 0)  # one-time lazy set-up untraced
         peaks = []
@@ -260,8 +264,102 @@ class TestBlockedGridEngine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 3e6
-        assert peaks[1] <= 1.2e6
+        assert peaks[0] <= 1.0e6
+        assert peaks[1] <= 0.5e6
+
+
+def _gain_matrix(kind, scale, u, g):
+    """A test gain matrix D of the named shape, scaled by ``scale``."""
+    if kind == "zero":
+        return ((0.0, 0.0), (0.0, 0.0))
+    if kind == "rank_one":
+        return mk.matscale2(scale, mk.outer2(u, u))
+    if kind == "eve_outer":
+        return mk.outer2(g, g)
+    if kind == "diagonal":
+        return ((scale * u[0] ** 2, 0.0), (0.0, scale * u[1] ** 2))
+    m = (u, (0.3 * u[1] - u[0], 1.0))
+    return mk.matscale2(scale, mk.matmul2(mk.transpose2(m), m))
+
+
+GAIN_KINDS = ["rank_one", "zero", "eve_outer", "diagonal", "full"]
+coordinate = st.floats(-2.0, 2.0)
+
+
+class TestPruningIsExact:
+    # Every shape of D the row pruning must survive: a rank-one D, whose
+    # computed determinant may round to either sign; D = 0, where every row
+    # ties when g = 0 too; D = g g^T; and diagonal and full-rank D.
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        u=st.tuples(coordinate, coordinate),
+        g=st.tuples(coordinate, coordinate),
+        zero_g=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        log_power=st.floats(-6.0, 12.0),
+        nphi=st.integers(2, 41),
+        npower=st.sampled_from([2, 3, 8, 256, 4096]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_dense_reference(
+        self, kind, u, g, zero_g, log_scale, log_power, nphi, npower, seed
+    ):
+        if zero_g:
+            g = (0.0, 0.0)
+        d = _gain_matrix(kind, 10.0**log_scale, u, g)
+        power = 10.0**log_power
+        args = (d, g, power, nphi, npower, seed)
+        expected = dense_grid_max_ratio(*args)
+        assert oracle._grid_max_ratio(*args) == expected
+        frame = oracle._grid_frame(g, power, nphi, npower, seed)
+        assert oracle._grid_max_ratio(*args, frame) == expected
+
+    def test_rounding_slack_keeps_the_argmax_row(self):
+        # D = g g^T makes every ratio 1 up to rounding.  Here the argmax lies
+        # inside a row whose every candidate rounds below the grid's best
+        # candidate, so pruning without the slack loses it.
+        g = (1.028825305674486, -0.7499319367515453)
+        args = (mk.outer2(g, g), g, 46489514804.438446, 8, 256, 134)
+        assert oracle._grid_max_ratio(*args) == dense_grid_max_ratio(*args)
+
+
+class TestRowPruning:
+    @pytest.fixture
+    def rows_evaluated(self, monkeypatch):
+        """Counts the grid rows evaluated in full; reset it by assigning 0."""
+        count = [0]
+        real = oracle._row_ratios
+
+        def counted(frame, rows, *args):
+            count[0] += rows.shape[0]
+            return real(frame, rows, *args)
+
+        monkeypatch.setattr(oracle, "_row_ratios", counted)
+        return count
+
+    def test_unit_rank_optima_evaluate_few_rows(
+        self, example_a, suite1000, rows_evaluated
+    ):
+        # A silent fall-back to dense evaluation would count every row, an
+        # over-eager skip none.  phi and phi + pi/2 hold the same full-power
+        # beam, so two rows usually tie for the maximum.
+        from secrecy221 import optimize_alpha
+
+        for ch in [example_a, *suite1000[:20]]:
+            a_star = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a)).a_star
+            for grid in ((256, 256), (512, 512)):
+                rows_evaluated[0] = 0
+                brute_force_gaussian(ch, grid, 0)
+                assert 1 <= rows_evaluated[0] <= 4
+                rows_evaluated[0] = 0
+                brute_force_upper(ch, a_star, grid)
+                assert 1 <= rows_evaluated[0] <= 4
+
+    def test_all_ties_evaluate_every_row(self, rows_evaluated):
+        zero = ((0.0, 0.0), (0.0, 0.0))
+        oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, 100, 256, 0)
+        assert rows_evaluated[0] == 100
 
 
 class TestKKTCheck:
