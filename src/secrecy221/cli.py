@@ -33,12 +33,14 @@ from .tolerances import (
     EPS_GRID_BEAM,
     EPS_GRID_EXCESS,
     EPS_MONOTONE,
-    RECOMMENDED_MIN_GRID,
 )
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+
+# The oracle verb's covariance grid, (nphi, npower).
+_ORACLE_GRID = (256, 256)
 
 
 # --------------------------------------------------------------------------
@@ -258,19 +260,15 @@ def cmd_oracle(args) -> int:
     from .achievable import beam_rate, optimal_beam
     from .channel import beam_covariance
 
-    if args.grid < 2 or args.samples < 1 or args.seed < 0:
-        raise ChannelSpecError("oracle requires --grid >= 2, --samples >= 1 and --seed >= 0")
+    if args.samples < 1 or args.seed < 0:
+        raise ChannelSpecError("oracle requires --samples >= 1 and --seed >= 0")
     ch = read_channel(args.channel)
-    if args.grid < RECOMMENDED_MIN_GRID:
-        sys.stderr.write(
-            f"warning: resolution below recommended minimum ({RECOMMENDED_MIN_GRID})\n"
-        )
-    grid = (args.grid, args.grid)
+    nphi, npower = grid = _ORACLE_GRID
     cls = classify(ch)
     doc: dict = {
         "channel": channel_to_dict(ch),
         "class": cls.kind.value,
-        "grid": {"nphi": args.grid, "npower": args.grid},
+        "grid": {"nphi": nphi, "npower": npower},
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -283,7 +281,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
 
     beam = optimal_beam(ch)
-    s_best, grid_rate = oracle.brute_force_gaussian(ch, grid, args.seed)
+    s_best, grid_rate = oracle.brute_force_gaussian(ch, grid)
     (se1, se2), _ = mk.sym_eig2(s_best.S)
     gap = beam.rate - grid_rate
     doc["closed_form"] = {"lambda1": beam.lambda1, "rate_nats": beam.rate}
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force cross-check report as JSON")
     p_oracle.add_argument("channel")
-    p_oracle.add_argument("--grid", type=int, default=256, help="grid resolution per axis")
     p_oracle.add_argument("--samples", type=int, default=32, help="correlation samples")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=cmd_oracle)

@@ -60,7 +60,6 @@ LOG2 = math.log(2.0)
 
 # Degraded channels are resolved by the oracle's covariance grid search.
 _DEGRADED_GRID = (512, 512)
-_DEGRADED_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -348,11 +347,10 @@ def capacity_certificate(
     if cls.kind is ChannelKind.DEGRADED:
         from .oracle import brute_force_gaussian
 
-        _, grid_rate = brute_force_gaussian(ch, _DEGRADED_GRID, _DEGRADED_SEED)
+        _, grid_rate = brute_force_gaussian(ch, _DEGRADED_GRID)
         flags = {
             "degraded_formula": "numerical",
             "grid": list(_DEGRADED_GRID),
-            "seed": _DEGRADED_SEED,
             "no_eavesdropper": beam.no_eavesdropper,
         }
         value = max(beam.rate, grid_rate)

@@ -46,10 +46,6 @@ EPS_GRID = 1e-3
 EPS_GRID_EXCESS = 1e-12
 EPS_GRID_BEAM = 1e-9
 
-# Rounding slack of the oracle grid's row pruning, relative to the absolute
-# size 1 + (|d1| + |d2|) P + |det D| P^2 of a row's numerator terms.
-EPS_PRUNE = 1e-9
-
 # Sampled noise correlations stay this far inside the unit circle.
 EPS_RIM = 1e-6
 
@@ -62,6 +58,3 @@ MAX_SNR = 1e30  # bounds P * max(||H||_F^2, ||g||^2)
 # Determinants square the squared gains, and the oracle grid squares P;
 # either overflows beyond ~1e154:
 MAX_GAIN_SQ = 1e150  # bounds max(||H||_F^2, ||g||^2) and P
-
-# Grid sizes below this trigger a CLI warning.
-RECOMMENDED_MIN_GRID = 64

@@ -130,8 +130,6 @@ class TestRefusedInputs:
         [
             (["sweep", "{path}", "--pmin", "1", "--pmax", "inf", "--steps", "3"], "pmax"),
             (["sweep", "{path}", "--pmin", "1", "--pmax", "1e40", "--steps", "3"], "supported"),
-            (["oracle", "{path}", "--grid", "1"], "oracle requires"),
-            (["oracle", "{path}", "--grid", "0"], "oracle requires"),
             (["oracle", "{path}", "--samples", "0"], "oracle requires"),
             (["oracle", "{path}", "--samples", "-3"], "oracle requires"),
             (["oracle", "{path}", "--seed", "-1"], "oracle requires"),
@@ -304,7 +302,7 @@ class TestOracleCommand:
     def test_report_passes(self, capsys, example_a_path):
         code, out, _ = run(
             capsys,
-            ["oracle", example_a_path, "--grid", "128", "--samples", "8", "--seed", "7"],
+            ["oracle", example_a_path, "--samples", "8", "--seed", "7"],
         )
         assert code == 0
         doc = json.loads(out)
@@ -328,23 +326,24 @@ class TestOracleCommand:
             return cov, value - 0.1
 
         monkeypatch.setattr(oracle, "brute_force_upper", low)
-        argv = ["oracle", example_a_path, "--grid", "64", "--samples", "4"]
+        argv = ["oracle", example_a_path, "--samples", "4"]
         code, out, _ = run(capsys, argv)
         assert code == 2
         doc = json.loads(out)
         assert doc["passes"] is False
         assert doc["min_over_a"]["min_minus_lower_nats"] < 0.0
 
-    def test_small_grid_warns(self, capsys, example_a_path):
-        code, _, err = run(
-            capsys,
-            ["oracle", example_a_path, "--grid", "8", "--samples", "2", "--seed", "0"],
-        )
-        assert code == 0
-        assert "below recommended minimum" in err
+    @pytest.mark.parametrize("grid", ["0", "1", "256"])
+    def test_grid_is_not_an_argument(self, capsys, example_a_path, grid):
+        # Every report searches the same 256 x 256 grid; the sizes once
+        # refused and the one once recommended are all unrecognized now.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", example_a_path, "--grid", grid])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
     def test_seed_determinism_in_process(self, capsys, example_a_path):
-        argv = ["oracle", example_a_path, "--grid", "128", "--samples", "8", "--seed", "3"]
+        argv = ["oracle", example_a_path, "--samples", "8", "--seed", "3"]
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
@@ -352,7 +351,7 @@ class TestOracleCommand:
     def test_degraded_channel_report(self, capsys, tmp_path):
         path = tmp_path / "degraded.json"
         path.write_text('{"H": [[1, 0], [0, 1]], "g": [0.5, 0.0], "P": 1.0}')
-        code, out, _ = run(capsys, ["oracle", str(path), "--grid", "128"])
+        code, out, _ = run(capsys, ["oracle", str(path)])
         assert code == 0
         doc = json.loads(out)
         assert doc["class"] == "Degraded"
@@ -428,7 +427,7 @@ class TestParserReuse:
         sweep = ["--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"]
         code, out, _ = run(capsys, ["sweep", example_a_path, *sweep])
         assert (code, out) == (0, golden("sweep_example_a"))
-        code, out, _ = run(capsys, ["oracle", example_a_path, "--grid", "64", "--samples", "4"])
+        code, out, _ = run(capsys, ["oracle", example_a_path, "--samples", "4"])
         assert (code, out) == (0, golden("oracle_example_a"))
 
 

@@ -309,7 +309,7 @@ class TestCapacityCertificate:
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
         cert = capacity_certificate(ch)
         assert cert.verdict == "Tight"
-        _, grid_rate = brute_force_gaussian(ch, (512, 512), seed=6)
+        _, grid_rate = brute_force_gaussian(ch, (512, 512))
         assert abs(cert.lower - grid_rate) <= 1e-3
         _, min_val, _, _ = min_over_a(ch, optimal_beam(ch), 50, seed=6)
         assert min_val >= cert.lower - 1e-3
@@ -409,7 +409,7 @@ class TestCapacityCertificate:
         path = tmp_path / "channel.json"
         path.write_text('{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}')
         beams.clear()
-        assert main(["oracle", str(path), "--grid", "64", "--samples", "4"]) == 0
+        assert main(["oracle", str(path), "--samples", "4"]) == 0
         capsys.readouterr()
         assert len(calls) == 2
         assert len(beams) == 1
@@ -420,6 +420,8 @@ class TestCapacityCertificate:
         assert cert.kind is ChannelKind.DEGRADED
         assert cert.verdict == "Inapplicable"
         assert cert.flags["degraded_formula"] == "numerical"
+        assert cert.flags["grid"] == [512, 512]
+        assert "seed" not in cert.flags
         # The full covariance search must do at least as well as beamforming.
         assert cert.capacity_nats >= cert.beam.rate - 1e-12
 

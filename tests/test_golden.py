@@ -5,9 +5,13 @@ they guard (per-channel quantities cached on WiretapChannel; the oracle's
 grid and min-over-a entry points folded into one each; the certificate's
 residual table made the only gate on the identities it records; theta*
 computed once with no classify, re-derivation or inv_N self-check ahead of
-that table, the min-over-a relations judged by the oracle verb, and the
-oracle grid evaluated in row blocks over a per-report frame); any
-change to them is a contract change and has to be made deliberately.
+that table, the min-over-a relations judged by the oracle verb, the
+oracle grid evaluated in row blocks over a per-report frame, and then only
+at each angle's origin and full-power candidates, with the grid fixed at
+256 x 256 and the grid's random stage seeded with 0); any change to them is
+a contract change and has to be made deliberately.  `oracle_example_a.out`
+and `ORACLE_SUITE_DIGEST` were re-recorded with the row-pruned engine at
+`--grid 256`, before that flag was removed.
 """
 
 import hashlib
@@ -32,10 +36,11 @@ RANDOM_SUITE_DIGEST = "a6e90e953772e39ed8c5743321ab9cb8baefe797b372eb6f69b7950a2
 # x86-64 Linux.
 WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a900062694"
 
-# SHA-256 over `oracle - --grid 64 --samples 4` on the first 20 lines of
+# SHA-256 over `oracle - --samples 4` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
-# "exit <code>\n".  Recorded on x86-64 Linux.
-ORACLE_SUITE_DIGEST = "f7e96faf468b13e3b8ae5f6c96a20adfb5db807230483e8675c567cf9b05e922"
+# "exit <code>\n".  Recorded on x86-64 Linux with the row-pruned grid engine
+# and its `--grid 256`, the grid every report now uses.
+ORACLE_SUITE_DIGEST = "6e1f1e6639ed60272f7779d791d3a6a274db9cd14fb4e43df87c4d76e1608345"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -50,7 +55,7 @@ CASES = [
         EXAMPLE_A,
         ["sweep", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"],
     ),
-    ("oracle_example_a", EXAMPLE_A, ["oracle", "--grid", "64", "--samples", "4"]),
+    ("oracle_example_a", EXAMPLE_A, ["oracle", "--samples", "4"]),
     ("oracle_example_a_defaults", EXAMPLE_A, ["oracle"]),
 ]
 
@@ -84,7 +89,7 @@ def test_oracle_suite_digest(capsys, monkeypatch):
     digest = hashlib.sha256()
     for line in lines:
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
-        code = main(["oracle", "-", "--grid", "64", "--samples", "4"])
+        code = main(["oracle", "-", "--samples", "4"])
         digest.update(capsys.readouterr().out.encode())
         digest.update(f"exit {code}\n".encode())
     assert digest.hexdigest() == ORACLE_SUITE_DIGEST

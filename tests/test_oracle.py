@@ -32,8 +32,20 @@ from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
 
-# Reference: the dense grid engine, which builds every full-grid array per
-# call.  The pruned engine must match it bit for bit.
+# Reference: the dense grid engine, which evaluates every lattice point per
+# call.  The candidate engine must reach its maximum up to rounding.
+def _dense_power_pairs(npower, power):
+    """Triangular lattice on {p1, p2 >= 0, p1 + p2 <= P} with ~npower points,
+    corners and origin included."""
+    m = 1
+    while (m + 2) * (m + 3) // 2 <= npower:
+        m += 1
+    lens = np.arange(m + 1, 0, -1)
+    ii = np.repeat(np.arange(m + 1), lens)
+    jj = np.arange(ii.shape[0]) - np.repeat(np.cumsum(lens) - lens, lens)
+    return power * ii / m, power * jj / m
+
+
 def _dense_direction_profile(d, g, phis):
     c = np.cos(phis)
     s = np.sin(phis)
@@ -64,14 +76,14 @@ def _dense_zoom_face(d, g, power, psi0, h0):
     return best_psi, best
 
 
-def dense_grid_max_ratio(d_mat, g, power, nphi, npower, seed):
+def dense_grid_max_ratio(d_mat, g, power, nphi, npower):
     d = np.asarray(d_mat, dtype=float)
     gv = np.asarray(g, dtype=float)
     det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
     phis = np.arange(nphi) * (math.pi / nphi)
     d1, d2, e1, e2 = _dense_direction_profile(d, gv, phis)
-    p1, p2 = oracle._power_pairs(npower, power)
+    p1, p2 = _dense_power_pairs(npower, power)
     cross = det_d * (p1 * p2)
     num = 1.0 + np.outer(d1, p1) + np.outer(d2, p2) + cross[None, :]
     den = 1.0 + np.outer(e1, p1) + np.outer(e2, p2)
@@ -88,7 +100,7 @@ def dense_grid_max_ratio(d_mat, g, power, nphi, npower, seed):
         best = face_best
         best_param = CovParam(psi, power, 0.0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     u = rng.random((nphi, 3))
     phir = u[:, 0] * math.pi
     fr1 = u[:, 1]
@@ -112,7 +124,7 @@ def dense_grid_max_ratio(d_mat, g, power, nphi, npower, seed):
 
 class TestBruteForceGaussian:
     def test_example_a_finds_known_optimum(self, example_a):
-        s_best, rate = brute_force_gaussian(example_a, (256, 256), seed=7)
+        s_best, rate = brute_force_gaussian(example_a, (256, 256))
         assert math.isclose(rate, 0.5 * math.log(2.0), rel_tol=1e-9)
         (l1, l2), (v1, _) = mk.sym_eig2(s_best.S)
         assert l2 <= 1e-3  # unit rank
@@ -120,7 +132,7 @@ class TestBruteForceGaussian:
 
     def test_degraded_example_uses_full_power(self):
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
-        s_best, rate = brute_force_gaussian(ch, (256, 256), seed=7)
+        s_best, rate = brute_force_gaussian(ch, (256, 256))
         assert rate >= optimal_beam(ch).rate - 1e-12
         assert mk.trace2(s_best.S) >= ch.P - 0.05
 
@@ -128,7 +140,7 @@ class TestBruteForceGaussian:
         for ch in suite1000[:100]:
             closed = optimal_beam(ch).rate
             for grid in ((64, 64), (128, 128)):
-                _, rate = brute_force_gaussian(ch, grid, seed=3)
+                _, rate = brute_force_gaussian(ch, grid)
                 assert rate <= closed + 1e-12
 
     def test_grid_convergence_halves_gap(self, suite1000):
@@ -142,7 +154,7 @@ class TestBruteForceGaussian:
             worst[grid] = 0.0
             for ch in suite1000[:10]:
                 closed = optimal_beam(ch).rate
-                _, rate = brute_force_gaussian(ch, (grid, grid), seed=5)
+                _, rate = brute_force_gaussian(ch, (grid, grid))
                 worst[grid] = max(worst[grid], closed - rate)
         assert worst[16] <= max(0.5 * worst[8], noise_floor)
         assert worst[32] <= max(0.5 * worst[16], noise_floor)
@@ -156,21 +168,21 @@ class TestBruteForceGaussian:
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
         s_star = math.sqrt(18.0) - 4.0
         exact = 0.5 * math.log((1 + s_star) * (2 - s_star) / (1 + s_star / 4))
-        _, coarse = brute_force_gaussian(ch, (64, 64), seed=5)
-        _, fine = brute_force_gaussian(ch, (64, 4096), seed=5)
+        _, coarse = brute_force_gaussian(ch, (64, 64))
+        _, fine = brute_force_gaussian(ch, (64, 4096))
         assert exact - fine >= -1e-12
         assert exact - fine <= (exact - coarse) / 8.0
 
     def test_determinism_bit_for_bit(self):
         ch = WiretapChannel(((0.7, -0.3), (0.1, 1.4)), (1.2, 0.4), 1.0)
-        s1, r1 = brute_force_gaussian(ch, (128, 128), seed=9)
-        s2, r2 = brute_force_gaussian(ch, (128, 128), seed=9)
+        s1, r1 = brute_force_gaussian(ch, (128, 128))
+        s2, r2 = brute_force_gaussian(ch, (128, 128))
         assert r1 == r2
         assert s1.S == s2.S
 
     def test_rejects_tiny_grid(self, example_a):
         with pytest.raises(ValueError):
-            brute_force_gaussian(example_a, (1, 64), seed=0)
+            brute_force_gaussian(example_a, (1, 64))
 
 
 class TestBruteForceUpper:
@@ -202,8 +214,7 @@ class TestBruteForceUpper:
                 coupling_gain_matrix(example_a, a)
 
 
-# (2, 2) and (8, 3) fit in one block of rows; with every row re-evaluated
-# the others span many, and (100, 256) ends on a partial block.
+# From the smallest lattice (m = 1) to the certificate's 512^2 grid.
 ENGINE_GRIDS = [(2, 2), (8, 3), (100, 256), (64, 4096), (256, 256), (512, 512)]
 
 
@@ -215,20 +226,20 @@ class TestBlockedGridEngine:
     @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
     def test_gaussian_matches_dense_reference(self, channels, grid):
         for ch in channels:
-            expected = dense_grid_max_ratio(ch.gram(), ch.g, ch.P, *grid, 4)
-            assert oracle._grid_max_ratio(ch.gram(), ch.g, ch.P, *grid, 4) == expected
-            s_best, rate = brute_force_gaussian(ch, grid, seed=4)
+            expected = dense_grid_max_ratio(ch.gram(), ch.g, ch.P, *grid)
+            assert oracle._grid_max_ratio(ch.gram(), ch.g, ch.P, *grid) == expected
+            s_best, rate = brute_force_gaussian(ch, grid)
             assert rate == 0.5 * math.log(expected[0])
             assert s_best == validate_covariance(covariance_from_param(expected[1]), ch.P)
 
     @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
     def test_upper_matches_dense_reference_with_and_without_frame(self, channels, grid):
         for ch in channels:
-            frame = oracle._grid_frame(ch.g, ch.P, *grid, 0)
+            frame = oracle._grid_frame(ch.g, ch.P, *grid)
             for a in ((0.0, 0.0), (0.3, -0.6)):
                 d = coupling_gain_matrix(ch, a)
-                expected = dense_grid_max_ratio(d, ch.g, ch.P, *grid, 0)
-                args = (d, ch.g, ch.P, *grid, 0)
+                expected = dense_grid_max_ratio(d, ch.g, ch.P, *grid)
+                args = (d, ch.g, ch.P, *grid)
                 assert oracle._grid_max_ratio(*args) == expected
                 assert oracle._grid_max_ratio(*args, frame) == expected
                 alone = brute_force_upper(ch, a, grid)
@@ -238,24 +249,56 @@ class TestBlockedGridEngine:
                 assert alone[0] == shared[0] == s_best
 
     def test_ties_keep_the_first_grid_point(self):
-        # D = 0 and g = 0 make every ratio 1, in every block: the first grid
-        # point must win, as numpy's whole-grid argmax picks it.
+        # D = 0 and g = 0 make every ratio 1: the first grid point must win,
+        # as numpy's whole-grid argmax picks it.
         zero = ((0.0, 0.0), (0.0, 0.0))
         grid = (100, 256)
-        expected = dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid, 0)
+        expected = dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid)
         assert expected == (1.0, CovParam(0.0, 0.0, 0.0))
-        assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid, 0) == expected
+        assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == expected
+
+    def test_candidates_are_the_lattice_origin_and_full_power_points(self):
+        # The frame's candidates are the dense lattice's origin and its
+        # points (i, m - i), in lattice order, for every lattice side m.
+        for npower in range(2, 1000):
+            frame = oracle._grid_frame((0.3, -0.2), 2.0, 2, npower)
+            p1, p2 = _dense_power_pairs(npower, 2.0)
+            face = np.isclose(p1 + p2, 2.0, rtol=1e-9, atol=0.0)
+            assert (p1[0], p2[0]) == (0.0, 0.0)
+            assert np.array_equal(frame.cp1, np.concatenate(([0.0], p1[face])))
+            assert np.array_equal(frame.cp2, np.concatenate(([0.0], p2[face])))
+            assert np.array_equal(frame.cp12, frame.cp1 * frame.cp2)
+            assert frame.cden.shape == (2, frame.cp1.shape[0])
+
+    def test_zoom_starts_from_the_callers_incumbent(self, example_a):
+        # The zoom does not re-evaluate psi0: an incumbent that no zoom
+        # point beats comes back unchanged, and a beaten one gives way to a
+        # face point at least as good as psi0.
+        d = np.asarray(example_a.gram(), dtype=float)
+        g = np.asarray(example_a.g, dtype=float)
+        power, psi0, h0 = example_a.P, 0.3, math.pi / 8
+        assert oracle._zoom_face(d, g, power, psi0, math.inf, h0) == (psi0, math.inf)
+
+        def at(psi):
+            return float(oracle._face_ratio(d, g, power, np.array([psi]))[0])
+
+        psi, best = oracle._zoom_face(d, g, power, psi0, 0.0, h0)
+        assert best >= at(psi0) * (1.0 - 1e-15)
+        assert math.isclose(at(psi), best, rel_tol=1e-15)
+        # Three brackets of width h0, h0 / 16 and h0 / 256, each centred on
+        # the last one's best point.
+        assert abs(psi - psi0) <= 0.5 * h0 * (1.0 + 1.0 / 16.0 + 1.0 / 256.0)
 
     def test_traced_memory_stays_block_sized(self, example_a):
         # The dense engine peaked at 6.26 MB (one 512^2 grid) and 1.71 MB
         # (min_over_a at 256^2), the blocked one with a grid-sized denominator
-        # at 2.36 and 0.82 MB; the pruned one stores nothing grid-sized and
-        # peaks at 0.60 and 0.28 MB.
+        # at 2.36 and 0.82 MB, the row-pruned one at 0.60 and 0.28 MB; the
+        # candidates alone peak at 0.58 and 0.27 MB.  The caps add 25%.
         beam = optimal_beam(example_a)
-        brute_force_gaussian(example_a, (8, 8), 0)  # one-time lazy set-up untraced
+        brute_force_gaussian(example_a, (8, 8))  # one-time lazy set-up untraced
         peaks = []
         for run in (
-            lambda: brute_force_gaussian(example_a, (512, 512), 0),
+            lambda: brute_force_gaussian(example_a, (512, 512)),
             lambda: min_over_a(example_a, beam, 32, 0, (256, 256)),
         ):
             tracemalloc.start()
@@ -264,8 +307,18 @@ class TestBlockedGridEngine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 1.0e6
-        assert peaks[1] <= 0.5e6
+        assert peaks[0] <= 0.73e6
+        assert peaks[1] <= 0.34e6
+
+
+def _dense_ratio(d, g, power, param):
+    """The ratio at one covariance parameter, by the dense engine's formula."""
+    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    phi = np.array([param.phi])
+    d1, d2, e1, e2 = _dense_direction_profile(d, np.asarray(g, dtype=float), phi)
+    p1, p2 = param.p1, param.p2
+    num = 1.0 + d1 * p1 + d2 * p2 + det_d * (p1 * p2)
+    return float((num / (1.0 + e1 * p1 + e2 * p2))[0])
 
 
 def _gain_matrix(kind, scale, u, g):
@@ -287,9 +340,29 @@ coordinate = st.floats(-2.0, 2.0)
 
 
 class TestPruningIsExact:
-    # Every shape of D the row pruning must survive: a rank-one D, whose
-    # computed determinant may round to either sign; D = 0, where every row
-    # ties when g = 0 too; D = g g^T; and diagonal and full-rank D.
+    """The candidates hold the lattice maximum: the engine's value is the
+    dense engine's up to the rounding of one grid point, and its CovParam
+    re-evaluates to that value."""
+
+    @staticmethod
+    def check_against_dense(d, g, power, nphi, npower):
+        args = (d, g, power, nphi, npower)
+        dense, _ = dense_grid_max_ratio(*args)
+        value, param = oracle._grid_max_ratio(*args)
+        frame = oracle._grid_frame(g, power, nphi, npower)
+        assert oracle._grid_max_ratio(*args, frame) == (value, param)
+        dm = np.asarray(d, dtype=float)
+        det_d = abs(float(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0]))
+        scale = 1.0 + 2.0 * float(np.linalg.norm(dm)) * power + det_d * power * power
+        assert 0.0 <= dense - value <= 1e-9 * scale
+        # A random-stage point groups its cross term as (det D p1) p2, so
+        # its ratio may differ from the dense formula's in the last bit.
+        assert math.isclose(_dense_ratio(dm, g, power, param), value, rel_tol=1e-15)
+
+    # Every shape of D the candidates must survive: a rank-one D, whose
+    # computed determinant may round to either sign; D = 0, where every
+    # point ties when g = 0 too; D = g g^T, where every ratio is 1 up to
+    # rounding; and diagonal and full-rank D.
     @pytest.mark.parametrize("kind", GAIN_KINDS)
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(
@@ -300,66 +373,21 @@ class TestPruningIsExact:
         log_power=st.floats(-6.0, 12.0),
         nphi=st.integers(2, 41),
         npower=st.sampled_from([2, 3, 8, 256, 4096]),
-        seed=st.integers(0, 2**16),
     )
     def test_matches_dense_reference(
-        self, kind, u, g, zero_g, log_scale, log_power, nphi, npower, seed
+        self, kind, u, g, zero_g, log_scale, log_power, nphi, npower
     ):
         if zero_g:
             g = (0.0, 0.0)
         d = _gain_matrix(kind, 10.0**log_scale, u, g)
-        power = 10.0**log_power
-        args = (d, g, power, nphi, npower, seed)
-        expected = dense_grid_max_ratio(*args)
-        assert oracle._grid_max_ratio(*args) == expected
-        frame = oracle._grid_frame(g, power, nphi, npower, seed)
-        assert oracle._grid_max_ratio(*args, frame) == expected
+        self.check_against_dense(d, g, 10.0**log_power, nphi, npower)
 
     def test_rounding_slack_keeps_the_argmax_row(self):
-        # D = g g^T makes every ratio 1 up to rounding.  Here the argmax lies
-        # inside a row whose every candidate rounds below the grid's best
-        # candidate, so pruning without the slack loses it.
+        # D = g g^T at large P makes every ratio 1 up to rounding: the dense
+        # argmax lies inside a row whose every candidate rounds below the
+        # grid's best candidate, so only the bound's slack holds it.
         g = (1.028825305674486, -0.7499319367515453)
-        args = (mk.outer2(g, g), g, 46489514804.438446, 8, 256, 134)
-        assert oracle._grid_max_ratio(*args) == dense_grid_max_ratio(*args)
-
-
-class TestRowPruning:
-    @pytest.fixture
-    def rows_evaluated(self, monkeypatch):
-        """Counts the grid rows evaluated in full; reset it by assigning 0."""
-        count = [0]
-        real = oracle._row_ratios
-
-        def counted(frame, rows, *args):
-            count[0] += rows.shape[0]
-            return real(frame, rows, *args)
-
-        monkeypatch.setattr(oracle, "_row_ratios", counted)
-        return count
-
-    def test_unit_rank_optima_evaluate_few_rows(
-        self, example_a, suite1000, rows_evaluated
-    ):
-        # A silent fall-back to dense evaluation would count every row, an
-        # over-eager skip none.  phi and phi + pi/2 hold the same full-power
-        # beam, so two rows usually tie for the maximum.
-        from secrecy221 import optimize_alpha
-
-        for ch in [example_a, *suite1000[:20]]:
-            a_star = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a)).a_star
-            for grid in ((256, 256), (512, 512)):
-                rows_evaluated[0] = 0
-                brute_force_gaussian(ch, grid, 0)
-                assert 1 <= rows_evaluated[0] <= 4
-                rows_evaluated[0] = 0
-                brute_force_upper(ch, a_star, grid)
-                assert 1 <= rows_evaluated[0] <= 4
-
-    def test_all_ties_evaluate_every_row(self, rows_evaluated):
-        zero = ((0.0, 0.0), (0.0, 0.0))
-        oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, 100, 256, 0)
-        assert rows_evaluated[0] == 100
+        self.check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256)
 
 
 class TestKKTCheck:
