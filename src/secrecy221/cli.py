@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import matkit as mk
 from .channel import ChannelKind, WiretapChannel, classify
 from .converse import LOG2, CapacityCertificate, capacity_certificate
-from .errors import ChannelSpecError, SecrecyError
+from .errors import ChannelSpecError
 from .tolerances import (
     EPS_CERT,
     EPS_GRID,
@@ -420,8 +420,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SecrecyError as exc:
-        return _error_exit(type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - contract: never print a traceback
         return _error_exit(type(exc).__name__, str(exc))
 

@@ -16,22 +16,21 @@ full-power points of the side-m lattice at every angle, each rounded as the
 whole-grid expression rounds it, so the result is the lattice maximum up to
 rounding.
 
-Only the numerator det(I + D S) of the grid's ratio depends on the gain
-matrix D; the angles, the candidates' powers and denominators and the
-random stage form a frame that every grid over one channel, budget and grid
-size shares.  ``min_over_a`` builds one frame per report for its sampled
-correlations and a*; a standalone grid call builds its own.
+The full-power unit-rank face, where the paper puts the optimum of a
+non-degraded channel, is then solved rather than searched: its best beam is
+found by Dinkelbach's iteration on a linear-fractional function of the
+doubled angle, without the generalized eigenpair of the closed form.
 
-All randomness is seeded, the grid's random stage always with 0, and every
-reduction is performed in a fixed order, so identical seeds give
-bit-identical results regardless of thread count.
+The grid draws no random numbers.  Only ``min_over_a`` and
+``sample_general_channels`` do, from the caller's seed, and every reduction
+is performed in a fixed order, so identical seeds give bit-identical results
+regardless of thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,185 +90,103 @@ class KKTReport:
 # grid engine
 # --------------------------------------------------------------------------
 
-def _beam_gain(d: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-angle gain q1^T D q1 for q1 = (c, s)."""
-    return d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
-
-
-def _beam_gains(d: np.ndarray, c: np.ndarray, s: np.ndarray):
-    """Per-angle gains q_i^T D q_i for q1 = (c, s), q2 = (-s, c)."""
-    d2 = d[0, 0] * s * s - 2.0 * d[0, 1] * c * s + d[1, 1] * c * c
-    return _beam_gain(d, c, s), d2
-
-
-def _eve_gain(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-angle eavesdropper gain (g^T q1)^2 for q1 = (c, s)."""
-    return (g[0] * c + g[1] * s) ** 2
-
-
-def _eve_gains(g: np.ndarray, c: np.ndarray, s: np.ndarray):
-    """Per-angle eavesdropper gains (g^T q_i)^2 for q1 = (c, s), q2 = (-s, c)."""
-    return _eve_gain(g, c, s), (g[1] * c - g[0] * s) ** 2
-
-
-def _face_ratio(
-    d: np.ndarray, g: np.ndarray, power: float, psis: np.ndarray
-) -> np.ndarray:
-    c = np.cos(psis)
-    s = np.sin(psis)
-    return (1.0 + power * _beam_gain(d, c, s)) / (1.0 + power * _eve_gain(g, c, s))
-
-
-def _zoom_face(
-    d: np.ndarray, g: np.ndarray, power: float, psi0: float, best: float, h0: float
-) -> tuple[float, float]:
-    """Deterministic bracket shrink around the best full-power beam angle
-    ``psi0``, whose ratio ``best`` the caller has already evaluated."""
-    best_psi = psi0
-    h = h0
-    for _ in range(3):
-        psis = best_psi + np.linspace(-0.5 * h, 0.5 * h, 33)
-        r = _face_ratio(d, g, power, psis)
-        j = int(np.argmax(r))
-        if float(r[j]) > best:
-            best = float(r[j])
-            best_psi = float(psis[j])
-        h /= 16.0
-    return best_psi, best
-
-
-def _grid_frame(g: Vec2, power: float, nphi: int, npower: int) -> SimpleNamespace:
-    """The part of the (nphi x npower) grid search that does not depend on D.
-
-    Every grid over one channel, budget and grid size shares it: the angles
-    ``phis`` with cosines ``c`` and sines ``s``; the candidates of every
-    angle, the origin and the m + 1 full-power points (i, m - i) of the
-    side-m power lattice, the largest with at most npower points, with their
-    powers ``cp1``, ``cp2``, ``cp12`` and denominators 1 + g^T S g
-    (``cden``, nphi x (m + 2)); the denominator on the full-power face
-    (``face_den``); and the random stage's angles ``rphi`` (cosines ``rc``,
-    sines ``rs``), powers ``rp1``, ``rp2`` and denominators ``rden``.  It
-    lives as long as the report that uses it.
-    """
-    if nphi < 2 or npower < 2:
-        raise ValueError("grid sizes must be at least 2")
-    gv = np.asarray(g, dtype=float)
-
-    phis = np.arange(nphi) * (math.pi / nphi)
-    c = np.cos(phis)
-    s = np.sin(phis)
-    e1, e2 = _eve_gains(gv, c, s)
-    # The side-m lattice {(i, j) P / m : i + j <= m} has (m + 1)(m + 2) / 2
-    # points; its row i peaks at the origin or at (i, m - i).
+def _candidate_powers(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Powers (p1, p2) of each angle's candidates: the origin and the m + 1
+    full-power points (i, m - i) P / m of the side-m power lattice
+    {(i, j) P / m : i + j <= m}, the largest with at most npower points."""
+    # The lattice has (m + 1)(m + 2) / 2 points; its row i peaks at the
+    # origin or at (i, m - i).
     m = max(1, (math.isqrt(8 * npower + 1) - 3) // 2)
     i = np.arange(m + 1)
-    cp1 = np.concatenate(([0.0], power * i / m))
-    cp2 = np.concatenate(([0.0], power * (m - i) / m))
-    cden = 1.0 + np.outer(e1, cp1) + np.outer(e2, cp2)
-
-    rng = np.random.default_rng(0)
-    u = rng.random((nphi, 3))
-    rphi = u[:, 0] * math.pi
-    fr1 = u[:, 1]
-    fr2 = u[:, 2]
-    swap = fr1 + fr2 > 1.0
-    fr1 = np.where(swap, 1.0 - fr1, fr1)
-    fr2 = np.where(swap, 1.0 - fr2, fr2)
-    rp1 = power * fr1
-    rp2 = power * fr2
-    rc = np.cos(rphi)
-    rs = np.sin(rphi)
-    re1, re2 = _eve_gains(gv, rc, rs)
-
-    return SimpleNamespace(
-        phis=phis,
-        c=c,
-        s=s,
-        cp1=cp1,
-        cp2=cp2,
-        cp12=cp1 * cp2,
-        cden=cden,
-        face_den=1.0 + power * e1,
-        rphi=rphi,
-        rc=rc,
-        rs=rs,
-        rp1=rp1,
-        rp2=rp2,
-        rden=1.0 + re1 * rp1 + re2 * rp2,
+    return (
+        np.concatenate(([0.0], power * i / m)),
+        np.concatenate(([0.0], power * (m - i) / m)),
     )
 
 
+def _face_max(d_mat: Mat2, g: Vec2, power: float) -> tuple[float, float]:
+    """Maximize (1 + P q^T D q) / (1 + P (g^T q)^2) over q = (cos psi, sin psi).
+
+    With w = (cos 2 psi, sin 2 psi) the ratio is (a0 + a.w) / (b0 + b.w),
+    and b0 > |b|.  Dinkelbach's iteration: at the ratio r, the maximum of
+    (a0 + a.w) - r (b0 + b.w) over the unit circle is at w along a - r b,
+    whose ratio exceeds r unless r is the maximum.  It starts from
+    r = a0 / b0, the ratio of the two means over the circle, which cannot
+    exceed the maximum; each step re-evaluates the ratio directly at its
+    angle, and the iteration stops when that no longer strictly rises.
+    Returns (psi, ratio).
+    """
+    (d11, d12), (_, d22) = d_mat
+    g1, g2 = g
+    h = 0.5 * power
+    a0, a1, a2 = 1.0 + h * (d11 + d22), h * (d11 - d22), power * d12
+    b0, b1, b2 = 1.0 + h * (g1 * g1 + g2 * g2), h * (g1 * g1 - g2 * g2), power * g1 * g2
+    r = a0 / b0
+    best_psi, best = 0.0, -math.inf
+    while True:
+        psi = 0.5 * math.atan2(a2 - r * b2, a1 - r * b1)
+        c = math.cos(psi)
+        s = math.sin(psi)
+        r = (1.0 + (d11 * c * c + 2.0 * d12 * c * s + d22 * s * s) * power) / (
+            1.0 + (g1 * c + g2 * s) ** 2 * power
+        )
+        if r <= best:
+            return best_psi, best
+        best_psi, best = psi, r
+
+
 def _grid_max_ratio(
-    d_mat: Mat2,
-    g: Vec2,
-    power: float,
-    nphi: int,
-    npower: int,
-    frame: SimpleNamespace | None = None,
+    d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int
 ) -> tuple[float, CovParam]:
     """Maximize (det(I + D S)) / (1 + g^T S g) over the covariance grid.
 
-    Three deterministic stages: the exhaustive (angle x power-pair) grid, a
-    bracket zoom along the full-power unit-rank face, and nphi random
-    simplex points.  Later stages replace the incumbent only on strict
-    improvement.
+    Two deterministic stages: the exhaustive (angle x power-pair) grid and
+    the solved full-power unit-rank face (``_face_max``), which replaces the
+    lattice's incumbent only on strict improvement.
 
-    ``frame`` is ``_grid_frame(g, power, nphi, npower)``, built here when not
-    given; only the numerator depends on D.  The exhaustive stage is the
-    first-occurrence argmax, in angle-major order, over every angle's
-    candidates from the module docstring, each rounded as the whole-grid
-    expression ((1 + d1 (x) p1) + d2 (x) p2 + det D p1 p2) / den rounds it.
-    By the lemma there, the value is the lattice maximum up to that
-    rounding.  No ratio is NaN: every numerator term is finite, since
-    MAX_SNR bounds P times the channel's gains and the unit-disk gate keeps
-    1 - ||a||^2 in A(a) away from 0.  So the result does not depend on the
-    thread count.
+    The exhaustive stage is the first-occurrence argmax, in angle-major
+    order, over every angle's candidates from the module docstring, each
+    rounded as the whole-grid expression ((1 + d1 (x) p1) + d2 (x) p2 +
+    det D p1 p2) / den rounds it.  By the lemma there, the value is the
+    lattice maximum up to that rounding.  No ratio is NaN: every numerator
+    term is finite, since MAX_SNR bounds P times the channel's gains and the
+    unit-disk gate keeps 1 - ||a||^2 in A(a) away from 0.  So the result
+    does not depend on the thread count.
     """
-    if frame is None:
-        frame = _grid_frame(g, power, nphi, npower)
+    if nphi < 2 or npower < 2:
+        raise ValueError("grid sizes must be at least 2")
     d = np.asarray(d_mat, dtype=float)
     gv = np.asarray(g, dtype=float)
     det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
 
-    d1, d2 = _beam_gains(d, frame.c, frame.s)
-    cand = 1.0 + np.outer(d1, frame.cp1) + np.outer(d2, frame.cp2) + det_d * frame.cp12
-    cand /= frame.cden
+    phis = np.arange(nphi) * (math.pi / nphi)
+    c = np.cos(phis)
+    s = np.sin(phis)
+    # Per-angle gains q_i^T D q_i and (g^T q_i)^2 for q1 = (c, s), q2 = (-s, c).
+    d1 = d[0, 0] * c * c + 2.0 * d[0, 1] * c * s + d[1, 1] * s * s
+    d2 = d[0, 0] * s * s - 2.0 * d[0, 1] * c * s + d[1, 1] * c * c
+    e1 = (gv[0] * c + gv[1] * s) ** 2
+    e2 = (gv[1] * c - gv[0] * s) ** 2
+    cp1, cp2 = _candidate_powers(npower, power)
+    cand = 1.0 + np.outer(d1, cp1) + np.outer(d2, cp2) + det_d * (cp1 * cp2)
+    cand /= 1.0 + np.outer(e1, cp1) + np.outer(e2, cp2)
     i, k = divmod(int(np.argmax(cand)), cand.shape[1])
     best = float(cand[i, k])
-    best_param = CovParam(float(frame.phis[i]), float(frame.cp1[k]), float(frame.cp2[k]))
+    best_param = CovParam(float(phis[i]), float(cp1[k]), float(cp2[k]))
 
-    face = (1.0 + power * d1) / frame.face_den
-    j = int(np.argmax(face))
-    psi, face_best = _zoom_face(
-        d, gv, power, float(frame.phis[j]), float(face[j]), math.pi / nphi
-    )
+    psi, face_best = _face_max(d.tolist(), gv.tolist(), power)
     if face_best > best:
         best = face_best
         best_param = CovParam(psi, power, 0.0)
-
-    rp1, rp2 = frame.rp1, frame.rp2
-    rd1, rd2 = _beam_gains(d, frame.rc, frame.rs)
-    rnum = 1.0 + rd1 * rp1 + rd2 * rp2 + det_d * rp1 * rp2
-    rr = rnum / frame.rden
-    mbest = int(np.argmax(rr))
-    if float(rr[mbest]) > best:
-        best = float(rr[mbest])
-        best_param = CovParam(
-            float(frame.rphi[mbest]), float(rp1[mbest]), float(rp2[mbest])
-        )
-
     return best, best_param
 
 
 def _grid_optimum(
-    ch: WiretapChannel,
-    d_mat: Mat2,
-    grid: tuple[int, int],
-    frame: SimpleNamespace | None = None,
+    ch: WiretapChannel, d_mat: Mat2, grid: tuple[int, int]
 ) -> tuple[CovMat, float]:
     """Grid-maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
     nphi, npower = grid
-    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower, frame)
+    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower)
     s_best = validate_covariance(covariance_from_param(param), ch.P)
     return s_best, 0.5 * math.log(best)
 
@@ -290,17 +207,15 @@ def brute_force_gaussian(
     -------
     (S_best, rate)
         The best covariance found and its rate in nats.  The rate never
-        exceeds the closed-form optimum and approaches it as the grid is
-        refined.  The random refinement stage is seeded with 0.
+        exceeds the closed-form optimum, up to rounding; when that optimum
+        is a full-power beam, the solved face reaches it at any grid size,
+        and otherwise the rate approaches it as the grid is refined.
     """
     return _grid_optimum(ch, ch._gram, grid)
 
 
 def brute_force_upper(
-    ch: WiretapChannel,
-    a: Vec2,
-    grid: tuple[int, int] = (512, 512),
-    frame: SimpleNamespace | None = None,
+    ch: WiretapChannel, a: Vec2, grid: tuple[int, int] = (512, 512)
 ) -> tuple[CovMat, float]:
     """Grid-maximize the genie upper bound U(S, a) over covariances.
 
@@ -308,11 +223,9 @@ def brute_force_upper(
     converse module has already cross-checked against the 3x3 and
     estimation-theoretic routes.  Returns (S_best, value) like
     ``brute_force_gaussian``.  An a not strictly inside the unit disk raises
-    NoiseDegenerate.  ``frame``, when given, is ``_grid_frame(ch.g, ch.P,
-    *grid)``, shared by every correlation searched over the same grid; the
-    value is the same with or without it.
+    NoiseDegenerate.
     """
-    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid, frame)
+    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid)
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +306,6 @@ def min_over_a(
         raise ValueError("need at least one sample")
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
 
-    frame = _grid_frame(ch.g, ch.P, *grid)
     rng = np.random.default_rng(seed)
     best_a: Vec2 | None = None
     best_value = math.inf
@@ -405,13 +317,13 @@ def min_over_a(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        _, value = brute_force_upper(ch, a, grid, frame)
+        _, value = brute_force_upper(ch, a, grid)
         if value < best_value:
             best_value = value
             best_a = a
     assert best_a is not None
 
-    _, star_value = brute_force_upper(ch, tc.a_star, grid, frame)
+    _, star_value = brute_force_upper(ch, tc.a_star, grid)
     return best_a, best_value, tc, star_value
 
 

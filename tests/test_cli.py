@@ -333,6 +333,29 @@ class TestOracleCommand:
         assert doc["passes"] is False
         assert doc["min_over_a"]["min_minus_lower_nats"] < 0.0
 
+    def test_wrong_beam_fails(self, capsys, monkeypatch, example_a_path):
+        # A closed form off by 0.05 rad, reporting its own beam's rate: the
+        # solved face must find the better beam, not share the mistake.
+        import dataclasses
+
+        from secrecy221 import achievable
+        from secrecy221.tolerances import EPS_GRID_EXCESS
+
+        real = achievable.optimal_beam
+
+        def rotated(ch):
+            beam = real(ch)
+            c, s = math.cos(0.05), math.sin(0.05)
+            q = (c * beam.q_a[0] - s * beam.q_a[1], s * beam.q_a[0] + c * beam.q_a[1])
+            return dataclasses.replace(beam, q_a=q, rate=achievable.beam_rate(ch, q))
+
+        monkeypatch.setattr(achievable, "optimal_beam", rotated)
+        code, out, _ = run(capsys, ["oracle", example_a_path, "--samples", "4"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["passes"] is False
+        assert doc["grid_search"]["gap_nats"] < -EPS_GRID_EXCESS
+
     @pytest.mark.parametrize("grid", ["0", "1", "256"])
     def test_grid_is_not_an_argument(self, capsys, example_a_path, grid):
         # Every report searches the same 256 x 256 grid; the sizes once

@@ -8,10 +8,12 @@ computed once with no classify, re-derivation or inv_N self-check ahead of
 that table, the min-over-a relations judged by the oracle verb, the
 oracle grid evaluated in row blocks over a per-report frame, and then only
 at each angle's origin and full-power candidates, with the grid fixed at
-256 x 256 and the grid's random stage seeded with 0); any change to them is
-a contract change and has to be made deliberately.  `oracle_example_a.out`
-and `ORACLE_SUITE_DIGEST` were re-recorded with the row-pruned engine at
-`--grid 256`, before that flag was removed.
+256 x 256); any change to them is a contract change and has to be made
+deliberately.  `oracle_example_a.out`, `oracle_example_a_defaults.out` and
+`ORACLE_SUITE_DIGEST` were last re-recorded when the grid's full-power face
+zoom and its seeded random stage gave way to the solved face: only the grid
+and min-over-a values moved, each up by at most 1e-12 nats, and every
+report's verdict and exit code held.
 """
 
 import hashlib
@@ -38,9 +40,9 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 
 # SHA-256 over `oracle - --samples 4` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
-# "exit <code>\n".  Recorded on x86-64 Linux with the row-pruned grid engine
-# and its `--grid 256`, the grid every report now uses.
-ORACLE_SUITE_DIGEST = "6e1f1e6639ed60272f7779d791d3a6a274db9cd14fb4e43df87c4d76e1608345"
+# "exit <code>\n".  Recorded on x86-64 Linux with the lattice candidates and
+# the solved full-power face at 256 x 256, the grid every report uses.
+ORACLE_SUITE_DIGEST = "a4343228c088ef8d979d83540d48321ae757e033d1b6d84c1f781f252bde6916"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'

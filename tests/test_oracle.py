@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,9 @@ I2 = ((1.0, 0.0), (0.0, 1.0))
 
 
 # Reference: the dense grid engine, which evaluates every lattice point per
-# call.  The candidate engine must reach its maximum up to rounding.
+# call, and then searches the full-power face by a three-round bracket zoom
+# around its best beam angle.  The engine, which solves that face, must
+# reach the maximum of both up to rounding.
 def _dense_power_pairs(npower, power):
     """Triangular lattice on {p1, p2 >= 0, p1 + p2 <= P} with ~npower points,
     corners and origin included."""
@@ -100,26 +103,63 @@ def dense_grid_max_ratio(d_mat, g, power, nphi, npower):
         best = face_best
         best_param = CovParam(psi, power, 0.0)
 
-    rng = np.random.default_rng(0)
-    u = rng.random((nphi, 3))
-    phir = u[:, 0] * math.pi
-    fr1 = u[:, 1]
-    fr2 = u[:, 2]
-    swap = fr1 + fr2 > 1.0
-    fr1 = np.where(swap, 1.0 - fr1, fr1)
-    fr2 = np.where(swap, 1.0 - fr2, fr2)
-    rp1 = power * fr1
-    rp2 = power * fr2
-    rd1, rd2, re1, re2 = _dense_direction_profile(d, gv, phir)
-    rnum = 1.0 + rd1 * rp1 + rd2 * rp2 + det_d * rp1 * rp2
-    rden = 1.0 + re1 * rp1 + re2 * rp2
-    rr = rnum / rden
-    mbest = int(np.argmax(rr))
-    if float(rr[mbest]) > best:
-        best = float(rr[mbest])
-        best_param = CovParam(float(phir[mbest]), float(rp1[mbest]), float(rp2[mbest]))
-
     return best, best_param
+
+
+def _dense_ratio(d, g, power, param):
+    """The ratio at one covariance parameter, by the dense engine's formula."""
+    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    phi = np.array([param.phi])
+    d1, d2, e1, e2 = _dense_direction_profile(d, np.asarray(g, dtype=float), phi)
+    p1, p2 = param.p1, param.p2
+    num = 1.0 + d1 * p1 + d2 * p2 + det_d * (p1 * p2)
+    return float((num / (1.0 + e1 * p1 + e2 * p2))[0])
+
+
+def _pencil_max(d, g, power):
+    """The largest eigenvalue of the pencil (I + P D, I + P g g^T), in
+    50-digit arithmetic from the float inputs: the exact maximum over unit q
+    of (1 + P q^T D q) / (1 + P (g^T q)^2), the full-power face's ratio."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(power)
+        (d11, d12), (_, d22) = np.asarray(d, dtype=float).tolist()
+        d11, d12, d22 = mpmath.mpf(d11), mpmath.mpf(d12), mpmath.mpf(d22)
+        g1, g2 = mpmath.mpf(g[0]), mpmath.mpf(g[1])
+        a11, a12, a22 = 1 + p * d11, p * d12, 1 + p * d22
+        b11, b12, b22 = 1 + p * g1 * g1, p * g1 * g2, 1 + p * g2 * g2
+        # det(A - lam B) = qa lam^2 - qb lam + qc; take the larger root.
+        qa = b11 * b22 - b12 * b12
+        qb = a11 * b22 + a22 * b11 - 2 * a12 * b12
+        qc = a11 * a22 - a12 * a12
+        return float((qb + mpmath.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa))
+
+
+def check_against_dense(d, g, power, nphi, npower, pencil=False):
+    """Check the engine's grid maximum against the dense reference.
+
+    No dense lattice point and no point of the reference's face zoom beats
+    the engine's value by more than the rounding of one grid point, and the
+    returned CovParam is feasible and re-evaluates to that value.  With
+    ``pencil``, a value on the full-power unit-rank face must also be the
+    50-digit pencil eigenvalue.  Returns the engine's (value, param).
+    """
+    args = (d, g, power, nphi, npower)
+    value, param = oracle._grid_max_ratio(*args)
+    dense, _ = dense_grid_max_ratio(*args)
+    dm = np.asarray(d, dtype=float)
+    det_d = abs(float(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0]))
+    scale = 1.0 + 2.0 * float(np.linalg.norm(dm)) * power + det_d * power * power
+    assert dense - value <= 1e-9 * scale
+    assert min(param.p1, param.p2) >= 0.0
+    assert param.p1 + param.p2 <= power * (1.0 + 1e-15)
+    assert math.isclose(_dense_ratio(dm, g, power, param), value, rel_tol=1e-15)
+    on_face = min(param.p1, param.p2) == 0.0 and math.isclose(
+        param.p1 + param.p2, power, rel_tol=1e-15
+    )
+    if pencil and on_face:
+        exact = _pencil_max(d, g, power)
+        assert abs(value - exact) <= 1e-13 * exact
+    return value, param
 
 
 class TestBruteForceGaussian:
@@ -145,9 +185,9 @@ class TestBruteForceGaussian:
 
     def test_grid_convergence_halves_gap(self, suite1000):
         # Doubling the resolution at least halves the worst observed gap,
-        # down to the face-refinement floor of the evaluations (the
-        # unit-rank optimum of a non-degraded channel is polished to
-        # near machine precision at any base resolution).
+        # down to a rounding floor: the unit-rank optimum of a non-degraded
+        # channel lies on the full-power face, which is solved, not
+        # searched, so the gap is rounding at any base resolution.
         noise_floor = 2e-10
         worst = {}
         for grid in (8, 16, 32):
@@ -226,27 +266,20 @@ class TestBlockedGridEngine:
     @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
     def test_gaussian_matches_dense_reference(self, channels, grid):
         for ch in channels:
-            expected = dense_grid_max_ratio(ch.gram(), ch.g, ch.P, *grid)
-            assert oracle._grid_max_ratio(ch.gram(), ch.g, ch.P, *grid) == expected
+            value, param = check_against_dense(ch.gram(), ch.g, ch.P, *grid, pencil=True)
             s_best, rate = brute_force_gaussian(ch, grid)
-            assert rate == 0.5 * math.log(expected[0])
-            assert s_best == validate_covariance(covariance_from_param(expected[1]), ch.P)
+            assert rate == 0.5 * math.log(value)
+            assert s_best == validate_covariance(covariance_from_param(param), ch.P)
 
     @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
     def test_upper_matches_dense_reference_with_and_without_frame(self, channels, grid):
         for ch in channels:
-            frame = oracle._grid_frame(ch.g, ch.P, *grid)
             for a in ((0.0, 0.0), (0.3, -0.6)):
                 d = coupling_gain_matrix(ch, a)
-                expected = dense_grid_max_ratio(d, ch.g, ch.P, *grid)
-                args = (d, ch.g, ch.P, *grid)
-                assert oracle._grid_max_ratio(*args) == expected
-                assert oracle._grid_max_ratio(*args, frame) == expected
-                alone = brute_force_upper(ch, a, grid)
-                shared = brute_force_upper(ch, a, grid, frame)
-                assert alone[1] == shared[1] == 0.5 * math.log(expected[0])
-                s_best = validate_covariance(covariance_from_param(expected[1]), ch.P)
-                assert alone[0] == shared[0] == s_best
+                value, param = check_against_dense(d, ch.g, ch.P, *grid, pencil=True)
+                s_best, bound = brute_force_upper(ch, a, grid)
+                assert bound == 0.5 * math.log(value)
+                assert s_best == validate_covariance(covariance_from_param(param), ch.P)
 
     def test_ties_keep_the_first_grid_point(self):
         # D = 0 and g = 0 make every ratio 1: the first grid point must win,
@@ -258,44 +291,26 @@ class TestBlockedGridEngine:
         assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == expected
 
     def test_candidates_are_the_lattice_origin_and_full_power_points(self):
-        # The frame's candidates are the dense lattice's origin and its
-        # points (i, m - i), in lattice order, for every lattice side m.
+        # The candidates are the dense lattice's origin and its points
+        # (i, m - i), in lattice order, for every lattice side m.
         for npower in range(2, 1000):
-            frame = oracle._grid_frame((0.3, -0.2), 2.0, 2, npower)
+            cp1, cp2 = oracle._candidate_powers(npower, 2.0)
             p1, p2 = _dense_power_pairs(npower, 2.0)
             face = np.isclose(p1 + p2, 2.0, rtol=1e-9, atol=0.0)
             assert (p1[0], p2[0]) == (0.0, 0.0)
-            assert np.array_equal(frame.cp1, np.concatenate(([0.0], p1[face])))
-            assert np.array_equal(frame.cp2, np.concatenate(([0.0], p2[face])))
-            assert np.array_equal(frame.cp12, frame.cp1 * frame.cp2)
-            assert frame.cden.shape == (2, frame.cp1.shape[0])
-
-    def test_zoom_starts_from_the_callers_incumbent(self, example_a):
-        # The zoom does not re-evaluate psi0: an incumbent that no zoom
-        # point beats comes back unchanged, and a beaten one gives way to a
-        # face point at least as good as psi0.
-        d = np.asarray(example_a.gram(), dtype=float)
-        g = np.asarray(example_a.g, dtype=float)
-        power, psi0, h0 = example_a.P, 0.3, math.pi / 8
-        assert oracle._zoom_face(d, g, power, psi0, math.inf, h0) == (psi0, math.inf)
-
-        def at(psi):
-            return float(oracle._face_ratio(d, g, power, np.array([psi]))[0])
-
-        psi, best = oracle._zoom_face(d, g, power, psi0, 0.0, h0)
-        assert best >= at(psi0) * (1.0 - 1e-15)
-        assert math.isclose(at(psi), best, rel_tol=1e-15)
-        # Three brackets of width h0, h0 / 16 and h0 / 256, each centred on
-        # the last one's best point.
-        assert abs(psi - psi0) <= 0.5 * h0 * (1.0 + 1.0 / 16.0 + 1.0 / 256.0)
+            assert np.array_equal(cp1, np.concatenate(([0.0], p1[face])))
+            assert np.array_equal(cp2, np.concatenate(([0.0], p2[face])))
 
     def test_traced_memory_stays_block_sized(self, example_a):
         # The dense engine peaked at 6.26 MB (one 512^2 grid) and 1.71 MB
         # (min_over_a at 256^2), the blocked one with a grid-sized denominator
         # at 2.36 and 0.82 MB, the row-pruned one at 0.60 and 0.28 MB; the
-        # candidates alone peak at 0.58 and 0.27 MB.  The caps add 25%.
+        # candidates and the solved face peak at 0.56 and 0.26 MB.  The caps
+        # add 25%.
         beam = optimal_beam(example_a)
-        brute_force_gaussian(example_a, (8, 8))  # one-time lazy set-up untraced
+        # One-time lazy set-up, numpy.random's included, stays untraced.
+        brute_force_gaussian(example_a, (8, 8))
+        min_over_a(example_a, beam, 1, 0, (8, 8))
         peaks = []
         for run in (
             lambda: brute_force_gaussian(example_a, (512, 512)),
@@ -307,18 +322,8 @@ class TestBlockedGridEngine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 0.73e6
-        assert peaks[1] <= 0.34e6
-
-
-def _dense_ratio(d, g, power, param):
-    """The ratio at one covariance parameter, by the dense engine's formula."""
-    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    phi = np.array([param.phi])
-    d1, d2, e1, e2 = _dense_direction_profile(d, np.asarray(g, dtype=float), phi)
-    p1, p2 = param.p1, param.p2
-    num = 1.0 + d1 * p1 + d2 * p2 + det_d * (p1 * p2)
-    return float((num / (1.0 + e1 * p1 + e2 * p2))[0])
+        assert peaks[0] <= 0.70e6
+        assert peaks[1] <= 0.33e6
 
 
 def _gain_matrix(kind, scale, u, g):
@@ -340,24 +345,10 @@ coordinate = st.floats(-2.0, 2.0)
 
 
 class TestPruningIsExact:
-    """The candidates hold the lattice maximum: the engine's value is the
-    dense engine's up to the rounding of one grid point, and its CovParam
-    re-evaluates to that value."""
-
-    @staticmethod
-    def check_against_dense(d, g, power, nphi, npower):
-        args = (d, g, power, nphi, npower)
-        dense, _ = dense_grid_max_ratio(*args)
-        value, param = oracle._grid_max_ratio(*args)
-        frame = oracle._grid_frame(g, power, nphi, npower)
-        assert oracle._grid_max_ratio(*args, frame) == (value, param)
-        dm = np.asarray(d, dtype=float)
-        det_d = abs(float(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0]))
-        scale = 1.0 + 2.0 * float(np.linalg.norm(dm)) * power + det_d * power * power
-        assert 0.0 <= dense - value <= 1e-9 * scale
-        # A random-stage point groups its cross term as (det D p1) p2, so
-        # its ratio may differ from the dense formula's in the last bit.
-        assert math.isclose(_dense_ratio(dm, g, power, param), value, rel_tol=1e-15)
+    """The candidates and the solved face hold the lattice maximum: no dense
+    lattice point and no point of the reference's face zoom beats the
+    engine's value by more than the rounding of one grid point, and its
+    CovParam re-evaluates to that value."""
 
     # Every shape of D the candidates must survive: a rank-one D, whose
     # computed determinant may round to either sign; D = 0, where every
@@ -380,14 +371,24 @@ class TestPruningIsExact:
         if zero_g:
             g = (0.0, 0.0)
         d = _gain_matrix(kind, 10.0**log_scale, u, g)
-        self.check_against_dense(d, g, 10.0**log_power, nphi, npower)
+        check_against_dense(d, g, 10.0**log_power, nphi, npower)
 
     def test_rounding_slack_keeps_the_argmax_row(self):
         # D = g g^T at large P makes every ratio 1 up to rounding: the dense
         # argmax lies inside a row whose every candidate rounds below the
         # grid's best candidate, so only the bound's slack holds it.
         g = (1.028825305674486, -0.7499319367515453)
-        self.check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256)
+        check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256, pencil=True)
+
+    def test_face_wins_match_the_pencil_eigenvalue(self):
+        # A fixed battery across twelve decades of SNR either side of 1,
+        # for the main channel's gains and for a genie bound's A(a).
+        channels, _ = sample_general_channels(11, 40)
+        for k in range(-12, 13, 2):
+            for base in channels:
+                ch = base.with_power(10.0**k)
+                for d in (ch.gram(), coupling_gain_matrix(ch, (0.3, -0.6))):
+                    check_against_dense(d, ch.g, ch.P, 8, 8, pencil=True)
 
 
 class TestKKTCheck:
