@@ -39,9 +39,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
-# The oracle verb's covariance grid, (nphi, npower).
-_ORACLE_GRID = (256, 256)
-
 
 # --------------------------------------------------------------------------
 # serialization
@@ -263,12 +260,10 @@ def cmd_oracle(args) -> int:
     if args.samples < 1 or args.seed < 0:
         raise ChannelSpecError("oracle requires --samples >= 1 and --seed >= 0")
     ch = read_channel(args.channel)
-    nphi, npower = grid = _ORACLE_GRID
     cls = classify(ch)
     doc: dict = {
         "channel": channel_to_dict(ch),
         "class": cls.kind.value,
-        "grid": {"nphi": nphi, "npower": npower},
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -281,7 +276,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
 
     beam = optimal_beam(ch)
-    s_best, grid_rate = oracle.brute_force_gaussian(ch, grid)
+    s_best, grid_rate = oracle.brute_force_gaussian(ch)
     (se1, se2), _ = mk.sym_eig2(s_best.S)
     gap = beam.rate - grid_rate
     doc["closed_form"] = {"lambda1": beam.lambda1, "rate_nats": beam.rate}
@@ -323,7 +318,7 @@ def cmd_oracle(args) -> int:
         checks.append(not kkt_pert.passes)
 
         a_best, min_value, tc, star_value = oracle.min_over_a(
-            ch, beam, args.samples, args.seed, grid
+            ch, beam, args.samples, args.seed
         )
         # Every sampled correlation gives a valid upper bound, and a* is the
         # best member of the family.

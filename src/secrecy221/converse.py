@@ -50,6 +50,7 @@ from .tolerances import (
     EIGEN_ONE_TOL,
     EPS_CERT,
     EPS_EIG,
+    EPS_GRID_EXCESS,
     EPS_ID,
     EPS_NORM,
     EPS_SING,
@@ -58,7 +59,7 @@ from .tolerances import (
 
 LOG2 = math.log(2.0)
 
-# Degraded channels are resolved by the oracle's covariance grid search.
+# The lattice that witnesses the oracle's solved search on Degraded channels.
 _DEGRADED_GRID = (512, 512)
 
 
@@ -326,11 +327,12 @@ def capacity_certificate(
     correlation, closed-form bound maximum, and the full battery of identity
     residuals; the verdict is Tight only if upper and lower agree to
     eps_cert (relative) and every residual passes.  Degraded channels report
-    the best Gaussian rate found by the brute-force covariance search
-    (flagged ``degraded_formula: numerical``); rank-deficient channels
-    report the known capacity of the equivalent 2-1-1 channel.  Both
-    alternatives carry verdict Inapplicable since the tight construction
-    does not apply.
+    the best Gaussian rate, solved by the oracle (``degraded_formula:
+    solved``) and witnessed by the ``flags.grid`` lattice: InvariantViolated
+    if a lattice point beats it by more than EPS_GRID_EXCESS.  Rank-deficient
+    channels report the known capacity of the equivalent 2-1-1 channel.
+    Both alternatives carry verdict Inapplicable since the tight
+    construction does not apply.
     """
     cls = classify(ch)
 
@@ -345,15 +347,18 @@ def capacity_certificate(
     beam = optimal_beam(ch)
 
     if cls.kind is ChannelKind.DEGRADED:
-        from .oracle import brute_force_gaussian
+        from .oracle import _grid_max_ratio, brute_force_gaussian
 
-        _, grid_rate = brute_force_gaussian(ch, _DEGRADED_GRID)
+        _, rate = brute_force_gaussian(ch)
+        lattice = 0.5 * math.log(_grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
+        if lattice > rate + EPS_GRID_EXCESS:
+            raise InvariantViolated(f"lattice rate {lattice!r} beats the solved {rate!r}")
         flags = {
-            "degraded_formula": "numerical",
+            "degraded_formula": "solved",
             "grid": list(_DEGRADED_GRID),
             "no_eavesdropper": beam.no_eavesdropper,
         }
-        value = max(beam.rate, grid_rate)
+        value = max(beam.rate, rate)
         return _inapplicable(cls.kind, value, None, beam.lambda1, beam, flags)
 
     try:

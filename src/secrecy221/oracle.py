@@ -1,38 +1,31 @@
-"""Brute-force verification: covariance grid search, KKT checks, and
+"""Brute-force verification: the solved covariance search, KKT checks, and
 sampling of admissible noise correlations.
 
-The grid search is a genuinely independent route to the rates: it
-parameterizes transmit covariances by an eigenbasis angle and a pair of
-nonnegative powers on the trace simplex and finds the grid point where the
-exact rate expression is largest.  Nothing here reuses the closed-form eigen
-solution, so agreement between the two is evidence, not circularity.
+The covariance search is a genuinely independent route to the rates.  The
+covariances of trace P form the disk S(z) = (P/2) [[1 + x, y], [y, 1 - x]],
+|z| <= 1, with eigenvalues (P/2)(1 +- |z|), so the rim |z| = 1 holds the
+unit-rank beams.  On it det(I + D S) is a quadratic in z with isotropic
+curvature -(P/2)^2 det D and 1 + g^T S g is affine, so Dinkelbach's
+iteration, each step in closed form (``_disk_max``), maximizes their ratio
+exactly, full-rank optima included, without the closed form's eigenpair.
 
-The best grid point is found without evaluating every point.  For a fixed
-angle the ratio det(I + D S) / (1 + g^T S g) is linear-fractional, so
-monotone, in p2 at fixed p1 and in p1 along p2 = 0; each angle's row of the
-power lattice therefore peaks at the origin or on the full-power edge
-p1 + p2 = P.  Only those candidates are evaluated, the origin and the m + 1
-full-power points of the side-m lattice at every angle, each rounded as the
-whole-grid expression rounds it, so the result is the lattice maximum up to
-rounding.
+Covariances with trace below P need no search.  In a fixed eigenbasis the
+ratio det(I + D S) / (1 + g^T S g) is linear-fractional, so monotone, in p2
+at fixed p1 and in p1 along p2 = 0; its maximum over tr S <= P lies at the
+origin or at full power.  So the side-m power lattice peaks, at each angle,
+at the origin or at one of its m + 1 full-power points, which is all that
+the lattice witness ``_grid_max_ratio`` evaluates.
 
-The full-power unit-rank face, where the paper puts the optimum of a
-non-degraded channel, is then solved rather than searched: its best beam is
-found by Dinkelbach's iteration on a linear-fractional function of the
-doubled angle, without the generalized eigenpair of the closed form.
-
-The grid draws no random numbers.  Only ``min_over_a`` and
-``sample_general_channels`` do, from the caller's seed, and every reduction
-is performed in a fixed order, so identical seeds give bit-identical results
-regardless of thread count.
+Only ``min_over_a`` and ``sample_general_channels`` draw random numbers,
+from the caller's seed, and the witness reduces in a fixed order, so
+identical seeds give bit-identical results regardless of thread count.
+numpy is imported by the functions that use it, not by the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import matkit as mk
 from .achievable import BeamSolution
@@ -49,28 +42,16 @@ from .matkit import Mat2, Vec2
 from .tolerances import EPS_KKT, EPS_RIM
 
 
-@dataclass(frozen=True)
-class CovParam:
-    """Covariance parameter: eigenbasis angle and the two eigen-powers.
-
-    Maps to S = R(phi) diag(p1, p2) R(phi)^T, which is PSD by construction
-    and respects the trace budget whenever p1 + p2 <= P.
-    """
-
-    phi: float
-    p1: float
-    p2: float
-
-
-def covariance_from_param(param: CovParam) -> Mat2:
-    c = math.cos(param.phi)
-    s = math.sin(param.phi)
+def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
+    """S = R(phi) diag(p1, p2) R(phi)^T: PSD for p1, p2 >= 0, trace p1 + p2."""
+    c = math.cos(phi)
+    s = math.sin(phi)
     q1 = (c, s)
     q2 = (-s, c)
     return mk.symmetrize2(
         mk.matadd2(
-            mk.matscale2(param.p1, mk.outer2(q1, q1)),
-            mk.matscale2(param.p2, mk.outer2(q2, q2)),
+            mk.matscale2(p1, mk.outer2(q1, q1)),
+            mk.matscale2(p2, mk.outer2(q2, q2)),
         )
     )
 
@@ -87,13 +68,72 @@ class KKTReport:
 
 
 # --------------------------------------------------------------------------
-# grid engine
+# covariance search
 # --------------------------------------------------------------------------
 
-def _candidate_powers(npower: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+def _sym_det(d_mat: Mat2) -> float:
+    """d11 d22 - d12^2 from exact integer products, rounded once: the float
+    formula cancels, and its cond(D) roundings would reach the ratio."""
+    (a, p), (b, q), (c, r) = (x.as_integer_ratio() for x in (*d_mat[0], d_mat[1][1]))
+    return (a * c * q * q - b * b * p * r) / (p * r * q * q)
+
+
+def _disk_max(d_mat: Mat2, g: Vec2, power: float) -> tuple[float, tuple[float, float, float]]:
+    """Maximize det(I + D S) / (1 + g^T S g) over PSD S with tr S <= P.
+
+    Dinkelbach's iteration on the disk of the module docstring: at the ratio
+    r, N - r Den = const + v.z - gamma |z|^2 with v = (P/2)(delta - r eps),
+    gamma = (P/2)^2 det D, delta = (d11 - d22, 2 d12), eps = (g1^2 - g2^2,
+    2 g1 g2).  Its maximum over the disk is at z = v / 2 gamma when that
+    lies inside the disk and at v / |v| on the rim otherwise, and its ratio
+    exceeds r unless r is the maximum.  Each iterate is evaluated in its
+    eigenbasis (phi, (P/2)(1 +- |z|)), as a lattice point is: S's entries
+    would cancel digits of 1 + g^T S g at large P.  The iteration starts at
+    the centre, stops when r no longer strictly rises, and then compares
+    with the origin, whose ratio is 1.  Returns (ratio, (phi, p1, p2)), the
+    maximizer in the parameters of ``covariance_from_param``.
+    """
+    (d11, d12), (_, d22) = d_mat
+    g1, g2 = g
+    h = 0.5 * power
+    det_d = _sym_det(d_mat)
+    two_gamma = 2.0 * h * h * det_d
+    dx, dy, ex, ey = d11 - d22, 2.0 * d12, g1 * g1 - g2 * g2, 2.0 * g1 * g2
+
+    def ratio(phi: float, p1: float, p2: float) -> float:
+        c = math.cos(phi)
+        s = math.sin(phi)
+        d1 = d11 * c * c + 2.0 * d12 * c * s + d22 * s * s
+        d2 = d11 * s * s - 2.0 * d12 * c * s + d22 * c * c
+        e1 = (g1 * c + g2 * s) ** 2
+        e2 = (g2 * c - g1 * s) ** 2
+        return ((1.0 + d1 * p1) + d2 * p2 + det_d * (p1 * p2)) / (
+            (1.0 + e1 * p1) + e2 * p2
+        )
+
+    best_s = (0.0, h, h)
+    best = ratio(*best_s)
+    while True:
+        vx = h * (dx - best * ex)
+        vy = h * (dy - best * ey)
+        v = math.hypot(vx, vy)
+        m = v / two_gamma if 0.0 < two_gamma and v <= two_gamma else 1.0
+        s = (0.5 * math.atan2(vy, vx), h * (1.0 + m), h * (1.0 - m))
+        r = ratio(*s)
+        if r <= best:
+            break
+        best, best_s = r, s
+    if best <= 1.0:
+        return 1.0, (0.0, 0.0, 0.0)
+    return best, best_s
+
+
+def _candidate_powers(npower: int, power: float):
     """Powers (p1, p2) of each angle's candidates: the origin and the m + 1
     full-power points (i, m - i) P / m of the side-m power lattice
     {(i, j) P / m : i + j <= m}, the largest with at most npower points."""
+    import numpy as np
+
     # The lattice has (m + 1)(m + 2) / 2 points; its row i peaks at the
     # origin or at (i, m - i).
     m = max(1, (math.isqrt(8 * npower + 1) - 3) // 2)
@@ -104,60 +144,26 @@ def _candidate_powers(npower: int, power: float) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def _face_max(d_mat: Mat2, g: Vec2, power: float) -> tuple[float, float]:
-    """Maximize (1 + P q^T D q) / (1 + P (g^T q)^2) over q = (cos psi, sin psi).
+def _grid_max_ratio(d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int) -> float:
+    """The maximum of det(I + D S) / (1 + g^T S g) over the covariance lattice.
 
-    With w = (cos 2 psi, sin 2 psi) the ratio is (a0 + a.w) / (b0 + b.w),
-    and b0 > |b|.  Dinkelbach's iteration: at the ratio r, the maximum of
-    (a0 + a.w) - r (b0 + b.w) over the unit circle is at w along a - r b,
-    whose ratio exceeds r unless r is the maximum.  It starts from
-    r = a0 / b0, the ratio of the two means over the circle, which cannot
-    exceed the maximum; each step re-evaluates the ratio directly at its
-    angle, and the iteration stops when that no longer strictly rises.
-    Returns (psi, ratio).
-    """
-    (d11, d12), (_, d22) = d_mat
-    g1, g2 = g
-    h = 0.5 * power
-    a0, a1, a2 = 1.0 + h * (d11 + d22), h * (d11 - d22), power * d12
-    b0, b1, b2 = 1.0 + h * (g1 * g1 + g2 * g2), h * (g1 * g1 - g2 * g2), power * g1 * g2
-    r = a0 / b0
-    best_psi, best = 0.0, -math.inf
-    while True:
-        psi = 0.5 * math.atan2(a2 - r * b2, a1 - r * b1)
-        c = math.cos(psi)
-        s = math.sin(psi)
-        r = (1.0 + (d11 * c * c + 2.0 * d12 * c * s + d22 * s * s) * power) / (
-            1.0 + (g1 * c + g2 * s) ** 2 * power
-        )
-        if r <= best:
-            return best_psi, best
-        best_psi, best = psi, r
-
-
-def _grid_max_ratio(
-    d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int
-) -> tuple[float, CovParam]:
-    """Maximize (det(I + D S)) / (1 + g^T S g) over the covariance grid.
-
-    Two deterministic stages: the exhaustive (angle x power-pair) grid and
-    the solved full-power unit-rank face (``_face_max``), which replaces the
-    lattice's incumbent only on strict improvement.
-
-    The exhaustive stage is the first-occurrence argmax, in angle-major
-    order, over every angle's candidates from the module docstring, each
-    rounded as the whole-grid expression ((1 + d1 (x) p1) + d2 (x) p2 +
-    det D p1 p2) / den rounds it.  By the lemma there, the value is the
-    lattice maximum up to that rounding.  No ratio is NaN: every numerator
-    term is finite, since MAX_SNR bounds P times the channel's gains and the
-    unit-disk gate keeps 1 - ||a||^2 in A(a) away from 0.  So the result
+    The witness of the solved search on Degraded certificates: the
+    (angle x power-pair) lattice, nphi angles in [0, pi) times the side-m
+    power lattice, searched without ``_disk_max``.  By the lemma of the
+    module docstring only each angle's origin and full-power candidates are
+    evaluated, each rounded as the whole-grid expression ((1 + d1 (x) p1) +
+    d2 (x) p2 + det D p1 p2) / den rounds it, so the value is the lattice
+    maximum up to that rounding.  No ratio is NaN: every numerator term is
+    finite, since MAX_SNR bounds P times the channel's gains.  The value
     does not depend on the thread count.
     """
+    import numpy as np
+
     if nphi < 2 or npower < 2:
         raise ValueError("grid sizes must be at least 2")
     d = np.asarray(d_mat, dtype=float)
     gv = np.asarray(g, dtype=float)
-    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    det_d = _sym_det(d_mat)
 
     phis = np.arange(nphi) * (math.pi / nphi)
     c = np.cos(phis)
@@ -170,54 +176,32 @@ def _grid_max_ratio(
     cp1, cp2 = _candidate_powers(npower, power)
     cand = 1.0 + np.outer(d1, cp1) + np.outer(d2, cp2) + det_d * (cp1 * cp2)
     cand /= 1.0 + np.outer(e1, cp1) + np.outer(e2, cp2)
-    i, k = divmod(int(np.argmax(cand)), cand.shape[1])
-    best = float(cand[i, k])
-    best_param = CovParam(float(phis[i]), float(cp1[k]), float(cp2[k]))
-
-    psi, face_best = _face_max(d.tolist(), gv.tolist(), power)
-    if face_best > best:
-        best = face_best
-        best_param = CovParam(psi, power, 0.0)
-    return best, best_param
+    return float(cand.max())
 
 
-def _grid_optimum(
-    ch: WiretapChannel, d_mat: Mat2, grid: tuple[int, int]
-) -> tuple[CovMat, float]:
-    """Grid-maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
-    nphi, npower = grid
-    best, param = _grid_max_ratio(d_mat, ch.g, ch.P, nphi, npower)
-    s_best = validate_covariance(covariance_from_param(param), ch.P)
-    return s_best, 0.5 * math.log(best)
+def _grid_optimum(ch: WiretapChannel, d_mat: Mat2) -> tuple[CovMat, float]:
+    """Maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
+    best, param = _disk_max(d_mat, ch.g, ch.P)
+    return validate_covariance(covariance_from_param(*param), ch.P), 0.5 * math.log(best)
 
 
-def brute_force_gaussian(
-    ch: WiretapChannel, grid: tuple[int, int] = (512, 512)
-) -> tuple[CovMat, float]:
-    """Maximize the Gaussian secrecy rate over the covariance grid.
-
-    Parameters
-    ----------
-    ch : WiretapChannel
-    grid : (nphi, npower)
-        Angles in [0, pi) and the power-pair budget on the trace simplex.
-        Resolutions of at least 64 per axis are recommended.
+def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
+    """Maximize the Gaussian secrecy rate over every covariance of trace <= P.
 
     Returns
     -------
     (S_best, rate)
-        The best covariance found and its rate in nats.  The rate never
-        exceeds the closed-form optimum, up to rounding; when that optimum
-        is a full-power beam, the solved face reaches it at any grid size,
-        and otherwise the rate approaches it as the grid is refined.
+        The maximizing covariance and its rate in nats, solved by
+        ``_disk_max`` without the closed form: a full-power beam where the
+        paper puts the optimum, and a full-rank covariance where a Degraded
+        channel's optimum lies inside the disk.  The rate equals the
+        closed-form optimum of a General channel up to rounding.
     """
-    return _grid_optimum(ch, ch._gram, grid)
+    return _grid_optimum(ch, ch._gram)
 
 
-def brute_force_upper(
-    ch: WiretapChannel, a: Vec2, grid: tuple[int, int] = (512, 512)
-) -> tuple[CovMat, float]:
-    """Grid-maximize the genie upper bound U(S, a) over covariances.
+def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
+    """Maximize the genie upper bound U(S, a) over covariances, exactly.
 
     Uses the collapsed 2x2 form of the bound (gain matrix A(a)), which the
     converse module has already cross-checked against the 3x3 and
@@ -225,7 +209,7 @@ def brute_force_upper(
     ``brute_force_gaussian``.  An a not strictly inside the unit disk raises
     NoiseDegenerate.
     """
-    return _grid_optimum(ch, coupling_gain_matrix(ch, a), grid)
+    return _grid_optimum(ch, coupling_gain_matrix(ch, a))
 
 
 # --------------------------------------------------------------------------
@@ -286,20 +270,23 @@ def min_over_a(
     beam: BeamSolution,
     samples: int,
     seed: int,
-    grid: tuple[int, int] = (256, 256),
 ) -> tuple[Vec2, float, TightCorrelation, float]:
-    """Sample admissible correlations and minimize the grid upper bound.
+    """Sample admissible correlations and minimize the solved upper bound.
 
     Every member of the family is a valid upper bound, so the sampled
     minimum should stay above the achievable rate (up to EPS_GRID), and the
-    optimized correlation should do at least as well as every sample.  The
-    values are returned, not judged: the oracle verb checks both relations.
-    ``beam`` is the channel's ``optimal_beam``; channels that are not
-    General fail in optimal_beam or optimize_alpha, before any grid.
+    optimized correlation should do at least as well as every sample.  Each
+    bound is maximized over covariances exactly, by ``brute_force_upper``.
+    The values are returned, not judged: the oracle verb checks both
+    relations.  ``beam`` is the channel's ``optimal_beam``; channels that
+    are not General fail in optimal_beam or optimize_alpha, before any
+    search.
 
-    Returns (a_best, value, tc, star_value): the best sample and its grid
-    value, and ``optimize_alpha``'s correlation with the grid value at a*.
+    Returns (a_best, value, tc, star_value): the best sample and its bound,
+    and ``optimize_alpha``'s correlation with the bound at a*.
     """
+    import numpy as np
+
     from .converse import optimize_alpha
 
     if samples < 1:
@@ -317,13 +304,13 @@ def min_over_a(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        _, value = brute_force_upper(ch, a, grid)
+        _, value = brute_force_upper(ch, a)
         if value < best_value:
             best_value = value
             best_a = a
     assert best_a is not None
 
-    _, star_value = brute_force_upper(ch, tc.a_star, grid)
+    _, star_value = brute_force_upper(ch, tc.a_star)
     return best_a, best_value, tc, star_value
 
 
@@ -332,6 +319,8 @@ def sample_general_channels(
 ) -> tuple[list[WiretapChannel], int]:
     """Rejection-sample channels with i.i.d. standard normal gains until
     ``count`` of them classify as General.  Returns (channels, attempts)."""
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)

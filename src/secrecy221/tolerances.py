@@ -38,11 +38,11 @@ EIGEN_ONE_TOL = 1e-8
 # Tolerance on the unit-coupling identity of the optimized correlation.
 UNIT_COUPLING_TOL = 1e-9
 
-# Oracle grid checks: relative agreement with the closed form (and the grid
-# winner's unit-rank margin relative to P), the roundoff by which a grid rate
-# may exceed the closed-form optimum, and how close the grid must come to the
-# best beam on Degraded channels.
-EPS_GRID = 1e-3
+# Oracle search checks: relative agreement with the closed form (and the
+# winner's unit-rank margin relative to P), the roundoff by which a searched
+# rate may exceed the closed-form optimum or a lattice rate the solved one,
+# and how close the search must come to the best beam on Degraded channels.
+EPS_GRID = 1e-9
 EPS_GRID_EXCESS = 1e-12
 EPS_GRID_BEAM = 1e-9
 

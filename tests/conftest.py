@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules, and the reference code of the facts
 that more than one module checks but the library does not compute: the
-null-beam rate and the root-sign lemma of the full-rank stationarity
-quadratic.  Import the helpers with ``from conftest import ...``."""
+null-beam rate, the root-sign lemma of the full-rank stationarity
+quadratic, and the 50-digit maximum of the Gaussian rate ratio over the
+covariances.  Import the helpers with ``from conftest import ...``."""
 
 import math
 
+import mpmath
 import pytest
 
 from secrecy221 import WiretapChannel, sample_general_channels
@@ -39,6 +41,42 @@ def no_nonneg_roots(d_mat: mk.Mat2, g: mk.Vec2, lam: float) -> bool:
     disc = lin * lin - 4.0 * const
     root_hi = 0.5 * (-lin + math.sqrt(disc)) if disc >= 0.0 else -math.inf
     return lin > 0.0 and const > 0.0 and root_hi < 0.0
+
+
+def disk_max_reference(d_mat: mk.Mat2, g: mk.Vec2, power: float) -> float:
+    """max det(I + D S) / (1 + g^T S g) over PSD S with tr S <= P, in 50-digit
+    arithmetic from the float inputs.
+
+    Dinkelbach's iteration over S(z) = (P/2) [[1 + x, y], [y, 1 - x]],
+    |z| <= 1, evaluating the ratio from z directly: at the ratio r the
+    maximum of N - r Den over the disk is at z = v / 2 gamma if that lies in
+    the disk and at v / |v| otherwise, with v = (P/2)(delta - r eps) and
+    gamma = (P/2)^2 det D.  The origin, ratio 1, is compared at the end.
+    """
+    with mpmath.workdps(50):
+        (d11, d12), (_, d22) = [[mpmath.mpf(x) for x in row] for row in d_mat]
+        g1, g2 = mpmath.mpf(g[0]), mpmath.mpf(g[1])
+        h = mpmath.mpf(power) / 2
+        gamma = h * h * (d11 * d22 - d12 * d12)
+        dx, dy, ex, ey = d11 - d22, 2 * d12, g1 * g1 - g2 * g2, 2 * g1 * g2
+
+        def ratio(x, y):
+            num = 1 + h * (d11 + d22 + dx * x + dy * y) + gamma * (1 - x * x - y * y)
+            return num / (1 + h * (g1 * g1 + g2 * g2 + ex * x + ey * y))
+
+        r = ratio(0, 0)
+        for _ in range(1000):
+            vx, vy = h * (dx - r * ex), h * (dy - r * ey)
+            v = mpmath.hypot(vx, vy)
+            if gamma > 0 and v <= 2 * gamma:
+                z = (vx / (2 * gamma), vy / (2 * gamma))
+            else:
+                z = (vx / v, vy / v) if v else (1, 0)
+            step = ratio(*z)
+            if step <= r * (1 + mpmath.mpf(10) ** -45):
+                return float(max(r, step, 1))
+            r = step
+        raise AssertionError("the reference iteration did not converge")
 
 
 @pytest.fixture

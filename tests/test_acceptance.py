@@ -7,12 +7,12 @@ Criteria (all with pinned tolerances):
   2. Diagonal worked example at 1e-10 relative.
   3. 1000-channel tightness suite: |upper - lower| <= 1e-9 relative and all
      identity residuals pass, under 5 s.
-  4. Same suite, 512x512 brute force: unit-rank best covariance, gap within
-     [0, 1e-3] nats, KKT passes at the optimum and fails 0.1 rad away,
-     under 60 s.
-  5. 50 channels x 100 sampled correlations: grid upper bound never dips
-     more than 1e-3 below the lower bound, and the optimized correlation
-     attains the sampled minimum within 1e-3, under 120 s.
+  4. Same suite, brute-force covariance search (solved, and witnessed by
+     the 512x512 lattice): unit-rank best covariance, gap within [0, 1e-3]
+     nats, KKT passes at the optimum and fails 0.1 rad away, under 60 s.
+  5. 50 channels x 100 sampled correlations: the searched upper bound never
+     dips more than 1e-3 below the lower bound, and the optimized
+     correlation attains the sampled minimum within 1e-3, under 120 s.
   6. Positivity and ordering of the null-beam rate on every suite channel.
   7. Root-sign check on 1000 random instances satisfying its hypothesis.
   8. Byte-identical oracle reports across runs and thread counts.
@@ -32,12 +32,15 @@ from secrecy221 import (
     brute_force_gaussian,
     brute_force_upper,
     capacity_certificate,
+    coupling_gain_matrix,
     kkt_check,
     optimal_beam,
     optimize_alpha,
 )
 from secrecy221 import matkit as mk
+from secrecy221 import oracle
 from secrecy221.converse import RESIDUAL_TOLERANCES
+from secrecy221.tolerances import EPS_GRID_EXCESS
 
 REL = 1e-10
 
@@ -46,6 +49,11 @@ EXAMPLE_A_SPEC = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 
 def close(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
+
+
+def lattice_512(ch, d_mat):
+    """The 512x512 covariance lattice's best rate: the brute force's witness."""
+    return 0.5 * math.log(oracle._grid_max_ratio(d_mat, ch.g, ch.P, 512, 512))
 
 
 def test_criterion_1_worked_example_identity(example_a):
@@ -122,7 +130,8 @@ def test_criterion_4_unit_rank_and_kkt_suite(suite1000):
     worst_eig = 0.0
     for ch in suite1000:
         beam = optimal_beam(ch)
-        s_best, rate = brute_force_gaussian(ch, (512, 512))
+        s_best, rate = brute_force_gaussian(ch)
+        assert lattice_512(ch, ch.gram()) <= rate + EPS_GRID_EXCESS
         gap = beam.rate - rate
         assert gap >= -1e-12, f"grid exceeded the closed form by {-gap:.2e}"
         assert gap <= 1e-3, f"grid fell {gap:.2e} below the closed form"
@@ -143,7 +152,7 @@ def test_criterion_4_unit_rank_and_kkt_suite(suite1000):
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"brute-force suite took {elapsed:.2f} s"
     print(
-        f"\nPASS criterion 4: 1000 channels at 512x512, worst gap "
+        f"\nPASS criterion 4: 1000 channels, 512x512 witness, worst gap "
         f"{worst_gap:.2e} nats, worst min-eigenvalue {worst_eig:.2e}, "
         f"KKT pass/fail as required, {elapsed:.1f} s"
     )
@@ -164,12 +173,14 @@ def test_criterion_5_upper_bound_validity(suite1000):
                     break
             ang = rng.uniform(0.0, 2.0 * math.pi)
             a = (r * math.cos(ang), r * math.sin(ang))
-            _, value = brute_force_upper(ch, a, (512, 512))
+            _, value = brute_force_upper(ch, a)
+            assert lattice_512(ch, coupling_gain_matrix(ch, a)) <= value + EPS_GRID_EXCESS
             values.append(value)
             worst_floor = min(worst_floor, value - lower)
             assert value >= lower - 1e-3
         tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-        _, star = brute_force_upper(ch, tc.a_star, (512, 512))
+        _, star = brute_force_upper(ch, tc.a_star)
+        assert lattice_512(ch, coupling_gain_matrix(ch, tc.a_star)) <= star + EPS_GRID_EXCESS
         excess = star - min(values)
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-3

@@ -45,7 +45,7 @@ class TestOptimalBeam:
     def test_grid_search_oracle(self):
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
         sol = optimal_beam(ch)
-        _, grid_rate = brute_force_gaussian(ch, (512, 512))
+        _, grid_rate = brute_force_gaussian(ch)
         assert grid_rate <= sol.rate + 1e-12
         assert grid_rate >= sol.rate - 1e-3
 

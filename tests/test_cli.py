@@ -52,7 +52,7 @@ class TestCapacity:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "Inapplicable"
-        assert doc["flags"]["degraded_formula"] == "numerical"
+        assert doc["flags"]["degraded_formula"] == "solved"
         assert doc["capacity_nats"] > 0.0
 
     def test_singular_gram_falls_back_with_exit_zero(self, capsys, tmp_path):
@@ -311,6 +311,7 @@ class TestOracleCommand:
         assert not doc["kkt_perturbed"]["passes"]
         assert doc["grid_search"]["gap_nats"] <= 1e-3
         assert doc["min_over_a"]["value_nats"] >= doc["closed_form"]["rate_nats"] - 1e-3
+        assert "grid" not in doc  # every search is solved; no grid to report
 
     def test_failed_min_over_a_relation_exits_two(
         self, capsys, monkeypatch, example_a_path
@@ -356,10 +357,30 @@ class TestOracleCommand:
         assert doc["passes"] is False
         assert doc["grid_search"]["gap_nats"] < -EPS_GRID_EXCESS
 
+    def test_overstated_rate_fails(self, capsys, monkeypatch, example_a_path):
+        # A closed-form rate overstated by one part in a million, with the
+        # right beam: the solved search misses it by far more than EPS_GRID.
+        import dataclasses
+
+        from secrecy221 import achievable
+
+        real = achievable.optimal_beam
+
+        def overstated(ch):
+            beam = real(ch)
+            return dataclasses.replace(beam, rate=beam.rate * (1.0 + 1e-6))
+
+        monkeypatch.setattr(achievable, "optimal_beam", overstated)
+        code, out, _ = run(capsys, ["oracle", example_a_path, "--samples", "4"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["passes"] is False
+        assert doc["grid_search"]["gap_nats"] > 1e-7
+
     @pytest.mark.parametrize("grid", ["0", "1", "256"])
     def test_grid_is_not_an_argument(self, capsys, example_a_path, grid):
-        # Every report searches the same 256 x 256 grid; the sizes once
-        # refused and the one once recommended are all unrecognized now.
+        # Every covariance search is solved, not gridded; the sizes once
+        # refused and the one once recommended are all unrecognized.
         with pytest.raises(SystemExit) as exc:
             main(["oracle", example_a_path, "--grid", grid])
         assert exc.value.code == 2

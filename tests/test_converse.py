@@ -24,7 +24,7 @@ from secrecy221 import (
     validate_covariance,
 )
 from secrecy221 import matkit as mk
-from secrecy221 import converse
+from secrecy221 import converse, oracle
 from secrecy221.cli import main
 from secrecy221.converse import (
     RESIDUAL_TOLERANCES,
@@ -35,6 +35,7 @@ from secrecy221.converse import (
 from secrecy221.errors import (
     BoundaryAmbiguous,
     DegenerateDirection,
+    InvariantViolated,
     NoiseDegenerate,
     PreconditionFailed,
     SingularMatrix,
@@ -309,11 +310,11 @@ class TestCapacityCertificate:
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
         cert = capacity_certificate(ch)
         assert cert.verdict == "Tight"
-        _, grid_rate = brute_force_gaussian(ch, (512, 512))
+        _, grid_rate = brute_force_gaussian(ch)
         assert abs(cert.lower - grid_rate) <= 1e-3
         _, min_val, _, _ = min_over_a(ch, optimal_beam(ch), 50, seed=6)
         assert min_val >= cert.lower - 1e-3
-        assert brute_force_upper(ch, cert.correlation.a_star, (256, 256))[1] <= min_val + 1e-3
+        assert brute_force_upper(ch, cert.correlation.a_star)[1] <= min_val + 1e-3
 
     def test_blown_identity_is_nottight(self, monkeypatch, tmp_path, capsys):
         # A wrong theta* blows the {lambda_1, 1} spectrum identity: the
@@ -419,11 +420,28 @@ class TestCapacityCertificate:
         cert = capacity_certificate(ch)
         assert cert.kind is ChannelKind.DEGRADED
         assert cert.verdict == "Inapplicable"
-        assert cert.flags["degraded_formula"] == "numerical"
+        assert cert.flags["degraded_formula"] == "solved"
         assert cert.flags["grid"] == [512, 512]
         assert "seed" not in cert.flags
-        # The full covariance search must do at least as well as beamforming.
+        # The full covariance search must do at least as well as beamforming,
+        # and here it is the interior optimum diag(s*, 1 - s*) exactly.
         assert cert.capacity_nats >= cert.beam.rate - 1e-12
+        s_star = math.sqrt(18.0) - 4.0
+        exact = 0.5 * math.log((1 + s_star) * (2 - s_star) / (1 + s_star / 4))
+        assert math.isclose(cert.capacity_nats, exact, rel_tol=1e-15)
+
+    def test_degraded_witness_refuses_a_low_solver(self, monkeypatch):
+        # A solver 0.1% low in ratio: the 512^2 lattice beats it, so the
+        # certificate refuses rather than report the low value.
+        real = oracle._disk_max
+
+        def low(*args):
+            ratio, param = real(*args)
+            return 0.999 * ratio, param
+
+        monkeypatch.setattr(oracle, "_disk_max", low)
+        with pytest.raises(InvariantViolated, match="lattice"):
+            capacity_certificate(WiretapChannel(I2, (0.5, 0.0), 1.0))
 
     def test_reduced_rank_inapplicable(self):
         ch = WiretapChannel(((1.0, 1.0), (1.0, 1.0)), (1.0, 0.0), 1.0)
@@ -512,7 +530,7 @@ class TestCapacityCertificate:
                 r = math.sqrt(rng.uniform(0, 0.98))
                 phi = rng.uniform(0, 2 * math.pi)
                 a = (r * math.cos(phi), r * math.sin(phi))
-                assert brute_force_upper(ch, a, (256, 128))[1] >= lower - 1e-3
+                assert brute_force_upper(ch, a)[1] >= lower - 1e-3
 
     def test_certificate_gain_matrix_consistency(self, suite1000):
         # A(a*) assembled from theta* q_perp q_perp^T equals the generic

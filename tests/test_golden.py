@@ -10,20 +10,27 @@ oracle grid evaluated in row blocks over a per-report frame, and then only
 at each angle's origin and full-power candidates, with the grid fixed at
 256 x 256); any change to them is a contract change and has to be made
 deliberately.  `oracle_example_a.out`, `oracle_example_a_defaults.out` and
-`ORACLE_SUITE_DIGEST` were last re-recorded when the grid's full-power face
-zoom and its seeded random stage gave way to the solved face: only the grid
-and min-over-a values moved, each up by at most 1e-12 nats, and every
-report's verdict and exit code held.
+`ORACLE_SUITE_DIGEST` were last re-recorded when every covariance search
+was solved by Dinkelbach's iteration on the trace-P disk and the report
+lost its "grid" field: the grid-search rates moved by at most 1.7e-16 nats,
+the min-over-a values by at most 1.1e-16 nats down or 5.5e-4 nats up, and
+every report's verdict and exit code held.
+`capacity_example_degraded.out` pins the Degraded branch, on a channel
+whose optimal covariance is full-rank; its capacity is also checked
+against a 50-digit reference.
 """
 
 import hashlib
 import io
+import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from secrecy221 import capacity_certificate, sample_general_channels
-from secrecy221.cli import certificate_to_dict, dumps, main
+from conftest import disk_max_reference
+from secrecy221 import ChannelKind, capacity_certificate, sample_general_channels
+from secrecy221.cli import certificate_to_dict, channel_from_dict, dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,18 +47,21 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 
 # SHA-256 over `oracle - --samples 4` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
-# "exit <code>\n".  Recorded on x86-64 Linux with the lattice candidates and
-# the solved full-power face at 256 x 256, the grid every report uses.
-ORACLE_SUITE_DIGEST = "a4343228c088ef8d979d83540d48321ae757e033d1b6d84c1f781f252bde6916"
+# "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
+# solved on the trace-P disk.
+ORACLE_SUITE_DIGEST = "f7d474d3b16f27aa00df1b8f2b051323cfadeacc001325558fbc37292c6adb02"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
+# Degraded (||H^-T g|| = 0.49), with a full-rank optimal covariance.
+EXAMPLE_DEGRADED = '{"H": [[1.0, 0.3], [-0.2, 0.8]], "g": [0.4, 0.3], "P": 2.0}'
 
 CASES = [
     ("capacity_example_a", EXAMPLE_A, ["capacity"]),
     ("capacity_example_a_bits", EXAMPLE_A, ["capacity", "--bits"]),
     ("capacity_example_diag", EXAMPLE_DIAG, ["capacity"]),
     ("capacity_example_diag_bits", EXAMPLE_DIAG, ["capacity", "--bits"]),
+    ("capacity_example_degraded", EXAMPLE_DEGRADED, ["capacity"]),
     (
         "sweep_example_a",
         EXAMPLE_A,
@@ -70,6 +80,20 @@ def test_stdout_is_byte_identical(capsys, tmp_path, name, spec, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_degraded_golden_matches_the_50_digit_reference():
+    # The reference maximizes over every covariance from D = H^T H formed
+    # in 50 digits, so the check covers the Gram matrix's rounding too.
+    ch = channel_from_dict(json.loads(EXAMPLE_DEGRADED))
+    cert = capacity_certificate(ch)
+    assert cert.kind is ChannelKind.DEGRADED
+    with mpmath.workdps(50):
+        h = [[mpmath.mpf(x) for x in row] for row in ch.H]
+        gram = [[h[0][i] * h[0][j] + h[1][i] * h[1][j] for j in range(2)] for i in range(2)]
+        exact = float(mpmath.log(disk_max_reference(gram, ch.g, ch.P)) / 2)
+    assert abs(cert.capacity_nats - exact) <= 1e-14 * exact
+    assert cert.capacity_nats > cert.beam.rate + 0.05  # full rank beats every beam
 
 
 def test_random_suite_capacity_digest(capsys, monkeypatch):

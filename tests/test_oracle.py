@@ -1,9 +1,11 @@
-"""Oracle tests: grid soundness and convergence, KKT verdicts, root-sign
+"""Oracle tests: the solved covariance search against a dense lattice and a
+50-digit reference, the lattice witness, KKT verdicts, root-sign
 verification, correlation sampling, and determinism."""
 
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import no_nonneg_roots
+from conftest import disk_max_reference, no_nonneg_roots
 from secrecy221 import (
     WiretapChannel,
     beam_covariance,
     brute_force_gaussian,
     brute_force_upper,
+    capacity_certificate,
+    classify,
     coupling_gain_matrix,
     kkt_check,
     min_over_a,
@@ -27,16 +31,22 @@ from secrecy221 import (
 from secrecy221 import matkit as mk
 from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate, NotUnitRank, PreconditionFailed
-from secrecy221.oracle import CovParam, covariance_from_param
+from secrecy221.oracle import covariance_from_param
 from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
 
-# Reference: the dense grid engine, which evaluates every lattice point per
-# call, and then searches the full-power face by a three-round bracket zoom
-# around its best beam angle.  The engine, which solves that face, must
-# reach the maximum of both up to rounding.
+# Reference: a dense covariance lattice, which evaluates every lattice point
+# per call, and then searches the full-power face by a three-round bracket
+# zoom around its best beam angle.  The solved search must reach the maximum
+# of both up to rounding.
+def _det(d):
+    """det D of the float entries of a symmetric D, rounded once."""
+    d11, d12, d22 = (Fraction(float(x)) for x in (d[0][0], d[0][1], d[1][1]))
+    return float(d11 * d22 - d12 * d12)
+
+
 def _dense_power_pairs(npower, power):
     """Triangular lattice on {p1, p2 >= 0, p1 + p2 <= P} with ~npower points,
     corners and origin included."""
@@ -79,10 +89,11 @@ def _dense_zoom_face(d, g, power, psi0, h0):
     return best_psi, best
 
 
-def dense_grid_max_ratio(d_mat, g, power, nphi, npower):
+def _dense_lattice_max(d_mat, g, power, nphi, npower):
+    """The first-occurrence maximum over every lattice point: (value, param)."""
     d = np.asarray(d_mat, dtype=float)
     gv = np.asarray(g, dtype=float)
-    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    det_d = _det(d)
 
     phis = np.arange(nphi) * (math.pi / nphi)
     d1, d2, e1, e2 = _dense_direction_profile(d, gv, phis)
@@ -93,25 +104,32 @@ def dense_grid_max_ratio(d_mat, g, power, nphi, npower):
     ratio = num / den
     flat = int(np.argmax(ratio))
     i, k = divmod(flat, p1.shape[0])
-    best = float(ratio[i, k])
-    best_param = CovParam(float(phis[i]), float(p1[k]), float(p2[k]))
+    return float(ratio[i, k]), (float(phis[i]), float(p1[k]), float(p2[k]))
 
+
+def dense_grid_max_ratio(d_mat, g, power, nphi, npower):
+    """The dense lattice's maximum, then the zoomed face's if that is larger."""
+    best, best_param = _dense_lattice_max(d_mat, g, power, nphi, npower)
+    d = np.asarray(d_mat, dtype=float)
+    gv = np.asarray(g, dtype=float)
+    phis = np.arange(nphi) * (math.pi / nphi)
+    d1, _, e1, _ = _dense_direction_profile(d, gv, phis)
     face = (1.0 + power * d1) / (1.0 + power * e1)
     j = int(np.argmax(face))
     psi, face_best = _dense_zoom_face(d, gv, power, float(phis[j]), math.pi / nphi)
     if face_best > best:
         best = face_best
-        best_param = CovParam(psi, power, 0.0)
+        best_param = (psi, power, 0.0)
 
     return best, best_param
 
 
 def _dense_ratio(d, g, power, param):
-    """The ratio at one covariance parameter, by the dense engine's formula."""
-    det_d = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    phi = np.array([param.phi])
-    d1, d2, e1, e2 = _dense_direction_profile(d, np.asarray(g, dtype=float), phi)
-    p1, p2 = param.p1, param.p2
+    """The ratio at S = R(phi) diag(p1, p2) R(phi)^T, param = (phi, p1, p2),
+    by the dense lattice's formula."""
+    det_d = _det(d)
+    phi, p1, p2 = param
+    d1, d2, e1, e2 = _dense_direction_profile(d, np.asarray(g, dtype=float), np.array([phi]))
     num = 1.0 + d1 * p1 + d2 * p2 + det_d * (p1 * p2)
     return float((num / (1.0 + e1 * p1 + e2 * p2))[0])
 
@@ -134,104 +152,107 @@ def _pencil_max(d, g, power):
         return float((qb + mpmath.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa))
 
 
-def check_against_dense(d, g, power, nphi, npower, pencil=False):
-    """Check the engine's grid maximum against the dense reference.
+def check_against_dense(d, g, power, nphi, npower, reference=False):
+    """Check the solved maximum against the dense reference lattice.
 
     No dense lattice point and no point of the reference's face zoom beats
-    the engine's value by more than the rounding of one grid point, and the
-    returned CovParam is feasible and re-evaluates to that value.  With
-    ``pencil``, a value on the full-power unit-rank face must also be the
-    50-digit pencil eigenvalue.  Returns the engine's (value, param).
+    the solver's value by more than the rounding of one lattice point, and
+    the returned maximizer (phi, p1, p2) is PSD with trace at most P and
+    re-evaluates by the dense formula to that value.  With ``reference``,
+    the value must also be the 50-digit Dinkelbach maximum and, on the rim,
+    the 50-digit pencil eigenvalue.  Returns the solver's (value, param).
     """
-    args = (d, g, power, nphi, npower)
-    value, param = oracle._grid_max_ratio(*args)
-    dense, _ = dense_grid_max_ratio(*args)
+    value, param = oracle._disk_max(d, g, power)
+    dense, _ = dense_grid_max_ratio(d, g, power, nphi, npower)
     dm = np.asarray(d, dtype=float)
-    det_d = abs(float(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0]))
+    det_d = abs(_det(dm))
     scale = 1.0 + 2.0 * float(np.linalg.norm(dm)) * power + det_d * power * power
     assert dense - value <= 1e-9 * scale
-    assert min(param.p1, param.p2) >= 0.0
-    assert param.p1 + param.p2 <= power * (1.0 + 1e-15)
+    _, p1, p2 = param
+    assert min(p1, p2) >= 0.0
+    assert p1 + p2 <= power * (1.0 + 1e-15)
     assert math.isclose(_dense_ratio(dm, g, power, param), value, rel_tol=1e-15)
-    on_face = min(param.p1, param.p2) == 0.0 and math.isclose(
-        param.p1 + param.p2, power, rel_tol=1e-15
-    )
-    if pencil and on_face:
-        exact = _pencil_max(d, g, power)
-        assert abs(value - exact) <= 1e-13 * exact
+    if reference:
+        exact = disk_max_reference(d, g, power)
+        assert abs(value - exact) <= 1e-14 * exact
+        if p2 == 0.0 and p1 == power:
+            exact = _pencil_max(d, g, power)
+            assert abs(value - exact) <= 1e-14 * exact
     return value, param
+
+
+def _degraded(ch):
+    """The channel with g rescaled to ||H^-T g|| = 1/2: Degraded."""
+    return WiretapChannel(ch.H, mk.scale2(0.5 / classify(ch).eve_norm, ch.g), ch.P)
 
 
 class TestBruteForceGaussian:
     def test_example_a_finds_known_optimum(self, example_a):
-        s_best, rate = brute_force_gaussian(example_a, (256, 256))
-        assert math.isclose(rate, 0.5 * math.log(2.0), rel_tol=1e-9)
+        s_best, rate = brute_force_gaussian(example_a)
+        assert math.isclose(rate, 0.5 * math.log(2.0), rel_tol=1e-15)
         (l1, l2), (v1, _) = mk.sym_eig2(s_best.S)
-        assert l2 <= 1e-3  # unit rank
-        assert abs(mk.dot2(v1, (0.0, 1.0))) >= 1.0 - 1e-6  # beam near (0, 1)
+        assert l2 <= 1e-15  # unit rank
+        assert abs(mk.dot2(v1, (0.0, 1.0))) >= 1.0 - 1e-15  # beam along (0, 1)
 
     def test_degraded_example_uses_full_power(self):
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
-        s_best, rate = brute_force_gaussian(ch, (256, 256))
+        s_best, rate = brute_force_gaussian(ch)
         assert rate >= optimal_beam(ch).rate - 1e-12
-        assert mk.trace2(s_best.S) >= ch.P - 0.05
+        assert mk.trace2(s_best.S) >= ch.P - 1e-15
 
     def test_soundness_never_exceeds_closed_form(self, suite1000):
         for ch in suite1000[:100]:
+            _, rate = brute_force_gaussian(ch)
+            assert rate <= optimal_beam(ch).rate + 1e-12
+
+    def test_solved_rate_is_the_closed_form(self, suite1000):
+        # The search has no resolution to refine: on non-degraded channels
+        # its rate is the closed form's up to rounding.
+        for ch in suite1000[:100]:
             closed = optimal_beam(ch).rate
-            for grid in ((64, 64), (128, 128)):
-                _, rate = brute_force_gaussian(ch, grid)
-                assert rate <= closed + 1e-12
+            _, rate = brute_force_gaussian(ch)
+            assert abs(closed - rate) <= 1e-14 * max(1.0, closed)
 
-    def test_grid_convergence_halves_gap(self, suite1000):
-        # Doubling the resolution at least halves the worst observed gap,
-        # down to a rounding floor: the unit-rank optimum of a non-degraded
-        # channel lies on the full-power face, which is solved, not
-        # searched, so the gap is rounding at any base resolution.
-        noise_floor = 2e-10
-        worst = {}
-        for grid in (8, 16, 32):
-            worst[grid] = 0.0
-            for ch in suite1000[:10]:
-                closed = optimal_beam(ch).rate
-                _, rate = brute_force_gaussian(ch, (grid, grid))
-                worst[grid] = max(worst[grid], closed - rate)
-        assert worst[16] <= max(0.5 * worst[8], noise_floor)
-        assert worst[32] <= max(0.5 * worst[16], noise_floor)
-        assert worst[32] <= 1e-9
-
-    def test_grid_convergence_interior_optimum(self):
-        # A degraded channel whose optimum is an interior full-rank mixture
-        # exercises the power lattice itself; a 64x point budget must cut
-        # the gap at least eightfold (it scales like the squared spacing,
-        # up to lattice-alignment luck at any single resolution).
+    def test_interior_optimum_is_solved_and_the_lattice_converges_to_it(self):
+        # A degraded channel whose optimum is an interior full-rank mixture:
+        # the solver reaches it exactly, and the witness lattice approaches
+        # it from below, a 64x point budget cutting the gap at least
+        # eightfold (it scales like the squared spacing, up to
+        # lattice-alignment luck at any single resolution).
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
         s_star = math.sqrt(18.0) - 4.0
         exact = 0.5 * math.log((1 + s_star) * (2 - s_star) / (1 + s_star / 4))
-        _, coarse = brute_force_gaussian(ch, (64, 64))
-        _, fine = brute_force_gaussian(ch, (64, 4096))
+        s_best, rate = brute_force_gaussian(ch)
+        assert math.isclose(rate, exact, rel_tol=1e-15)
+        assert math.isclose(min(s_best.S[0][0], s_best.S[1][1]), s_star, rel_tol=1e-7)
+
+        def lattice(nphi, npower):
+            return 0.5 * math.log(oracle._grid_max_ratio(ch.gram(), ch.g, ch.P, nphi, npower))
+
+        coarse, fine = lattice(64, 64), lattice(64, 4096)
         assert exact - fine >= -1e-12
         assert exact - fine <= (exact - coarse) / 8.0
 
     def test_determinism_bit_for_bit(self):
         ch = WiretapChannel(((0.7, -0.3), (0.1, 1.4)), (1.2, 0.4), 1.0)
-        s1, r1 = brute_force_gaussian(ch, (128, 128))
-        s2, r2 = brute_force_gaussian(ch, (128, 128))
+        s1, r1 = brute_force_gaussian(ch)
+        s2, r2 = brute_force_gaussian(ch)
         assert r1 == r2
         assert s1.S == s2.S
 
-    def test_rejects_tiny_grid(self, example_a):
-        with pytest.raises(ValueError):
-            brute_force_gaussian(example_a, (1, 64))
+    def test_lattice_rejects_tiny_grid(self, example_a):
+        for grid in ((1, 64), (64, 1)):
+            with pytest.raises(ValueError):
+                oracle._grid_max_ratio(example_a.gram(), example_a.g, example_a.P, *grid)
 
 
 class TestBruteForceUpper:
     def test_example_a_at_tight_correlation(self, example_a):
-        _, value = brute_force_upper(example_a, (0.5, 0.0), (256, 256))
-        assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-9)
+        _, value = brute_force_upper(example_a, (0.5, 0.0))
+        assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-15)
 
     def test_zero_correlation_is_looser(self, example_a):
-        _, value = brute_force_upper(example_a, (0.0, 0.0), (256, 256))
+        _, value = brute_force_upper(example_a, (0.0, 0.0))
         assert value >= 0.5 * math.log(2.0) + 1e-3
 
     def test_unit_rank_at_tight_correlation(self, suite1000):
@@ -239,7 +260,7 @@ class TestBruteForceUpper:
 
         for ch in suite1000[:20]:
             tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            s_best, value = brute_force_upper(ch, tc.a_star, (256, 256))
+            s_best, value = brute_force_upper(ch, tc.a_star)
             (l1, l2), _ = mk.sym_eig2(s_best.S)
             assert l2 <= 1e-3 * ch.P
             assert value <= optimal_beam(ch).rate + 1e-12
@@ -247,52 +268,53 @@ class TestBruteForceUpper:
     def test_degenerate_correlation_rejected(self, example_a):
         for a in ((0.8, 0.6), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
-                brute_force_upper(example_a, a, (64, 64))
+                brute_force_upper(example_a, a)
         # Outside the unit disk A(a) would be I or indefinite, not a bound.
         for a in ((2.0, 0.0), (0.0, 1.5), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
                 coupling_gain_matrix(example_a, a)
 
 
-# From the smallest lattice (m = 1) to the certificate's 512^2 grid.
-ENGINE_GRIDS = [(2, 2), (8, 3), (100, 256), (64, 4096), (256, 256), (512, 512)]
+# Dense reference lattices, from the smallest (m = 1) to the Degraded
+# certificate's 512^2 witness.
+REFERENCE_GRIDS = [(2, 2), (8, 3), (100, 256), (64, 4096), (256, 256), (512, 512)]
 
 
-class TestBlockedGridEngine:
+class TestSolvedSearch:
     @pytest.fixture
     def channels(self, example_a, suite1000):
-        return [example_a, suite1000[0], suite1000[1]]
+        return [example_a, suite1000[0], suite1000[1], _degraded(suite1000[2])]
 
-    @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
     def test_gaussian_matches_dense_reference(self, channels, grid):
         for ch in channels:
-            value, param = check_against_dense(ch.gram(), ch.g, ch.P, *grid, pencil=True)
-            s_best, rate = brute_force_gaussian(ch, grid)
+            value, param = check_against_dense(ch.gram(), ch.g, ch.P, *grid, reference=True)
+            s_best, rate = brute_force_gaussian(ch)
             assert rate == 0.5 * math.log(value)
-            assert s_best == validate_covariance(covariance_from_param(param), ch.P)
+            assert s_best == validate_covariance(covariance_from_param(*param), ch.P)
 
-    @pytest.mark.parametrize("grid", ENGINE_GRIDS, ids=str)
-    def test_upper_matches_dense_reference_with_and_without_frame(self, channels, grid):
-        for ch in channels:
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
+    def test_upper_matches_dense_reference(self, channels, grid):
+        for ch in channels[:3]:
             for a in ((0.0, 0.0), (0.3, -0.6)):
                 d = coupling_gain_matrix(ch, a)
-                value, param = check_against_dense(d, ch.g, ch.P, *grid, pencil=True)
-                s_best, bound = brute_force_upper(ch, a, grid)
+                value, param = check_against_dense(d, ch.g, ch.P, *grid, reference=True)
+                s_best, bound = brute_force_upper(ch, a)
                 assert bound == 0.5 * math.log(value)
-                assert s_best == validate_covariance(covariance_from_param(param), ch.P)
+                assert s_best == validate_covariance(covariance_from_param(*param), ch.P)
 
-    def test_ties_keep_the_first_grid_point(self):
-        # D = 0 and g = 0 make every ratio 1: the first grid point must win,
-        # as numpy's whole-grid argmax picks it.
+    def test_all_ties_return_the_origin(self):
+        # D = 0 and g = 0 make every ratio 1: the solver returns the origin,
+        # and the dense reference and the witness lattice find 1 too.
         zero = ((0.0, 0.0), (0.0, 0.0))
         grid = (100, 256)
-        expected = dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid)
-        assert expected == (1.0, CovParam(0.0, 0.0, 0.0))
-        assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == expected
+        assert oracle._disk_max(zero, (0.0, 0.0), 1.0) == (1.0, (0.0, 0.0, 0.0))
+        assert dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == (1.0, (0.0, 0.0, 0.0))
+        assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == 1.0
 
     def test_candidates_are_the_lattice_origin_and_full_power_points(self):
-        # The candidates are the dense lattice's origin and its points
-        # (i, m - i), in lattice order, for every lattice side m.
+        # The witness lattice's candidates are the dense lattice's origin and
+        # its points (i, m - i), in lattice order, for every lattice side m.
         for npower in range(2, 1000):
             cp1, cp2 = oracle._candidate_powers(npower, 2.0)
             p1, p2 = _dense_power_pairs(npower, 2.0)
@@ -301,20 +323,36 @@ class TestBlockedGridEngine:
             assert np.array_equal(cp1, np.concatenate(([0.0], p1[face])))
             assert np.array_equal(cp2, np.concatenate(([0.0], p2[face])))
 
-    def test_traced_memory_stays_block_sized(self, example_a):
-        # The dense engine peaked at 6.26 MB (one 512^2 grid) and 1.71 MB
-        # (min_over_a at 256^2), the blocked one with a grid-sized denominator
-        # at 2.36 and 0.82 MB, the row-pruned one at 0.60 and 0.28 MB; the
-        # candidates and the solved face peak at 0.56 and 0.26 MB.  The caps
-        # add 25%.
+    def test_lattice_witness_holds_the_dense_maximum(self, channels):
+        # The witness evaluates only each angle's origin and full-power
+        # candidates; by the lemma they hold the dense lattice's maximum.
+        for ch in channels:
+            d = ch.gram()
+            dm = np.asarray(d, dtype=float)
+            det_d = abs(_det(dm))
+            scale = 1.0 + 2.0 * float(np.linalg.norm(dm)) * ch.P + det_d * ch.P**2
+            for grid in REFERENCE_GRIDS:
+                lattice = oracle._grid_max_ratio(d, ch.g, ch.P, *grid)
+                dense, _ = _dense_lattice_max(d, ch.g, ch.P, *grid)
+                assert abs(lattice - dense) <= 1e-9 * scale
+
+    def test_traced_memory_stays_small(self, example_a):
+        # The lattice engines peaked at 6.26 MB (dense, one 512^2 grid) down
+        # to 0.56 MB (the candidates and the solved face), and min_over_a at
+        # 256^2 at 1.71 down to 0.26 MB.  The solved search stores no array
+        # (0.65 kB; min_over_a 2.2 kB), and a Degraded certificate's 512^2
+        # witness lattice only its candidates (0.56 MB).  The caps add at
+        # least 25% to those peaks.
         beam = optimal_beam(example_a)
+        degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
         # One-time lazy set-up, numpy.random's included, stays untraced.
-        brute_force_gaussian(example_a, (8, 8))
-        min_over_a(example_a, beam, 1, 0, (8, 8))
+        capacity_certificate(degraded)
+        min_over_a(example_a, beam, 1, 0)
         peaks = []
         for run in (
-            lambda: brute_force_gaussian(example_a, (512, 512)),
-            lambda: min_over_a(example_a, beam, 32, 0, (256, 256)),
+            lambda: brute_force_gaussian(example_a),
+            lambda: min_over_a(example_a, beam, 32, 0),
+            lambda: capacity_certificate(degraded),
         ):
             tracemalloc.start()
             try:
@@ -322,8 +360,9 @@ class TestBlockedGridEngine:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 0.70e6
-        assert peaks[1] <= 0.33e6
+        assert peaks[0] <= 1e3
+        assert peaks[1] <= 3e3
+        assert peaks[2] <= 0.70e6
 
 
 def _gain_matrix(kind, scale, u, g):
@@ -344,13 +383,13 @@ GAIN_KINDS = ["rank_one", "zero", "eve_outer", "diagonal", "full"]
 coordinate = st.floats(-2.0, 2.0)
 
 
-class TestPruningIsExact:
-    """The candidates and the solved face hold the lattice maximum: no dense
-    lattice point and no point of the reference's face zoom beats the
-    engine's value by more than the rounding of one grid point, and its
-    CovParam re-evaluates to that value."""
+class TestDiskMaxIsExact:
+    """The solved search holds the maximum: no dense lattice point and no
+    point of the reference's face zoom beats its value by more than the
+    rounding of one lattice point, its maximizer re-evaluates to that value,
+    and it is the 50-digit maximum."""
 
-    # Every shape of D the candidates must survive: a rank-one D, whose
+    # Every shape of D the solver must survive: a rank-one D, whose
     # computed determinant may round to either sign; D = 0, where every
     # point ties when g = 0 too; D = g g^T, where every ratio is 1 up to
     # rounding; and diagonal and full-rank D.
@@ -373,22 +412,30 @@ class TestPruningIsExact:
         d = _gain_matrix(kind, 10.0**log_scale, u, g)
         check_against_dense(d, g, 10.0**log_power, nphi, npower)
 
-    def test_rounding_slack_keeps_the_argmax_row(self):
-        # D = g g^T at large P makes every ratio 1 up to rounding: the dense
-        # argmax lies inside a row whose every candidate rounds below the
-        # grid's best candidate, so only the bound's slack holds it.
+    def test_rounding_slack_covers_all_ties(self):
+        # D = g g^T at large P makes every ratio 1 up to rounding: only the
+        # bound's slack holds the dense lattice's rounding-high points.
         g = (1.028825305674486, -0.7499319367515453)
-        check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256, pencil=True)
+        check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256, reference=True)
 
-    def test_face_wins_match_the_pencil_eigenvalue(self):
-        # A fixed battery across twelve decades of SNR either side of 1,
-        # for the main channel's gains and for a genie bound's A(a).
+    def test_matches_the_50_digit_reference(self):
+        # A fixed battery across twenty decades of SNR: the main channel's
+        # gains of General and of Degraded channels, and a genie bound's
+        # A(a).  Degraded channels put some optima inside the disk.
         channels, _ = sample_general_channels(11, 40)
-        for k in range(-12, 13, 2):
+        optima = {"rim": 0, "interior": 0}
+        for k in range(-12, 9, 4):
             for base in channels:
                 ch = base.with_power(10.0**k)
-                for d in (ch.gram(), coupling_gain_matrix(ch, (0.3, -0.6))):
-                    check_against_dense(d, ch.g, ch.P, 8, 8, pencil=True)
+                deg = _degraded(ch)
+                for d, g in (
+                    (ch.gram(), ch.g),
+                    (deg.gram(), deg.g),
+                    (coupling_gain_matrix(ch, (0.3, -0.4)), ch.g),
+                ):
+                    _, (_, _, p2) = check_against_dense(d, g, ch.P, 8, 8, reference=True)
+                    optima["interior" if p2 > 0.0 else "rim"] += 1
+        assert min(optima.values()) > 0
 
 
 class TestKKTCheck:
@@ -455,36 +502,31 @@ class TestMinOverA:
         assert mk.norm2(mk.sub2(a_best, (0.5, 0.0))) <= 0.25
 
     def test_zero_sample_is_valid_bound(self, example_a):
-        _, value = brute_force_upper(example_a, (0.0, 0.0), (128, 128))
+        _, value = brute_force_upper(example_a, (0.0, 0.0))
         assert value >= 0.5 * math.log(2.0) - 1e-9
 
     def test_dominance_on_random_channels(self, suite1000):
         for ch in suite1000[:3]:
             # Every sample upper-bounds the achievable rate, and the
             # optimized correlation is never beaten by more than the tolerance.
-            _, min_value, _, star_value = min_over_a(
-                ch, optimal_beam(ch), 25, seed=8, grid=(256, 128)
-            )
+            _, min_value, _, star_value = min_over_a(ch, optimal_beam(ch), 25, seed=8)
             lower = optimal_beam(ch).rate
             assert min_value >= lower - EPS_GRID * max(1.0, abs(lower))
             assert star_value <= min_value + EPS_GRID * max(1.0, abs(min_value))
 
-    def test_returns_optimized_correlation_and_its_grid_value(self, suite1000):
+    def test_returns_optimized_correlation_and_its_bound(self, suite1000):
         from secrecy221 import optimize_alpha
 
-        grid = (128, 64)
         for ch in suite1000[:2]:
-            a_best, value, tc, star_value = min_over_a(
-                ch, optimal_beam(ch), 4, seed=5, grid=grid
-            )
+            a_best, value, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5)
             assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            s_star, grid_value = brute_force_upper(ch, tc.a_star, grid)
-            assert star_value == grid_value
-            assert value == brute_force_upper(ch, a_best, grid)[1]
+            s_star, bound = brute_force_upper(ch, tc.a_star)
+            assert star_value == bound
+            assert value == brute_force_upper(ch, a_best)[1]
             assert mk.trace2(s_star.S) <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
     def test_requires_general(self, monkeypatch):
-        # The precondition fails before any grid is searched.
+        # The precondition fails before any bound is searched.
         calls = []
         real = oracle.brute_force_upper
 
@@ -515,8 +557,7 @@ class TestSampling:
             assert classify(ch).kind is ChannelKind.GENERAL
 
     def test_covariance_from_param_matches_manual(self):
-        param = CovParam(0.3, 0.6, 0.2)
-        s = covariance_from_param(param)
+        s = covariance_from_param(0.3, 0.6, 0.2)
         c, sn = math.cos(0.3), math.sin(0.3)
         q1 = (c, sn)
         q2 = (-sn, c)

@@ -1,6 +1,8 @@
-"""The suite's pytest settings: a failing property test reports its
-falsifying example instead of aborting the run."""
+"""Tooling: the suite's pytest settings (a failing property test reports its
+falsifying example instead of aborting the run), and what importing the
+command-line front end loads."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,17 @@ def test_failing_property_test_reports_its_example(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # A capacity certificate never calls numpy, so a one-shot `capacity`
+    # process should not pay for importing it.
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, secrecy221.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
