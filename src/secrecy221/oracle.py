@@ -179,7 +179,7 @@ def _grid_max_ratio(d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int) 
     return float(cand.max())
 
 
-def _grid_optimum(ch: WiretapChannel, d_mat: Mat2) -> tuple[CovMat, float]:
+def _solved_optimum(ch: WiretapChannel, d_mat: Mat2) -> tuple[CovMat, float]:
     """Maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
     best, param = _disk_max(d_mat, ch.g, ch.P)
     return validate_covariance(covariance_from_param(*param), ch.P), 0.5 * math.log(best)
@@ -197,7 +197,7 @@ def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
         channel's optimum lies inside the disk.  The rate equals the
         closed-form optimum of a General channel up to rounding.
     """
-    return _grid_optimum(ch, ch._gram)
+    return _solved_optimum(ch, ch._gram)
 
 
 def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
@@ -209,7 +209,7 @@ def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
     ``brute_force_gaussian``.  An a not strictly inside the unit disk raises
     NoiseDegenerate.
     """
-    return _grid_optimum(ch, coupling_gain_matrix(ch, a))
+    return _solved_optimum(ch, coupling_gain_matrix(ch, a))
 
 
 # --------------------------------------------------------------------------

@@ -419,19 +419,20 @@ class TestDiskMaxIsExact:
         check_against_dense(mk.outer2(g, g), g, 46489514804.438446, 8, 256, reference=True)
 
     def test_matches_the_50_digit_reference(self):
-        # A fixed battery across twenty decades of SNR: the main channel's
-        # gains of General and of Degraded channels, and a genie bound's
-        # A(a).  Degraded channels put some optima inside the disk.
+        # A fixed battery across twelve decades of SNR either side of 1: the
+        # main channel's gains of General and of Degraded channels, and a
+        # genie bound's A(a).  Degraded channels put some optima inside the
+        # disk.
         channels, _ = sample_general_channels(11, 40)
         optima = {"rim": 0, "interior": 0}
-        for k in range(-12, 9, 4):
+        for k in range(-12, 13, 2):
             for base in channels:
                 ch = base.with_power(10.0**k)
                 deg = _degraded(ch)
                 for d, g in (
                     (ch.gram(), ch.g),
                     (deg.gram(), deg.g),
-                    (coupling_gain_matrix(ch, (0.3, -0.4)), ch.g),
+                    (coupling_gain_matrix(ch, (0.3, -0.6)), ch.g),
                 ):
                     _, (_, _, p2) = check_against_dense(d, g, ch.P, 8, 8, reference=True)
                     optima["interior" if p2 > 0.0 else "rim"] += 1
