@@ -184,12 +184,10 @@ def reduce_rank_deficient(ch: WiretapChannel) -> Vec2:
 def validate_covariance(s, power: float) -> CovMat:
     """Check PSD-ness and the trace budget; clip roundoff-negative eigenvalues.
 
-    Accepts either a CovMat (returned as-is) or a raw 2x2 matrix.  Eigenvalues
-    in [-EPS_PSD * scale, 0) are treated as zero and the covariance is
-    reconstructed without them; anything more negative raises NotPSD.
+    Eigenvalues in [-EPS_PSD * scale, 0) of the raw 2x2 matrix are treated
+    as zero and the covariance is reconstructed without them; anything more
+    negative raises NotPSD.
     """
-    if isinstance(s, CovMat):
-        return s
     if not all(math.isfinite(x) for row in s for x in row):
         raise InvalidCovariance("covariance entries must be finite")
     sym = mk.symmetrize2(s)

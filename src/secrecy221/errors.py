@@ -69,12 +69,6 @@ class DegenerateDirection(ConverseError):
     """The optimizing alpha is unbounded for this direction."""
 
 
-# --- oracle ------------------------------------------------------------------
-
-class NotUnitRank(SecrecyError):
-    """KKT check got a covariance that is not (numerically) unit-rank."""
-
-
 # --- generic -----------------------------------------------------------------
 
 class PreconditionFailed(SecrecyError):

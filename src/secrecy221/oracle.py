@@ -16,6 +16,11 @@ origin or at full power.  So the side-m power lattice peaks, at each angle,
 at the origin or at one of its m + 1 full-power points, which is all that
 the lattice witness ``_grid_max_ratio`` evaluates.
 
+``kkt_check`` judges a full-power beam S = P q q^T from the channel and q
+alone.  I + D S is then a rank-one update of I, so Sherman-Morrison gives
+the gradient without inverting it: at high SNR det(I + D S) / ||I + D S||_F^2
+is ~1/P, which a 2x2 inverse would refuse as singular.
+
 Only ``min_over_a`` and ``sample_general_channels`` draw random numbers,
 from the caller's seed, and the witness reduces in a fixed order, so
 identical seeds give bit-identical results regardless of thread count.
@@ -37,7 +42,7 @@ from .channel import (
     validate_covariance,
 )
 from .converse import TightCorrelation, coupling_gain_matrix
-from .errors import BoundaryAmbiguous, NotUnitRank
+from .errors import BoundaryAmbiguous
 from .matkit import Mat2, Vec2
 from .tolerances import EPS_KKT, EPS_RIM
 
@@ -58,7 +63,7 @@ def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
 
 @dataclass(frozen=True)
 class KKTReport:
-    """First-order optimality report for a unit-rank covariance candidate."""
+    """First-order optimality report for a full-power beam."""
 
     multiplier: float
     residual_stationarity: float
@@ -216,33 +221,28 @@ def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
 # KKT verification
 # --------------------------------------------------------------------------
 
-def kkt_check(d_mat: Mat2, g: Vec2, power: float, s) -> KKTReport:
-    """First-order optimality of a unit-rank candidate S = p q q^T.
+def kkt_check(ch: WiretapChannel, q: Vec2) -> KKTReport:
+    """First-order optimality of the full-power beam S = P q q^T, unit q.
 
-    For the objective log det(I + D S) - log(1 + g^T S g) under tr(S) <= P,
-    the gradient is G = (I + D S)^{-1} D - g g^T / (1 + g^T S g); the
-    candidate passes when C = lambda I - G (with lambda = q^T G q) kills S,
-    is PSD on the complement of the beam, the multiplier is nonnegative, and
-    complementary slackness holds.
+    For the objective log det(I + D S) - log(1 + g^T S g), D = H^T H, under
+    tr(S) <= P, the gradient is G = (I + D S)^{-1} D - g g^T / (1 + g^T S g),
+    which Sherman-Morrison turns into
+    G = D - P (Dq)(Dq)^T / (1 + P q^T D q) - g g^T / (1 + P (g^T q)^2)
+    with no inverse; the beam passes when C = lambda I - G (with
+    lambda = q^T G q) kills S, is PSD on the complement of the beam, the
+    multiplier is nonnegative, and complementary slackness holds.
     """
-    cov = validate_covariance(s, power)
-    (ls1, ls2), (q, _) = mk.sym_eig2(cov.S)
-    if abs(ls2) > EPS_KKT * max(1.0, abs(ls1)):
-        raise NotUnitRank(f"covariance eigenvalues ({ls1!r}, {ls2!r}) are not unit-rank")
-
-    d = mk.symmetrize2(d_mat)
-    eye = mk.eye2()
-    grad = mk.symmetrize2(
-        mk.matadd2(
-            mk.matmul2(mk.inv2(mk.matadd2(eye, mk.matmul2(d, cov.S))), d),
-            mk.matscale2(-1.0 / (1.0 + mk.quad2(cov.S, g)), mk.outer2(g, g)),
-        )
-    )
+    d, g, power = ch._gram, ch.g, ch.P
+    dq = mk.matvec2(d, q)
+    main_term = mk.matscale2(-power / (1.0 + power * mk.dot2(q, dq)), mk.outer2(dq, dq))
+    eve_term = mk.matscale2(-1.0 / (1.0 + power * mk.dot2(g, q) ** 2), mk.outer2(g, g))
+    grad = mk.matadd2(mk.matadd2(d, main_term), eve_term)
+    s = mk.matscale2(power, mk.outer2(q, q))
     lam = mk.quad2(grad, q)
-    c_mat = mk.matadd2(mk.matscale2(lam, eye), mk.matscale2(-1.0, grad))
-    cs = mk.matmul2(c_mat, cov.S)
+    c_mat = mk.matadd2(mk.matscale2(lam, mk.eye2()), mk.matscale2(-1.0, grad))
+    cs = mk.matmul2(c_mat, s)
     stationarity = max(abs(x) for row in cs for x in row)
-    complementarity = abs(lam * (mk.trace2(cov.S) - power))
+    complementarity = abs(lam * (mk.trace2(s) - power))
     margin = mk.quad2(c_mat, mk.orth_perp(q))
 
     scale = max(1.0, power * mk.fro2(grad))

@@ -38,13 +38,13 @@ EIGEN_ONE_TOL = 1e-8
 # Tolerance on the unit-coupling identity of the optimized correlation.
 UNIT_COUPLING_TOL = 1e-9
 
-# Oracle search checks: relative agreement with the closed form (and the
-# winner's unit-rank margin relative to P), the roundoff by which a searched
-# rate may exceed the closed-form optimum or a lattice rate the solved one,
-# and how close the search must come to the best beam on Degraded channels.
+# Oracle search checks: EPS_GRID bounds the relative gap to the closed form,
+# the winner's unit-rank margin relative to P and, absolute, how far the
+# search may fall below the best beam on Degraded channels; EPS_GRID_EXCESS
+# is the roundoff by which a searched rate may exceed the closed-form optimum
+# or a lattice rate the solved one.
 EPS_GRID = 1e-9
 EPS_GRID_EXCESS = 1e-12
-EPS_GRID_BEAM = 1e-9
 
 # Sampled noise correlations stay this far inside the unit circle.
 EPS_RIM = 1e-6

@@ -28,7 +28,6 @@ import time
 
 from conftest import no_nonneg_roots, null_beam_rate
 from secrecy221 import (
-    beam_covariance,
     brute_force_gaussian,
     brute_force_upper,
     capacity_certificate,
@@ -140,14 +139,14 @@ def test_criterion_4_unit_rank_and_kkt_suite(suite1000):
         worst_eig = max(worst_eig, l2)
         assert l2 <= 1e-3 * ch.P
 
-        rep = kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(beam.q_a, ch.P))
+        rep = kkt_check(ch, beam.q_a)
         assert rep.passes
         rot = 0.1
         q = (
             beam.q_a[0] * math.cos(rot) - beam.q_a[1] * math.sin(rot),
             beam.q_a[0] * math.sin(rot) + beam.q_a[1] * math.cos(rot),
         )
-        rep_pert = kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(q, ch.P))
+        rep_pert = kkt_check(ch, q)
         assert not rep_pert.passes
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"brute-force suite took {elapsed:.2f} s"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secrecy221 import cli
+from secrecy221 import cli, sample_general_channels
 from secrecy221.cli import dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -403,6 +403,33 @@ class TestOracleCommand:
         # the full covariance search may beat the best unit-rank beam
         assert doc["grid_search"]["rate_nats"] >= doc["closed_form"]["rate_nats"] - 1e-9
         assert "min_over_a" not in doc
+
+    @pytest.mark.parametrize("power", [1e12, 1e14])
+    def test_high_snr_reports_pass(self, capsys, monkeypatch, power):
+        # Here det(I + D S) / ||I + D S||_F^2 ~ 1 / P, below the 1e-12 floor
+        # at which a 2x2 inverse refuses the matrix as singular.  The KKT
+        # gradient forms no inverse, so each report passes, and the Degraded
+        # one carries no KKT section, since nothing judges it.
+        channels, _ = sample_general_channels(11, 4)
+        specs = [
+            dumps(cli.channel_to_dict(channels[i].with_power(power)), compact=True)
+            for i in (0, 2, 3)
+        ]
+        specs.append(
+            dumps({"H": [[1.0, 0.3], [0.2, 1.5]], "g": [0.4, 0.3], "P": power}, compact=True)
+        )
+        for spec in specs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+            code, out, err = run(capsys, ["oracle", "-", "--samples", "4"])
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["passes"] is True
+            if doc["class"] == "General":
+                assert doc["kkt_optimum"]["passes"]
+                assert not doc["kkt_perturbed"]["passes"]
+            else:
+                assert doc["class"] == "Degraded"
+                assert not [k for k in doc if k.startswith("kkt_")]
 
 
 class TestRandom:

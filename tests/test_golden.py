@@ -14,7 +14,12 @@ deliberately.  `oracle_example_a.out`, `oracle_example_a_defaults.out` and
 was solved by Dinkelbach's iteration on the trace-P disk and the report
 lost its "grid" field: the grid-search rates moved by at most 1.7e-16 nats,
 the min-over-a values by at most 1.1e-16 nats down or 5.5e-4 nats up, and
-every report's verdict and exit code held.
+every report's verdict and exit code held.  `ORACLE_SUITE_DIGEST` alone was
+re-recorded again when the KKT check took the channel and the beam and
+formed its gradient by Sherman-Morrison, with no 2x2 inverse: 18 of its 20
+reports changed only in the last digits of their `kkt_optimum` numbers,
+and every exit code, every `passes` and every byte outside the two KKT
+sections held; the example-A reports stayed byte-identical.
 `capacity_example_degraded.out` pins the Degraded branch, on a channel
 whose optimal covariance is full-rank; its capacity is also checked
 against a 50-digit reference.
@@ -48,8 +53,8 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 # SHA-256 over `oracle - --samples 4` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
 # "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
-# solved on the trace-P disk.
-ORACLE_SUITE_DIGEST = "f7d474d3b16f27aa00df1b8f2b051323cfadeacc001325558fbc37292c6adb02"
+# solved on the trace-P disk and the KKT gradient formed by Sherman-Morrison.
+ORACLE_SUITE_DIGEST = "1ce886377b23c0470f8357426d4956216e569d122c768d1f30e837db43e11e3f"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from conftest import disk_max_reference, no_nonneg_roots
 from secrecy221 import (
     WiretapChannel,
-    beam_covariance,
     brute_force_gaussian,
     brute_force_upper,
     capacity_certificate,
@@ -30,7 +29,7 @@ from secrecy221 import (
 )
 from secrecy221 import matkit as mk
 from secrecy221 import oracle
-from secrecy221.errors import NoiseDegenerate, NotUnitRank, PreconditionFailed
+from secrecy221.errors import NoiseDegenerate, PreconditionFailed
 from secrecy221.oracle import covariance_from_param
 from secrecy221.tolerances import EPS_GRID, EPS_TRACE
 
@@ -441,31 +440,27 @@ class TestDiskMaxIsExact:
 
 class TestKKTCheck:
     def test_passes_at_optimum(self, example_a):
-        rep = kkt_check(example_a.gram(), example_a.g, 1.0, ((0.0, 0.0), (0.0, 1.0)))
+        rep = kkt_check(example_a, (0.0, 1.0))
         assert rep.passes
         assert rep.multiplier >= 0.0
         assert rep.psd_margin >= 0.0
 
     def test_fails_along_eavesdropper(self, example_a):
-        rep = kkt_check(example_a.gram(), example_a.g, 1.0, ((1.0, 0.0), (0.0, 0.0)))
+        rep = kkt_check(example_a, (1.0, 0.0))
         assert not rep.passes
         assert rep.multiplier < 0.0
-
-    def test_not_unit_rank(self, example_a):
-        with pytest.raises(NotUnitRank):
-            kkt_check(example_a.gram(), example_a.g, 1.0, ((0.5, 0.0), (0.0, 0.5)))
 
     def test_random_suite_pass_and_perturbed_fail(self, suite1000):
         for ch in suite1000[:100]:
             beam = optimal_beam(ch)
-            rep = kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(beam.q_a, ch.P))
+            rep = kkt_check(ch, beam.q_a)
             assert rep.passes
             rot = 0.1
             q = (
                 beam.q_a[0] * math.cos(rot) - beam.q_a[1] * math.sin(rot),
                 beam.q_a[0] * math.sin(rot) + beam.q_a[1] * math.cos(rot),
             )
-            rep_pert = kkt_check(ch.gram(), ch.g, ch.P, beam_covariance(q, ch.P))
+            rep_pert = kkt_check(ch, q)
             assert not rep_pert.passes
 
 
