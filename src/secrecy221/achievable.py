@@ -14,7 +14,7 @@ turn forces lambda_1 > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import matkit as mk
 from .channel import WiretapChannel
@@ -23,8 +23,7 @@ from .matkit import Vec2
 from .tolerances import EPS_EIG, EPS_ID
 
 
-@dataclass(frozen=True)
-class BeamSolution:
+class BeamSolution(NamedTuple):
     """Optimal beam direction, its generalized eigenvalue, and the rate (nats).
 
     ``degenerate`` flags a (numerically) tied eigenvalue pair, in which case

@@ -11,9 +11,9 @@ deficient and the problem collapses to a two-input single-output one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import matkit as mk
 from .errors import (
@@ -34,32 +34,37 @@ def _check_finite(values, what: str) -> None:
             raise ValueError(f"{what} must be finite, got {x!r}")
 
 
-@dataclass(frozen=True)
-class WiretapChannel:
+_ChannelFields = NamedTuple("_ChannelFields", [("H", Mat2), ("g", Vec2), ("P", float)])
+
+
+class WiretapChannel(_ChannelFields):
     """Channel instance: main gain H (2x2), eavesdropper gain g, power P.
 
     The per-channel quantities every stage reads are cached members, each
-    derived once, on first use.  Only _ht_inv, which cannot fail once the
-    rank test passed, is on classify's path; _w and _resolvent_inv raise
-    SingularMatrix when H^T H or H^T H - g g^T is numerically singular.
+    derived once, on first use, in the instance __dict__ (so no __slots__).
+    Only _ht_inv, which cannot fail once the rank test passed, is on
+    classify's path; _w and _resolvent_inv raise SingularMatrix when H^T H
+    or H^T H - g g^T is numerically singular.
     """
 
-    H: Mat2
-    g: Vec2
-    P: float
-
-    def __post_init__(self):
-        _check_finite((*self.H[0], *self.H[1]), "H entries")
-        _check_finite(self.g, "g entries")
-        if not (math.isfinite(self.P) and self.P > 0.0):
-            raise ValueError(f"power budget must be finite and positive, got {self.P!r}")
-        h0, h1 = self.H
-        gain_sq = max(mk.dot2(h0, h0) + mk.dot2(h1, h1), mk.dot2(self.g, self.g))
-        if not (max(gain_sq, self.P) <= MAX_GAIN_SQ and self.P * gain_sq <= MAX_SNR):
+    def __new__(cls, H: Mat2, g: Vec2, P: float):
+        _check_finite((*H[0], *H[1]), "H entries")
+        _check_finite(g, "g entries")
+        if not (math.isfinite(P) and P > 0.0):
+            raise ValueError(f"power budget must be finite and positive, got {P!r}")
+        h0, h1 = H
+        gain_sq = max(mk.dot2(h0, h0) + mk.dot2(h1, h1), mk.dot2(g, g))
+        if not (max(gain_sq, P) <= MAX_GAIN_SQ and P * gain_sq <= MAX_SNR):
             raise ValueError(
-                f"max(||H||_F^2, ||g||^2) = {gain_sq!r} at P = {self.P!r} exceeds the "
+                f"max(||H||_F^2, ||g||^2) = {gain_sq!r} at P = {P!r} exceeds the "
                 f"supported range (gain and P {MAX_GAIN_SQ!r}, P * gain {MAX_SNR!r})"
             )
+        return super().__new__(cls, H, g, P)
+
+    @classmethod
+    def _make(cls, iterable) -> "WiretapChannel":
+        # _replace builds through _make, whose tuple.__new__ would skip the checks.
+        return cls(*iterable)
 
     def gram(self) -> Mat2:
         """H^T H."""
@@ -127,8 +132,7 @@ class ChannelKind(Enum):
     REDUCED_RANK = "ReducedRank"
 
 
-@dataclass(frozen=True)
-class ChannelClass:
+class ChannelClass(NamedTuple):
     """Classification result.
 
     ``eve_norm`` is ||H^{-T} g||, the eavesdropper gain seen after inverting
@@ -141,8 +145,7 @@ class ChannelClass:
     sv_ratio: float
 
 
-@dataclass(frozen=True)
-class CovMat:
+class CovMat(NamedTuple):
     """Validated transmit covariance: symmetric PSD with trace within budget."""
 
     S: Mat2

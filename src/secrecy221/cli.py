@@ -138,14 +138,6 @@ def channel_from_dict(doc) -> WiretapChannel:
         raise ChannelSpecError(f"invalid channel spec: {exc}") from exc
 
 
-def channel_to_dict(ch: WiretapChannel) -> dict:
-    return {
-        "H": [[ch.H[0][0], ch.H[0][1]], [ch.H[1][0], ch.H[1][1]]],
-        "g": [ch.g[0], ch.g[1]],
-        "P": ch.P,
-    }
-
-
 # --------------------------------------------------------------------------
 # certificate rendering
 # --------------------------------------------------------------------------
@@ -192,7 +184,7 @@ def cmd_capacity(args) -> int:
         raise ChannelSpecError(f"--tol must be finite and >= 0, got {args.tol!r}")
     ch = read_channel(args.channel)
     cert = capacity_certificate(ch, eps_cert=args.tol)
-    doc = {"channel": channel_to_dict(ch), "tolerance": args.tol}
+    doc = {"channel": ch._asdict(), "tolerance": args.tol}
     doc.update(certificate_to_dict(cert))
     if args.bits:
         doc["capacity"] = doc["capacity_bits"]
@@ -260,7 +252,7 @@ def cmd_oracle(args) -> int:
     ch = read_channel(args.channel)
     cls = classify(ch)
     doc: dict = {
-        "channel": channel_to_dict(ch),
+        "channel": ch._asdict(),
         "class": cls.kind.value,
         "samples": args.samples,
         "seed": args.seed,
@@ -290,13 +282,7 @@ def cmd_oracle(args) -> int:
         checks.append(se2 <= EPS_GRID * ch.P)
 
         kkt_opt = oracle.kkt_check(ch, beam.q_a)
-        doc["kkt_optimum"] = {
-            "multiplier": kkt_opt.multiplier,
-            "residual_stationarity": kkt_opt.residual_stationarity,
-            "residual_complementarity": kkt_opt.residual_complementarity,
-            "psd_margin": kkt_opt.psd_margin,
-            "passes": kkt_opt.passes,
-        }
+        doc["kkt_optimum"] = kkt_opt._asdict()
         rot = 0.1
         q_rot = (
             beam.q_a[0] * math.cos(rot) - beam.q_a[1] * math.sin(rot),
@@ -348,7 +334,7 @@ def cmd_random(args) -> int:
     except ValueError as exc:
         raise ChannelSpecError(f"invalid channel: {exc}") from exc
     for ch in channels:
-        sys.stdout.write(dumps(channel_to_dict(ch), compact=True) + "\n")
+        sys.stdout.write(dumps(ch._asdict(), compact=True) + "\n")
     sys.stderr.write(
         f"accepted {len(channels)} of {attempts} draws "
         f"(rate {_fmt_float(len(channels) / attempts)})\n"

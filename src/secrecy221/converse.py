@@ -21,8 +21,7 @@ bounds matched only when all of them hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import matkit as mk
 from .achievable import BeamSolution, optimal_beam
@@ -63,8 +62,7 @@ LOG2 = math.log(2.0)
 _DEGRADED_GRID = (512, 512)
 
 
-@dataclass(frozen=True)
-class TightCorrelation:
+class TightCorrelation(NamedTuple):
     """The optimized member of the correlation family.
 
     a_star = H^{-T}(alpha_star q_perp + g), theta_star = alpha_star^2 /
@@ -80,8 +78,7 @@ class TightCorrelation:
     q_perp: Vec2
 
 
-@dataclass(frozen=True)
-class CapacityCertificate:
+class CapacityCertificate(NamedTuple):
     """Outcome of running both bounds on one channel.
 
     ``lower`` and ``upper`` are unclamped nats.  ``residuals`` maps identity
@@ -102,7 +99,7 @@ class CapacityCertificate:
     capacity_bits: float
     beam: BeamSolution | None
     correlation: TightCorrelation | None
-    flags: dict[str, Any] = field(default_factory=dict)
+    flags: dict[str, Any]
 
 
 # Residual names -> pass thresholds: the only gates on the identities the

@@ -234,16 +234,26 @@ def det3(m: Mat3) -> float:
 
 
 def matmul3(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )  # type: ignore[return-value]
+    """a b with each entry summed left to right, as sum() did before 3.12."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+    )
 
 
 def matadd3(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3)
-    )  # type: ignore[return-value]
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (
+        (a0[0] + b0[0], a0[1] + b0[1], a0[2] + b0[2]),
+        (a1[0] + b1[0], a1[1] + b1[1], a1[2] + b1[2]),
+        (a2[0] + b2[0], a2[1] + b2[1], a2[2] + b2[2]),
+    )
 
 
 def noise_cov3(a: Vec2) -> Mat3:

@@ -30,7 +30,7 @@ numpy is imported by the functions that use it, not by the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import matkit as mk
 from .achievable import BeamSolution
@@ -61,8 +61,7 @@ def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
     )
 
 
-@dataclass(frozen=True)
-class KKTReport:
+class KKTReport(NamedTuple):
     """First-order optimality report for a full-power beam."""
 
     multiplier: float
@@ -293,12 +292,17 @@ def min_over_a(
         raise ValueError("need at least one sample")
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
 
+    # One draw for every sample; a rejected pair's successor is the stream's next.
     rng = np.random.default_rng(seed)
+    uv, i = rng.random(2 * samples), 0
     best_a: Vec2 | None = None
     best_value = math.inf
     for _ in range(samples):
         while True:
-            u, v = rng.random(2)
+            if i == len(uv):
+                uv, i = rng.random(2), 0
+            u, v = uv[i], uv[i + 1]
+            i += 2
             r = math.sqrt(u)
             if r < 1.0 - EPS_RIM:
                 break

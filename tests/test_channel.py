@@ -8,8 +8,10 @@ import pytest
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
+    beam_covariance,
     capacity_certificate,
     classify,
+    kkt_check,
     reduce_rank_deficient,
     validate_covariance,
 )
@@ -98,6 +100,15 @@ class TestWiretapChannel:
         with pytest.raises(ValueError, match="exceeds the supported"):
             WiretapChannel(h, g, power)
 
+    def test_replace_and_make_check_like_the_constructor(self, example_a):
+        assert example_a._replace(P=2.0) == WiretapChannel(I2, (2.0, 0.0), 2.0)
+        with pytest.raises(ValueError, match="power budget"):
+            example_a._replace(P=-1.0)
+        with pytest.raises(ValueError, match="g entries"):
+            WiretapChannel._make((I2, (math.nan, 0.0), 1.0))
+        with pytest.raises(ValueError, match="exceeds the supported"):
+            example_a._replace(P=MAX_SNR)
+
     def test_cached_members_keep_equality_and_hash(self):
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
         fresh = WiretapChannel(ch.H, ch.g, ch.P)
@@ -105,6 +116,29 @@ class TestWiretapChannel:
         assert "_beam_eig" in vars(ch)
         assert ch == fresh
         assert hash(ch) == hash(fresh)
+
+
+def _records(ch):
+    """One instance of each record type the package returns, from channel ch."""
+    cert = capacity_certificate(ch)
+    return [
+        ch,
+        classify(ch),
+        beam_covariance(cert.beam.q_a, ch.P),
+        cert.beam,
+        cert.correlation,
+        cert,
+        kkt_check(ch, cert.beam.q_a),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_records_refuse_field_assignment(example_a, index):
+    record = _records(example_a)[index]
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) == record[0]
 
 
 class TestClassify:

@@ -337,8 +337,6 @@ class TestOracleCommand:
     def test_wrong_beam_fails(self, capsys, monkeypatch, example_a_path):
         # A closed form off by 0.05 rad, reporting its own beam's rate: the
         # solved face must find the better beam, not share the mistake.
-        import dataclasses
-
         from secrecy221 import achievable
         from secrecy221.tolerances import EPS_GRID_EXCESS
 
@@ -348,7 +346,7 @@ class TestOracleCommand:
             beam = real(ch)
             c, s = math.cos(0.05), math.sin(0.05)
             q = (c * beam.q_a[0] - s * beam.q_a[1], s * beam.q_a[0] + c * beam.q_a[1])
-            return dataclasses.replace(beam, q_a=q, rate=achievable.beam_rate(ch, q))
+            return beam._replace(q_a=q, rate=achievable.beam_rate(ch, q))
 
         monkeypatch.setattr(achievable, "optimal_beam", rotated)
         code, out, _ = run(capsys, ["oracle", example_a_path, "--samples", "4"])
@@ -360,15 +358,13 @@ class TestOracleCommand:
     def test_overstated_rate_fails(self, capsys, monkeypatch, example_a_path):
         # A closed-form rate overstated by one part in a million, with the
         # right beam: the solved search misses it by far more than EPS_GRID.
-        import dataclasses
-
         from secrecy221 import achievable
 
         real = achievable.optimal_beam
 
         def overstated(ch):
             beam = real(ch)
-            return dataclasses.replace(beam, rate=beam.rate * (1.0 + 1e-6))
+            return beam._replace(rate=beam.rate * (1.0 + 1e-6))
 
         monkeypatch.setattr(achievable, "optimal_beam", overstated)
         code, out, _ = run(capsys, ["oracle", example_a_path, "--samples", "4"])
@@ -412,7 +408,7 @@ class TestOracleCommand:
         # one carries no KKT section, since nothing judges it.
         channels, _ = sample_general_channels(11, 4)
         specs = [
-            dumps(cli.channel_to_dict(channels[i].with_power(power)), compact=True)
+            dumps(channels[i].with_power(power)._asdict(), compact=True)
             for i in (0, 2, 3)
         ]
         specs.append(

@@ -1,7 +1,6 @@
 """Upper-bound tests: the correlation family, its optimizer, the bound
 evaluations, and the capacity certificate."""
 
-import dataclasses
 import json
 import math
 import random
@@ -323,7 +322,7 @@ class TestCapacityCertificate:
 
         def doubled(ch, q_perp):
             tc = real(ch, q_perp)
-            return dataclasses.replace(tc, theta_star=2.0 * tc.theta_star)
+            return tc._replace(theta_star=2.0 * tc.theta_star)
 
         monkeypatch.setattr(converse, "optimize_alpha", doubled)
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
@@ -346,7 +345,7 @@ class TestCapacityCertificate:
             theta = tc.theta_star * (1.0 + 1e-7)
             rank_one = mk.matscale2(theta, mk.outer2(q_perp, q_perp))
             a_mat = mk.symmetrize2(mk.matadd2(ch.gram(), rank_one))
-            return dataclasses.replace(tc, theta_star=theta, A_star=a_mat)
+            return tc._replace(theta_star=theta, A_star=a_mat)
 
         monkeypatch.setattr(converse, "optimize_alpha", perturbed)
 

@@ -244,6 +244,29 @@ class TestInvN:
             assert err <= 1e-12
 
 
+class TestMat3:
+    def test_entries_sum_left_to_right(self):
+        # (1e16 + 1) - 1e16 is 0 left to right; sum() compensates from 3.12
+        # on and gives 1, so the certificate's digits followed the interpreter.
+        a = ((1e16, 1.0, -1e16),) * 3
+        ones = ((1.0, 1.0, 1.0),) * 3
+        assert mk.matmul3(a, ones) == ((0.0, 0.0, 0.0),) * 3
+
+    def test_matches_indexed_reference(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            a, b = (tuple(tuple(rng.gauss(0, 1) for _ in range(3)) for _ in range(3))
+                    for _ in range(2))
+            prod = tuple(
+                tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+                      for j in range(3))
+                for i in range(3)
+            )
+            total = tuple(tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3))
+            assert mk.matmul3(a, b) == prod
+            assert mk.matadd3(a, b) == total
+
+
 class TestOrthPerp:
     @pytest.mark.parametrize(
         "v,expected",

@@ -31,7 +31,7 @@ from secrecy221 import matkit as mk
 from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate, PreconditionFailed
 from secrecy221.oracle import covariance_from_param
-from secrecy221.tolerances import EPS_GRID, EPS_TRACE
+from secrecy221.tolerances import EPS_GRID, EPS_RIM, EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -535,6 +535,29 @@ class TestMinOverA:
         with pytest.raises(PreconditionFailed):
             min_over_a(degraded, optimal_beam(degraded), 10, seed=0)
         assert calls == []
+
+
+    @pytest.mark.parametrize("seed", [0, 28368])
+    def test_samples_follow_the_per_pair_stream(self, example_a, monkeypatch, seed):
+        # Seed 28368 rejects its 15th pair of 32 (u at the rim): the next
+        # sample is pair 16's, and the 32nd needs a 33rd pair.
+        searched = []
+
+        def recorded(ch, a):
+            searched.append(a)
+            return None, 1.0
+
+        monkeypatch.setattr(oracle, "brute_force_upper", recorded)
+        min_over_a(example_a, optimal_beam(example_a), 32, seed)
+        rng = np.random.default_rng(seed)
+        expected = []
+        while len(expected) < 32:
+            u, v = rng.random(2)
+            r = math.sqrt(u)
+            if r < 1.0 - EPS_RIM:
+                ang = 2.0 * math.pi * v
+                expected.append((r * math.cos(ang), r * math.sin(ang)))
+        assert searched[:-1] == expected
 
 
 class TestSampling:

@@ -47,13 +47,19 @@ def test_failing_property_test_reports_its_example(tmp_path):
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # A capacity certificate never calls numpy, so a one-shot `capacity`
-    # process should not pay for importing it.
+    # process should not pay for importing it; nor for dataclasses, which
+    # pulls in inspect, ast and dis.  `site` may preload modules, so only
+    # what the import adds to a bare interpreter counts.
     env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    code = (
+        "import sys; before = set(sys.modules); import secrecy221.cli; "
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, secrecy221.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
