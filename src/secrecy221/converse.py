@@ -344,9 +344,9 @@ def capacity_certificate(
     beam = optimal_beam(ch)
 
     if cls.kind is ChannelKind.DEGRADED:
-        from .oracle import _grid_max_ratio, brute_force_gaussian
+        from .oracle import _grid_max_ratio, _solved_rate
 
-        _, rate = brute_force_gaussian(ch)
+        rate, _ = _solved_rate(ch._gram, ch.g, ch.P)
         lattice = 0.5 * math.log(_grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
         if lattice > rate + EPS_GRID_EXCESS:
             raise InvariantViolated(f"lattice rate {lattice!r} beats the solved {rate!r}")

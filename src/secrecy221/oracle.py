@@ -78,7 +78,10 @@ class KKTReport(NamedTuple):
 def _sym_det(d_mat: Mat2) -> float:
     """d11 d22 - d12^2 from exact integer products, rounded once: the float
     formula cancels, and its cond(D) roundings would reach the ratio."""
-    (a, p), (b, q), (c, r) = (x.as_integer_ratio() for x in (*d_mat[0], d_mat[1][1]))
+    (d11, d12), (_, d22) = d_mat
+    a, p = d11.as_integer_ratio()
+    b, q = d12.as_integer_ratio()
+    c, r = d22.as_integer_ratio()
     return (a * c * q * q - b * b * p * r) / (p * r * q * q)
 
 
@@ -183,10 +186,18 @@ def _grid_max_ratio(d_mat: Mat2, g: Vec2, power: float, nphi: int, npower: int) 
     return float(cand.max())
 
 
+def _solved_rate(
+    d_mat: Mat2, g: Vec2, power: float
+) -> tuple[float, tuple[float, float, float]]:
+    """Maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (nats, (phi, p1, p2))."""
+    best, param = _disk_max(d_mat, g, power)
+    return 0.5 * math.log(best), param
+
+
 def _solved_optimum(ch: WiretapChannel, d_mat: Mat2) -> tuple[CovMat, float]:
-    """Maximize (1/2) log [det(I + D S) / (1 + g^T S g)]: (S_best, nats)."""
-    best, param = _disk_max(d_mat, ch.g, ch.P)
-    return validate_covariance(covariance_from_param(*param), ch.P), 0.5 * math.log(best)
+    """``_solved_rate`` with its maximizer as a validated covariance: (S_best, nats)."""
+    rate, param = _solved_rate(d_mat, ch.g, ch.P)
+    return validate_covariance(covariance_from_param(*param), ch.P), rate
 
 
 def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
@@ -214,6 +225,11 @@ def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
     NoiseDegenerate.
     """
     return _solved_optimum(ch, coupling_gain_matrix(ch, a))
+
+
+def _upper_value(ch: WiretapChannel, a: Vec2) -> float:
+    """``brute_force_upper``'s value alone, with no covariance built."""
+    return _solved_rate(coupling_gain_matrix(ch, a), ch.g, ch.P)[0]
 
 
 # --------------------------------------------------------------------------
@@ -275,8 +291,11 @@ def min_over_a(
     Every member of the family is a valid upper bound, so the sampled
     minimum should stay above the achievable rate (up to EPS_GRID), and the
     optimized correlation should do at least as well as every sample.  Each
-    bound is maximized over covariances exactly, by ``brute_force_upper``.
-    The values are returned, not judged: the oracle verb checks both
+    bound is maximized over covariances exactly.  The sampled bounds are
+    searched for their value alone (``_upper_value``), since only their
+    values are compared; the bound at a* comes from ``brute_force_upper``
+    with its maximizing covariance, as a library caller gets it.  The
+    values are returned, not judged: the oracle verb checks both
     relations.  ``beam`` is the channel's ``optimal_beam``; channels that
     are not General fail in optimal_beam or optimize_alpha, before any
     search.
@@ -308,7 +327,7 @@ def min_over_a(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        _, value = brute_force_upper(ch, a)
+        value = _upper_value(ch, a)
         if value < best_value:
             best_value = value
             best_a = a

@@ -326,7 +326,13 @@ class TestOracleCommand:
             cov, value = real(*args)
             return cov, value - 0.1
 
+        real_value = oracle._upper_value
+
+        def low_value(*args):
+            return real_value(*args) - 0.1
+
         monkeypatch.setattr(oracle, "brute_force_upper", low)
+        monkeypatch.setattr(oracle, "_upper_value", low_value)
         argv = ["oracle", example_a_path, "--samples", "4"]
         code, out, _ = run(capsys, argv)
         assert code == 2

@@ -22,7 +22,11 @@ and every exit code, every `passes` and every byte outside the two KKT
 sections held; the example-A reports stayed byte-identical.
 `capacity_example_degraded.out` pins the Degraded branch, on a channel
 whose optimal covariance is full-rank; its capacity is also checked
-against a 50-digit reference.
+against a 50-digit reference.  `DEGRADED_WIDE_POWER_DIGEST` pins the
+Degraded certificate on 50 channels across 33 power decades, and
+`ORACLE_POWER_DIGEST` pins the default `oracle` report across five power
+decades, exit codes included; both were recorded before the oracle's
+sampled bounds and the Degraded rate were searched for their value alone.
 """
 
 import hashlib
@@ -34,7 +38,14 @@ import mpmath
 import pytest
 
 from conftest import disk_max_reference
-from secrecy221 import ChannelKind, capacity_certificate, sample_general_channels
+from secrecy221 import (
+    ChannelKind,
+    WiretapChannel,
+    capacity_certificate,
+    classify,
+    sample_general_channels,
+)
+from secrecy221 import matkit as mk
 from secrecy221.cli import certificate_to_dict, channel_from_dict, dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,6 +66,20 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 # "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
 # solved on the trace-P disk and the KKT gradient formed by Sherman-Morrison.
 ORACLE_SUITE_DIGEST = "1ce886377b23c0470f8357426d4956216e569d122c768d1f30e837db43e11e3f"
+
+# SHA-256 over 50 Degraded channels at P = 10**k, k = -12..20 (1,650
+# certificates), in WIDE_POWER_DIGEST's format.  Channel i is the i-th of
+# `sample_general_channels(0, 50)` with g rescaled to ||H^-T g|| = (i + 1) / 51.
+# Recorded on x86-64 Linux.
+DEGRADED_WIDE_POWER_DIGEST = "804c10d4531000c0c3975220b9a52c19864a406ca27eda9a4ce011a649bdb313"
+
+# SHA-256 over `oracle -` (32 samples, seed 0) on `sample_general_channels(11,
+# 10)` plus EXAMPLE_DEGRADED, at P = 1e-10, 1e-6, 1, 1e8 and 1e14: each
+# report's stdout followed by "exit <code>\n".  The ten General channels exit
+# 2 at P = 1e-10, where the KKT gate does not follow P.  Recorded on x86-64
+# Linux.
+ORACLE_POWER_DIGEST = "5362797678d133aaaddb870c5b8d0ba8590510a6f8f8bf41facfc6c132ce92c4"
+ORACLE_POWER_EXITS = [2] * 10 + [0] * 45
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -138,3 +163,38 @@ def test_wide_power_certificate_digest():
                 text = f"{type(exc).__name__}: {exc}"
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == WIDE_POWER_DIGEST
+
+
+def test_degraded_wide_power_certificate_digest():
+    general, _ = sample_general_channels(0, 50)
+    channels = [
+        WiretapChannel(ch.H, mk.scale2((i + 1) / 51 / classify(ch).eve_norm, ch.g), ch.P)
+        for i, ch in enumerate(general)
+    ]
+    digest = hashlib.sha256()
+    for k in range(-12, 21):
+        for ch in channels:
+            try:
+                cert = capacity_certificate(ch.with_power(10.0**k))
+                text = dumps(certificate_to_dict(cert))
+            except Exception as exc:  # noqa: BLE001 - refusals are part of the record
+                text = f"{type(exc).__name__}: {exc}"
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == DEGRADED_WIDE_POWER_DIGEST
+
+
+def test_oracle_power_digest(capsys, monkeypatch):
+    general, _ = sample_general_channels(11, 10)
+    specs = [{"H": [list(row) for row in ch.H], "g": list(ch.g)} for ch in general]
+    specs.append(json.loads(EXAMPLE_DEGRADED))
+    digest = hashlib.sha256()
+    codes = []
+    for power in (1e-10, 1e-6, 1.0, 1e8, 1e14):
+        for spec in specs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**spec, "P": power})))
+            code = main(["oracle", "-"])
+            codes.append(code)
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(f"exit {code}\n".encode())
+    assert codes == ORACLE_POWER_EXITS
+    assert digest.hexdigest() == ORACLE_POWER_DIGEST

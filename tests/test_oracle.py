@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import disk_max_reference, no_nonneg_roots
 from secrecy221 import (
+    ChannelKind,
     WiretapChannel,
     brute_force_gaussian,
     brute_force_upper,
@@ -300,6 +301,7 @@ class TestSolvedSearch:
                 value, param = check_against_dense(d, ch.g, ch.P, *grid, reference=True)
                 s_best, bound = brute_force_upper(ch, a)
                 assert bound == 0.5 * math.log(value)
+                assert oracle._upper_value(ch, a) == brute_force_upper(ch, a)[1]
                 assert s_best == validate_covariance(covariance_from_param(*param), ch.P)
 
     def test_all_ties_return_the_origin(self):
@@ -310,6 +312,63 @@ class TestSolvedSearch:
         assert oracle._disk_max(zero, (0.0, 0.0), 1.0) == (1.0, (0.0, 0.0, 0.0))
         assert dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == (1.0, (0.0, 0.0, 0.0))
         assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == 1.0
+
+    def test_value_searches_build_no_covariance(self, example_a, monkeypatch):
+        # Only the values of the sampled bounds and of the Degraded rate are
+        # read, so of min_over_a's 33 searches only the bound at a* builds
+        # its maximizing covariance, and a Degraded certificate builds none.
+        calls = []
+        real = oracle.covariance_from_param
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "covariance_from_param", counted)
+        min_over_a(example_a, optimal_beam(example_a), 32, 0)
+        assert len(calls) == 1
+        calls.clear()
+        cert = capacity_certificate(WiretapChannel(I2, (0.5, 0.0), 1.0))
+        assert cert.kind is ChannelKind.DEGRADED
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "d11,d12,d22",
+        [
+            (2.0, 3.0, 4.5),  # exact rank one: 9 - 9
+            (0.1, -0.1, 0.1),  # rank one: the same float three times
+            (1e150, -1e150, 1e150),
+            (1e-150, 1e-150, 1e-150),
+            (1.0 + 2.0**-52, 1.0, 1.0 - 2.0**-52),  # -2^-104; the float formula gives 0
+            (1e150, 1e-150, 1e-150),
+            (1e150, 0.0, 1e150),
+            (1e-150, 0.0, 1e-150),
+            (1e-150, -1e-160, 1e-159),  # subnormal: 1e-309 - 1e-320
+            (3e-160, 1e-160, 3e-160),  # subnormal, with cancellation
+            (0.0, 0.0, 0.0),
+            (0.0, -3.0, 5.0),
+            (7.0, -0.0, 3.0),
+        ],
+    )
+    def test_sym_det_rounds_the_exact_determinant_once(self, d11, d12, d22):
+        exact = float(Fraction(d11) * Fraction(d22) - Fraction(d12) ** 2)
+        assert oracle._sym_det(((d11, d12), (d12, d22))) == exact
+
+    def test_sym_det_on_random_entries(self):
+        # Log-uniform magnitudes from 1e-150 to 1e150, random signs on d12,
+        # and d12 drawn near sqrt(d11 d22) half the time, where the float
+        # formula cancels.
+        rng = random.Random(17)
+        for _ in range(2000):
+            d11 = 10.0 ** rng.uniform(-150.0, 150.0)
+            d22 = 10.0 ** rng.uniform(-150.0, 150.0)
+            if rng.random() < 0.5:
+                d12 = math.sqrt(d11) * math.sqrt(d22) * (1.0 + rng.uniform(-1e-15, 1e-15))
+            else:
+                d12 = 10.0 ** rng.uniform(-150.0, 150.0)
+            d12 = rng.choice((-1.0, 1.0)) * d12
+            exact = float(Fraction(d11) * Fraction(d22) - Fraction(d12) ** 2)
+            assert oracle._sym_det(((d11, d12), (d12, d22))) == exact
 
     def test_candidates_are_the_lattice_origin_and_full_power_points(self):
         # The witness lattice's candidates are the dense lattice's origin and
@@ -525,12 +584,18 @@ class TestMinOverA:
         # The precondition fails before any bound is searched.
         calls = []
         real = oracle.brute_force_upper
+        real_value = oracle._upper_value
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
+        def counted_value(*args):
+            calls.append(args)
+            return real_value(*args)
+
         monkeypatch.setattr(oracle, "brute_force_upper", counted)
+        monkeypatch.setattr(oracle, "_upper_value", counted_value)
         degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
         with pytest.raises(PreconditionFailed):
             min_over_a(degraded, optimal_beam(degraded), 10, seed=0)
@@ -547,7 +612,12 @@ class TestMinOverA:
             searched.append(a)
             return None, 1.0
 
+        def recorded_value(ch, a):
+            searched.append(a)
+            return 1.0
+
         monkeypatch.setattr(oracle, "brute_force_upper", recorded)
+        monkeypatch.setattr(oracle, "_upper_value", recorded_value)
         min_over_a(example_a, optimal_beam(example_a), 32, seed)
         rng = np.random.default_rng(seed)
         expected = []
