@@ -12,7 +12,6 @@ from .channel import (
     WiretapChannel,
     beam_covariance,
     classify,
-    reduce_rank_deficient,
     validate_covariance,
 )
 from .converse import (
@@ -48,7 +47,6 @@ __all__ = [
     "min_over_a",
     "optimal_beam",
     "optimize_alpha",
-    "reduce_rank_deficient",
     "sample_general_channels",
     "validate_covariance",
 ]

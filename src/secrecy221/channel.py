@@ -5,7 +5,8 @@ eavesdropper gain, and an average transmit power budget.  Receiver and
 eavesdropper noises are unit-variance Gaussians.  The classifier decides
 whether the eavesdropper is degraded (``||H^{-T} g|| <= 1``), the channel is
 the interesting non-degraded full-rank case, or the main channel is rank
-deficient and the problem collapses to a two-input single-output one.
+deficient (ReducedRank), where the certificate reports the best beam of H
+itself, read from the cached beam pencil, with no upper bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     InvalidCovariance,
     InvariantViolated,
     NotPSD,
-    NotRankDeficient,
     PowerExceeded,
 )
 from .matkit import Mat2, Vec2
@@ -75,10 +75,6 @@ class WiretapChannel(_ChannelFields):
         return self.gram()
 
     @cached_property
-    def _gram_eig(self) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
-        return mk.sym_eig2(self._gram)
-
-    @cached_property
     def _sv_ratio(self) -> float:
         """sigma_min / sigma_max of H, 0 for H = 0.
 
@@ -86,7 +82,7 @@ class WiretapChannel(_ChannelFields):
         small Gram eigenvalue bottoms out near 1e-8 sigma_max on an exactly
         rank-one H, just above EPS_RANK.
         """
-        l1 = self._gram_eig[0][0]
+        l1 = mk.sym_eig2(self._gram)[0][0]
         return abs(mk.det2(self.H)) / l1 if l1 > 0.0 else 0.0
 
     @cached_property
@@ -168,20 +164,6 @@ def classify(ch: WiretapChannel) -> ChannelClass:
         )
     kind = ChannelKind.GENERAL if eve_norm > 1.0 else ChannelKind.DEGRADED
     return ChannelClass(kind, eve_norm, ch._sv_ratio)
-
-
-def reduce_rank_deficient(ch: WiretapChannel) -> Vec2:
-    """Row gain h of the equivalent 2-1-1 channel (h, g, P) of a rank-deficient H.
-
-    Rotating the receiver by the left singular basis of H leaves a single
-    informative output with row gain sigma_1 v_1 (top singular pair of H);
-    g and P carry over unchanged.
-    """
-    if not ch._rank_deficient:
-        raise NotRankDeficient("channel has a full-rank main gain")
-    (l1, _), (v1, _) = ch._gram_eig
-    sigma1 = math.sqrt(max(l1, 0.0))
-    return mk.scale2(sigma1, v1)
 
 
 def validate_covariance(s, power: float) -> CovMat:

@@ -31,7 +31,6 @@ from .channel import (
     WiretapChannel,
     beam_covariance,
     classify,
-    reduce_rank_deficient,
     _gaussian_rate_detail,
     _require_positive,
 )
@@ -85,7 +84,9 @@ class CapacityCertificate(NamedTuple):
     names to their numerical residuals; the verdict is Tight only when the
     bound gap and every residual are within tolerance.  Degraded and
     rank-deficient channels get verdict Inapplicable together with the
-    appropriate alternative computation (recorded in ``flags``).
+    appropriate alternative computation (recorded in ``flags``) and no
+    upper bound: only a General certificate that completes the tight path
+    sets ``upper``.
     """
 
     kind: ChannelKind
@@ -293,16 +294,15 @@ def _certificate_verdict(residuals: dict[str, float], eps_cert: float) -> str:
 def _inapplicable(
     kind: ChannelKind,
     value: float,
-    upper: float | None,
     lambda1: float,
     beam: BeamSolution | None,
     flags: dict[str, Any],
 ) -> CapacityCertificate:
-    """Certificate of a channel the tight construction does not cover."""
+    """Certificate of a channel the tight construction does not cover: no upper bound."""
     return CapacityCertificate(
         kind=kind,
         lower=value,
-        upper=upper,
+        upper=None,
         lambda1=lambda1,
         eigenvalues_of_bound=None,
         residuals={},
@@ -327,19 +327,17 @@ def capacity_certificate(
     the best Gaussian rate, solved by the oracle (``degraded_formula:
     solved``) and witnessed by the ``flags.grid`` lattice: InvariantViolated
     if a lattice point beats it by more than EPS_GRID_EXCESS.  Rank-deficient
-    channels report the known capacity of the equivalent 2-1-1 channel.
-    Both alternatives carry verdict Inapplicable since the tight
+    channels report the best beam of H itself, (1/2) log lambda_1 of the
+    channel's cached beam pencil (I + P H^T H, I + P g g^T): an achievable
+    rate, and the capacity when H is exactly rank one.  Both alternatives
+    carry verdict Inapplicable and no upper bound since the tight
     construction does not apply.
     """
     cls = classify(ch)
 
     if cls.kind is ChannelKind.REDUCED_RANK:
-        h = reduce_rank_deficient(ch)
-        a_m = mk.matadd2(mk.eye2(), mk.matscale2(ch.P, mk.outer2(h, h)))
-        (lam, _), _ = mk.gen_eig2_rank1(a_m, ch.P, ch.g)
-        value = 0.5 * math.log(lam)
-        flags = {"reduced_rank": True, "miso_capacity": True}
-        return _inapplicable(cls.kind, value, value, lam, None, flags)
+        lam = ch._beam_eig[0][0]
+        return _inapplicable(cls.kind, 0.5 * math.log(lam), lam, None, {"reduced_rank": True})
 
     beam = optimal_beam(ch)
 
@@ -356,7 +354,7 @@ def capacity_certificate(
             "no_eavesdropper": beam.no_eavesdropper,
         }
         value = max(beam.rate, rate)
-        return _inapplicable(cls.kind, value, None, beam.lambda1, beam, flags)
+        return _inapplicable(cls.kind, value, beam.lambda1, beam, flags)
 
     try:
         q_perp = mk.orth_perp(beam.q_a)
@@ -412,4 +410,4 @@ def capacity_certificate(
             "tight_path_message": str(exc),
             "degenerate": beam.degenerate,
         }
-        return _inapplicable(cls.kind, beam.rate, None, beam.lambda1, beam, flags)
+        return _inapplicable(cls.kind, beam.rate, beam.lambda1, beam, flags)

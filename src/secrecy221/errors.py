@@ -39,10 +39,6 @@ class BoundaryAmbiguous(ChannelError):
     must choose a branch explicitly."""
 
 
-class NotRankDeficient(ChannelError):
-    """A rank-deficient reduction was requested on a full-rank channel."""
-
-
 class RankDeficient(ChannelError):
     """An operation requiring a full-rank main channel got a singular one."""
 

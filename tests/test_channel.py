@@ -1,4 +1,4 @@
-"""Channel validation, classification, reduction, and Gaussian rates."""
+"""Channel validation, classification, and Gaussian rates."""
 
 import math
 import random
@@ -12,7 +12,6 @@ from secrecy221 import (
     capacity_certificate,
     classify,
     kkt_check,
-    reduce_rank_deficient,
     validate_covariance,
 )
 from secrecy221 import matkit as mk
@@ -21,7 +20,6 @@ from secrecy221.errors import (
     BoundaryAmbiguous,
     InvalidCovariance,
     NotPSD,
-    NotRankDeficient,
     PowerExceeded,
 )
 from secrecy221.tolerances import EPS_ID, MAX_GAIN_SQ, MAX_SNR
@@ -187,39 +185,6 @@ class TestClassify:
             assert cls_rot.kind is cls.kind
             if cls.eve_norm is not None:
                 assert math.isclose(cls_rot.eve_norm, cls.eve_norm, rel_tol=1e-9)
-
-
-class TestReduceRankDeficient:
-    def test_symmetric_rank_one(self):
-        h = reduce_rank_deficient(
-            WiretapChannel(((1.0, 1.0), (1.0, 1.0)), (1.0, 0.0), 1.0)
-        )
-        r = math.sqrt(2.0)
-        assert math.isclose(h[0], r, rel_tol=1e-12)
-        assert math.isclose(h[1], r, rel_tol=1e-12)
-
-    def test_axis_case(self):
-        h = reduce_rank_deficient(
-            WiretapChannel(((1.0, 0.0), (0.0, 0.0)), (0.3, 0.4), 2.0)
-        )
-        assert h == (1.0, 0.0)
-
-    def test_frobenius_oracle(self):
-        # For a rank-1 matrix the top singular value is the Frobenius norm.
-        h = ((2.0, 4.0), (1.0, 2.0))
-        h_row = reduce_rank_deficient(WiretapChannel(h, (1.0, 0.0), 1.0))
-        fro = math.sqrt(sum(x * x for row in h for x in row))
-        assert math.isclose(mk.norm2(h_row), fro, rel_tol=1e-12)
-
-    def test_zero_channel(self):
-        h = reduce_rank_deficient(
-            WiretapChannel(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0), 1.0)
-        )
-        assert h == (0.0, 0.0)
-
-    def test_full_rank_rejected(self, example_a):
-        with pytest.raises(NotRankDeficient):
-            reduce_rank_deficient(example_a)
 
 
 class TestValidateCovariance:

@@ -98,6 +98,7 @@ class TestCapacity:
         doc = json.loads(out)
         assert doc["class"] == "ReducedRank"
         assert doc["capacity"] == 0.0
+        assert doc["upper_nats"] is None
 
     def test_malformed_spec_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

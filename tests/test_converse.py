@@ -5,8 +5,10 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 
+from conftest import disk_max_reference
 from secrecy221 import (
     ChannelKind,
     TightCorrelation,
@@ -447,8 +449,8 @@ class TestCapacityCertificate:
         cert = capacity_certificate(ch)
         assert cert.kind is ChannelKind.REDUCED_RANK
         assert cert.verdict == "Inapplicable"
-        assert cert.flags["reduced_rank"]
-        assert cert.lower == cert.upper
+        assert cert.flags == {"reduced_rank": True}
+        assert cert.upper is None
 
     def test_rank_one_product_gets_reduced_rank_certificate(self):
         h = (
@@ -458,7 +460,6 @@ class TestCapacityCertificate:
         cert = capacity_certificate(WiretapChannel(h, (1.0, 0.0), 1.0))
         assert cert.kind is ChannelKind.REDUCED_RANK
         assert cert.verdict == "Inapplicable"
-        # For rank-one H the reduced row h = sigma_1 v_1 has h h^T = H^T H, so
         # lambda_1 is the top eigenvalue of B^{-1} A with A = I + H^T H and
         # B = I + g g^T = diag(2, 1): trace a00 / 2 + a11, determinant det(A) / 2.
         hh = mk.matmul2(mk.transpose2(h), h)
@@ -467,7 +468,8 @@ class TestCapacityCertificate:
         det = mk.det2(a) / 2.0
         lam = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
         assert math.isclose(cert.lambda1, lam, rel_tol=1e-12)
-        assert cert.lower == cert.upper == cert.capacity_nats
+        assert cert.lower == cert.capacity_nats
+        assert cert.upper is None
 
     def test_zero_channel_has_zero_capacity(self):
         cert = capacity_certificate(WiretapChannel(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0), 1.0))
@@ -545,3 +547,61 @@ class TestCapacityCertificate:
     def test_beam_covariance_of_tight_point(self, example_a):
         cov = beam_covariance((0.0, 1.0), 1.0)
         assert cov.S == ((0.0, 0.0), (0.0, 1.0))
+
+
+def best_beam_reference(h, g, power) -> float:
+    """(1/2) log of the top generalized eigenvalue of (I + P H^T H, I + P g g^T),
+    formed in 50-digit arithmetic from the float H and g: the root of
+    det B x^2 - t x + det A = 0, t = a11 b22 + a22 b11 - 2 a12 b12."""
+    with mpmath.workdps(50):
+        hm = [[mpmath.mpf(x) for x in row] for row in h]
+        gm = [mpmath.mpf(x) for x in g]
+        p = mpmath.mpf(power)
+        a = [
+            [int(i == j) + p * (hm[0][i] * hm[0][j] + hm[1][i] * hm[1][j]) for j in range(2)]
+            for i in range(2)
+        ]
+        b = [[int(i == j) + p * gm[i] * gm[j] for j in range(2)] for i in range(2)]
+        det_a = a[0][0] * a[1][1] - a[0][1] ** 2
+        det_b = b[0][0] * b[1][1] - b[0][1] ** 2
+        t = a[0][0] * b[1][1] + a[1][1] * b[0][0] - 2 * a[0][1] * b[0][1]
+        lam = (t + mpmath.sqrt(t * t - 4 * det_a * det_b)) / (2 * det_b)
+        return float(mpmath.log(lam) / 2)
+
+
+class TestReducedRankCertificate:
+    @pytest.mark.parametrize("power", [1e12, 1e16, 1e20])
+    def test_near_rank_one_reports_no_upper_bound(self, power):
+        # sigma_2 / sigma_1 = 0.99e-8 is ReducedRank, but sigma_2 > 0: the
+        # Gaussian maximum over every covariance exceeds the best beam, so
+        # no rank-one reduction bounds the capacity from above.
+        h = ((1.0, 0.0), (0.0, 0.99e-8))
+        ch = WiretapChannel(h, (0.1, 0.0), power)
+        cert = capacity_certificate(ch)
+        assert cert.kind is ChannelKind.REDUCED_RANK
+        assert cert.upper is None
+        with mpmath.workdps(50):
+            gram = [[mpmath.mpf(h[0][0]) ** 2, 0], [0, mpmath.mpf(h[1][1]) ** 2]]
+            ceiling = 0.5 * math.log(disk_max_reference(gram, ch.g, power))
+        assert cert.capacity_nats <= ceiling
+
+    def test_diagonal_battery_matches_the_50_digit_best_beam(self):
+        rng = random.Random(18)
+        for eps in (0.0, 1e-9, 3e-9, 9e-9):
+            for g_kind in ("zero", "axis", "normal"):
+                for _ in range(3):
+                    s = 10.0 ** rng.uniform(-1.0, 1.0)
+                    h = ((s, 0.0), (0.0, s * eps))
+                    if g_kind == "zero":
+                        g = (0.0, 0.0)
+                    elif g_kind == "axis":
+                        g = (10.0 ** rng.uniform(-1.0, 1.0), 0.0)
+                    else:
+                        g = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                    for power in (1.0, 1e4, 1e8, 1e12):
+                        cert = capacity_certificate(WiretapChannel(h, g, power))
+                        assert cert.kind is ChannelKind.REDUCED_RANK
+                        assert cert.upper is None
+                        ref = best_beam_reference(h, g, power)
+                        err = abs(cert.capacity_nats - ref)
+                        assert err <= 1e-9 * max(1.0, abs(ref)), (h, g, power)

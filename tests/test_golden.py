@@ -27,11 +27,18 @@ Degraded certificate on 50 channels across 33 power decades, and
 `ORACLE_POWER_DIGEST` pins the default `oracle` report across five power
 decades, exit codes included; both were recorded before the oracle's
 sampled bounds and the Degraded rate were searched for their value alone.
+`REDUCED_RANK_WIDE_POWER_DIGEST` pins the ReducedRank certificate on 48
+diagonal and rotated channels, exactly and nearly rank one, across 33 power
+decades; it was recorded when that certificate took the best beam of H
+from the channel's own beam pencil and dropped the upper bound of the
+rank-one reduction, which was false whenever sigma_2 > 0.
 """
 
 import hashlib
 import io
 import json
+import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -80,6 +87,12 @@ DEGRADED_WIDE_POWER_DIGEST = "804c10d4531000c0c3975220b9a52c19864a406ca27eda9a4c
 # Linux.
 ORACLE_POWER_DIGEST = "5362797678d133aaaddb870c5b8d0ba8590510a6f8f8bf41facfc6c132ce92c4"
 ORACLE_POWER_EXITS = [2] * 10 + [0] * 45
+
+# SHA-256 over 48 ReducedRank channels at P = 10**k, k = -12..20 (1,584
+# certificates), in WIDE_POWER_DIGEST's format; see reduced_rank_channels.
+# Recorded on x86-64 Linux when these certificates took the best beam of H
+# from its own beam pencil and dropped their upper bound.
+REDUCED_RANK_WIDE_POWER_DIGEST = "bf0ed8ef555bdc90816a15cbd678f575f8fe709fe3fc00258af07141578526b2"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 EXAMPLE_DIAG = '{"H": [[0.9, 0.0], [0.0, 2.0]], "g": [2.0, 0.0], "P": 1.0}'
@@ -198,3 +211,38 @@ def test_oracle_power_digest(capsys, monkeypatch):
             digest.update(f"exit {code}\n".encode())
     assert codes == ORACLE_POWER_EXITS
     assert digest.hexdigest() == ORACLE_POWER_DIGEST
+
+
+def reduced_rank_channels() -> list[WiretapChannel]:
+    """48 channels with sigma_2 / sigma_1 = (0, 1e-9, 3e-9, 9e-9)[i % 4],
+    sigma_1 log-uniform in [0.1, 10] and g ~ N(0, I): the first 24 with a
+    diagonal H, the rest with H = R(t1) diag(sigma_1, sigma_2) R(t2)^T."""
+    rng = random.Random(18)
+    channels = []
+    for i in range(48):
+        s = 10.0 ** rng.uniform(-1.0, 1.0)
+        h = ((s, 0.0), (0.0, s * (0.0, 1e-9, 3e-9, 9e-9)[i % 4]))
+        g = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        if i >= 24:
+            r1, r2 = (
+                ((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t)))
+                for t in (rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi))
+            )
+            h = mk.matmul2(mk.matmul2(r1, h), mk.transpose2(r2))
+        channels.append(WiretapChannel(h, g, 1.0))
+    return channels
+
+
+def test_reduced_rank_wide_power_certificate_digest():
+    channels = reduced_rank_channels()
+    assert all(classify(ch).kind is ChannelKind.REDUCED_RANK for ch in channels)
+    digest = hashlib.sha256()
+    for k in range(-12, 21):
+        for ch in channels:
+            try:
+                cert = capacity_certificate(ch.with_power(10.0**k))
+                text = dumps(certificate_to_dict(cert))
+            except Exception as exc:  # noqa: BLE001 - refusals are part of the record
+                text = f"{type(exc).__name__}: {exc}"
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == REDUCED_RANK_WIDE_POWER_DIGEST

@@ -45,21 +45,37 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert "Falsifying example" in proc.stdout
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # A capacity certificate never calls numpy, so a one-shot `capacity`
-    # process should not pay for importing it; nor for dataclasses, which
-    # pulls in inspect, ast and dis.  `site` may preload modules, so only
-    # what the import adds to a bare interpreter counts.
+def test_importing_the_cli_leaves_numpy_unloaded(tmp_path):
+    # A General or ReducedRank capacity certificate never calls numpy, so a
+    # one-shot `capacity` process should not pay for importing it; nor for
+    # dataclasses, which pulls in inspect, ast and dis.  `site` may preload
+    # modules, so only what the import and the calls add to a bare
+    # interpreter counts.  (A Degraded certificate still loads numpy through
+    # its witness lattice.)
+    specs = {
+        "general.json": '{"H": [[1, 0], [0, 1]], "g": [2, 0], "P": 1}',
+        "reduced_rank.json": '{"H": [[1, 0], [0, 0.99e-8]], "g": [0.1, 0], "P": 1e12}',
+    }
+    for name, spec in specs.items():
+        (tmp_path / name).write_text(spec)
     env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
-    code = (
-        "import sys; before = set(sys.modules); import secrecy221.cli; "
-        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
+    code = """
+import io, json, sys
+before = set(sys.modules)
+import secrecy221.cli as cli
+runs = []
+for path in sys.argv[1:]:
+    out, sys.stdout = sys.stdout, io.StringIO()
+    code = cli.main(["capacity", path])
+    text, sys.stdout = sys.stdout.getvalue(), out
+    runs.append((code, json.loads(text)["class"]))
+print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *(str(tmp_path / name) for name in specs)],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank')] []\n"
