@@ -400,10 +400,11 @@ def capacity_certificate(
             correlation=tc,
             flags={"degenerate": beam.degenerate, "no_eavesdropper": beam.no_eavesdropper},
         )
-    except (ConverseError, InvariantViolated, MatrixError) as exc:
+    except (ConverseError, InvariantViolated, MatrixError, PreconditionFailed) as exc:
         # The tight construction failed (degenerate direction, ||a*|| off
-        # the unit disk, a log argument cancelled at huge P, or a numerically
-        # singular H^T H or resolvent).  The lower bound still stands; report
+        # the unit disk, a log argument cancelled at huge P, a numerically
+        # singular H^T H or resolvent, or g^T (H^T H)^{-1} g lost to underflow
+        # at squared gains near 1e-160).  The lower bound still stands; report
         # it without a certified converse rather than guessing.
         flags = {
             "tight_path_error": type(exc).__name__,

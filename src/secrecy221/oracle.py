@@ -21,6 +21,13 @@ alone.  I + D S is then a rank-one update of I, so Sherman-Morrison gives
 the gradient without inverting it: at high SNR det(I + D S) / ||I + D S||_F^2
 is ~1/P, which a 2x2 inverse would refuse as singular.
 
+``min_over_a`` solves the genie bound only at the sampled correlations that
+can still lower the minimum.  Each sample is first probed at the two
+full-power beams the call already holds, q_a and q_perp; a beam is a
+feasible covariance, so a probe rate above the best bound so far, by more
+than the roundoff EPS_GRID_EXCESS, proves that the sample's maximum is above
+it too.  The minimum and its correlation are unchanged.
+
 Only ``min_over_a`` and ``sample_general_channels`` draw random numbers,
 from the caller's seed, and the witness reduces in a fixed order, so
 identical seeds give bit-identical results regardless of thread count.
@@ -44,7 +51,7 @@ from .channel import (
 from .converse import TightCorrelation, coupling_gain_matrix
 from .errors import BoundaryAmbiguous
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_KKT, EPS_RIM
+from .tolerances import EPS_GRID_EXCESS, EPS_KKT, EPS_RIM
 
 
 def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
@@ -294,7 +301,16 @@ def min_over_a(
     bound is maximized over covariances exactly.  The sampled bounds are
     searched for their value alone (``_upper_value``), since only their
     values are compared; the bound at a* comes from ``brute_force_upper``
-    with its maximizing covariance, as a library caller gets it.  The
+    with its maximizing covariance, as a library caller gets it.
+
+    A sample is not searched when a beam probe proves it cannot lower the
+    minimum.  The full-power beams S = P q q^T, q in {q_a, q_perp}, are
+    feasible, so the search's value is at least the probe rate
+    (1/2) log[(1 + P q^T A(a) q) / (1 + P (g^T q)^2)], up to the roundoff
+    EPS_GRID_EXCESS.  A sample whose probe rate exceeds the best value by
+    more than that would search to a value above it, and only a strictly
+    lower value replaces the best, so a_best and value are those of the
+    exhaustive search: the first minimum over every sample.  The
     values are returned, not judged: the oracle verb checks both
     relations.  ``beam`` is the channel's ``optimal_beam``; channels that
     are not General fail in optimal_beam or optimize_alpha, before any
@@ -310,6 +326,12 @@ def min_over_a(
     if samples < 1:
         raise ValueError("need at least one sample")
     tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
+    # q^T A(a) q = ||Hq||^2 + (a^T Hq - g^T q)^2 / (1 - ||a||^2), with every
+    # term but a's computed once.
+    probes = []
+    for q in (beam.q_a, tc.q_perp):
+        hq, gq = mk.matvec2(ch.H, q), mk.dot2(ch.g, q)
+        probes.append((hq, mk.dot2(hq, hq), gq, 1.0 + ch.P * gq * gq))
 
     # One draw for every sample; a rejected pair's successor is the stream's next.
     rng = np.random.default_rng(seed)
@@ -327,10 +349,16 @@ def min_over_a(
                 break
         ang = 2.0 * math.pi * v
         a = (r * math.cos(ang), r * math.sin(ang))
-        value = _upper_value(ch, a)
-        if value < best_value:
-            best_value = value
-            best_a = a
+        k = 1.0 - mk.dot2(a, a)
+        for hq, hh, gq, den in probes:
+            probe = (1.0 + ch.P * (hh + (mk.dot2(a, hq) - gq) ** 2 / k)) / den
+            if 0.5 * math.log(probe) > best_value + EPS_GRID_EXCESS:
+                break
+        else:
+            value = _upper_value(ch, a)
+            if value < best_value:
+                best_value = value
+                best_a = a
     assert best_a is not None
 
     _, star_value = brute_force_upper(ch, tc.a_star)

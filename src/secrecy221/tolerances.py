@@ -42,7 +42,8 @@ UNIT_COUPLING_TOL = 1e-9
 # the winner's unit-rank margin relative to P and, absolute, how far the
 # search may fall below the best beam on Degraded channels; EPS_GRID_EXCESS
 # is the roundoff by which a searched rate may exceed the closed-form optimum
-# or a lattice rate the solved one.
+# or a lattice rate the solved one, and the slack by which a beam probe in
+# min_over_a must exceed the best sampled bound before a sample is skipped.
 EPS_GRID = 1e-9
 EPS_GRID_EXCESS = 1e-12
 

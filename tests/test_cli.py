@@ -66,6 +66,18 @@ class TestCapacity:
         assert doc["upper_nats"] is None
         assert doc["flags"]["tight_path_error"] == "SingularMatrix"
 
+    @pytest.mark.parametrize("scale", [1e-80, 1e-79, 1e-78])
+    def test_underflowed_gram_inverse_falls_back_with_exit_zero(self, capsys, tmp_path, scale):
+        path = tmp_path / "tiny.json"
+        h = [[scale, 0.5 * scale], [0.2 * scale, 1.2 * scale]]
+        path.write_text(json.dumps({"H": h, "g": [1.1 * scale, 0.9 * scale], "P": 1.0}))
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["class"] == "General"
+        assert doc["verdict"] == "Inapplicable"
+        assert doc["flags"]["tight_path_error"] == "PreconditionFailed"
+
     @pytest.mark.parametrize(
         "spec",
         [

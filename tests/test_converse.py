@@ -488,6 +488,19 @@ class TestCapacityCertificate:
         assert cert.flags["tight_path_error"] == "SingularMatrix"
         assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
 
+    @pytest.mark.parametrize("scale", [1e-80, 1e-79, 1e-78])
+    def test_underflowed_gram_inverse_falls_back_to_beam(self, scale):
+        # Squared gains near 1e-160: (H^T H)^{-1} underflows, so optimize_alpha
+        # finds g^T (H^T H)^{-1} g = nan and refuses its precondition.
+        h = mk.matscale2(scale, ((1.0, 0.5), (0.2, 1.2)))
+        ch = WiretapChannel(h, mk.scale2(scale, (1.1, 0.9)), 1.0)
+        cert = capacity_certificate(ch)
+        assert cert.kind is ChannelKind.GENERAL
+        assert cert.verdict == "Inapplicable"
+        assert cert.upper is None
+        assert cert.flags["tight_path_error"] == "PreconditionFailed"
+        assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
+
     # General channels at huge P whose tight path cancels a log argument
     # below zero: the beam is nearly orthogonal to g (1 + g^T S g < 0 in the
     # Sylvester route), or det(I + A(a*) S) < 0 in the genie bound's route 2.

@@ -32,6 +32,9 @@ diagonal and rotated channels, exactly and nearly rank one, across 33 power
 decades; it was recorded when that certificate took the best beam of H
 from the channel's own beam pencil and dropped the upper bound of the
 rank-one reduction, which was false whenever sigma_2 > 0.
+`ORACLE_SAMPLES_DIGEST` pins `oracle` at 50 samples on seed 28368, whose
+stream rejects one pair; it was recorded before the sampled bounds that two
+beam probes prove cannot lower the minimum were skipped.
 """
 
 import hashlib
@@ -73,6 +76,11 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 # "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
 # solved on the trace-P disk and the KKT gradient formed by Sherman-Morrison.
 ORACLE_SUITE_DIGEST = "1ce886377b23c0470f8357426d4956216e569d122c768d1f30e837db43e11e3f"
+
+# SHA-256 over `oracle - --samples 50 --seed 28368` on the first 40 lines of
+# `random --seed 0 --count 1000`, in ORACLE_SUITE_DIGEST's format.  Recorded
+# on x86-64 Linux.
+ORACLE_SAMPLES_DIGEST = "99d9cc5ad290c0575c5745892ee427069971bf8b6760e82a663f399cca2d93c9"
 
 # SHA-256 over 50 Degraded channels at P = 10**k, k = -12..20 (1,650
 # certificates), in WIDE_POWER_DIGEST's format.  Channel i is the i-th of
@@ -162,6 +170,18 @@ def test_oracle_suite_digest(capsys, monkeypatch):
         digest.update(capsys.readouterr().out.encode())
         digest.update(f"exit {code}\n".encode())
     assert digest.hexdigest() == ORACLE_SUITE_DIGEST
+
+
+def test_oracle_samples_digest(capsys, monkeypatch):
+    assert main(["random", "--seed", "0", "--count", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:40]
+    digest = hashlib.sha256()
+    for line in lines:
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        code = main(["oracle", "-", "--samples", "50", "--seed", "28368"])
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(f"exit {code}\n".encode())
+    assert digest.hexdigest() == ORACLE_SAMPLES_DIGEST
 
 
 def test_wide_power_certificate_digest():

@@ -32,7 +32,7 @@ from secrecy221 import matkit as mk
 from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate, PreconditionFailed
 from secrecy221.oracle import covariance_from_param
-from secrecy221.tolerances import EPS_GRID, EPS_RIM, EPS_TRACE
+from secrecy221.tolerances import EPS_GRID, EPS_GRID_EXCESS, EPS_RIM, EPS_TRACE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -614,7 +614,7 @@ class TestMinOverA:
 
         def recorded_value(ch, a):
             searched.append(a)
-            return 1.0
+            return 1e300
 
         monkeypatch.setattr(oracle, "brute_force_upper", recorded)
         monkeypatch.setattr(oracle, "_upper_value", recorded_value)
@@ -628,6 +628,71 @@ class TestMinOverA:
                 ang = 2.0 * math.pi * v
                 expected.append((r * math.cos(ang), r * math.sin(ang)))
         assert searched[:-1] == expected
+
+    @staticmethod
+    def _sample_stream(seed, samples):
+        """The correlations ``min_over_a`` samples, replayed pair by pair."""
+        rng = np.random.default_rng(seed)
+        stream = []
+        while len(stream) < samples:
+            u, v = rng.random(2)
+            r = math.sqrt(u)
+            if r < 1.0 - EPS_RIM:
+                ang = 2.0 * math.pi * v
+                stream.append((r * math.cos(ang), r * math.sin(ang)))
+        return stream
+
+    def test_skipped_samples_keep_the_exhaustive_minimum(self):
+        channels, _ = sample_general_channels(11, 60)
+        streams = {key: self._sample_stream(*key) for key in ((0, 32), (28368, 50))}
+        for power in (1e-10, 1e-6, 1.0, 1e8, 1e14):
+            for ch in channels:
+                ch = ch.with_power(power)
+                beam = optimal_beam(ch)
+                for (seed, samples), stream in streams.items():
+                    values = [oracle._upper_value(ch, a) for a in stream]
+                    value = min(values)
+                    a_best = stream[values.index(value)]
+                    assert min_over_a(ch, beam, samples, seed)[:2] == (a_best, value)
+
+    def test_beam_bounds_each_search_from_below(self):
+        # The premise of the skip: the genie bound at the feasible beam
+        # S = P q q^T / ||q||^2 never exceeds the solved maximum by more than
+        # EPS_GRID_EXCESS.  The bound is route 1 of _upper_value_detail, the
+        # 3x3 determinant with N^{-1}, evaluated to 50 digits (in floats that
+        # route cancels from P ~ 1e6 on); with m = [H; g^T] q it is
+        # det(I + N^{-1} m m^T P / ||q||^2) = 1 + (P / ||q||^2) m^T N^{-1} m.
+        channels, _ = sample_general_channels(19, 200)
+        rng = random.Random(19)
+        for _ in range(2000):
+            ch = rng.choice(channels).with_power(10.0 ** rng.uniform(-10.0, 14.0))
+            r = math.sqrt(rng.random()) * (1.0 - EPS_RIM)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            a = (r * math.cos(ang), r * math.sin(ang))
+            q_a = optimal_beam(ch).q_a
+            solved = oracle._upper_value(ch, a)
+            with mpmath.workdps(50):
+                n_inv = mpmath.inverse(mpmath.matrix(mk.noise_cov3(a)))
+                rows = mpmath.matrix([ch.H[0], ch.H[1], ch.g])
+                for q in (q_a, mk.orth_perp(q_a)):
+                    qv = mpmath.matrix(q)
+                    m = rows * qv
+                    scale = ch.P / (qv.T * qv)[0]
+                    det_1 = 1 + scale * (m.T * n_inv * m)[0]
+                    den = 1 + scale * m[2] ** 2
+                    assert (mpmath.log(det_1) - mpmath.log(den)) / 2 <= solved + EPS_GRID_EXCESS
+
+    def test_samples_that_cannot_win_are_not_searched(self, example_a, monkeypatch):
+        searched = []
+        real_value = oracle._upper_value
+
+        def counted_value(ch, a):
+            searched.append(a)
+            return real_value(ch, a)
+
+        monkeypatch.setattr(oracle, "_upper_value", counted_value)
+        min_over_a(example_a, optimal_beam(example_a), 32, 0)
+        assert len(searched) < 32
 
 
 class TestSampling:
