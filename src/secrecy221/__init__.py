@@ -24,7 +24,6 @@ from .converse import (
 from .oracle import (
     brute_force_gaussian,
     brute_force_upper,
-    kkt_check,
     min_over_a,
     sample_general_channels,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "capacity_certificate",
     "classify",
     "coupling_gain_matrix",
-    "kkt_check",
     "min_over_a",
     "optimal_beam",
     "optimize_alpha",

@@ -98,10 +98,6 @@ def det2(m: Mat2) -> float:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def trace2(m: Mat2) -> float:
-    return m[0][0] + m[1][1]
-
-
 def quad2(m: Mat2, v: Vec2) -> float:
     """Quadratic form v^T m v."""
     return dot2(v, matvec2(m, v))

@@ -1,5 +1,5 @@
-"""Brute-force verification: the solved covariance search, KKT checks, and
-sampling of admissible noise correlations.
+"""Brute-force verification: the solved covariance search, the exact bracket
+on the closed-form beam, and sampling of admissible noise correlations.
 
 The covariance search is a genuinely independent route to the rates.  The
 covariances of trace P form the disk S(z) = (P/2) [[1 + x, y], [y, 1 - x]],
@@ -16,10 +16,11 @@ origin or at full power.  So the side-m power lattice peaks, at each angle,
 at the origin or at one of its m + 1 full-power points, which is all that
 the lattice witness ``_grid_max_ratio`` evaluates.
 
-``kkt_check`` judges a full-power beam S = P q q^T from the channel and q
-alone.  I + D S is then a rank-one update of I, so Sherman-Morrison gives
-the gradient without inverting it: at high SNR det(I + D S) / ||I + D S||_F^2
-is ~1/P, which a 2x2 inverse would refuse as singular.
+The bracket judges a beam exactly, from the float inputs as integers over a
+power of two.  ``_beam_excess`` rounds the beam's excess ratio once, and
+``_bound_at_most`` compares the genie bound at a with 1 + rho on the same
+disk.  The genie-aided channel is degraded, so its Gaussian maximum is its
+secrecy capacity, which bounds the channel's at any a inside the unit disk.
 
 ``min_over_a`` solves the genie bound only at the sampled correlations that
 can still lower the minimum.  Each sample is first probed at the two
@@ -37,7 +38,6 @@ numpy is imported by the functions that use it, not by the package.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import matkit as mk
 from .achievable import BeamSolution
@@ -51,7 +51,7 @@ from .channel import (
 from .converse import TightCorrelation, coupling_gain_matrix
 from .errors import BoundaryAmbiguous
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_GRID_EXCESS, EPS_KKT, EPS_RIM
+from .tolerances import EPS_GRID_EXCESS, EPS_RIM
 
 
 def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
@@ -68,28 +68,25 @@ def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
     )
 
 
-class KKTReport(NamedTuple):
-    """First-order optimality report for a full-power beam."""
-
-    multiplier: float
-    residual_stationarity: float
-    residual_complementarity: float
-    psd_margin: float
-    passes: bool
-
-
 # --------------------------------------------------------------------------
 # covariance search
 # --------------------------------------------------------------------------
+
+def _dyadic(*xs: float) -> tuple[list[int], int]:
+    """The floats xs as integers over one power-of-two denominator d:
+    ([x * d for x in xs], d), exactly.  A quotient of two integer
+    polynomials in them rounds once, since int / int rounds correctly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
 
 def _sym_det(d_mat: Mat2) -> float:
     """d11 d22 - d12^2 from exact integer products, rounded once: the float
     formula cancels, and its cond(D) roundings would reach the ratio."""
     (d11, d12), (_, d22) = d_mat
-    a, p = d11.as_integer_ratio()
-    b, q = d12.as_integer_ratio()
-    c, r = d22.as_integer_ratio()
-    return (a * c * q * q - b * b * p * r) / (p * r * q * q)
+    (a, b, c), d = _dyadic(d11, d12, d22)
+    return (a * c - b * b) / (d * d)
 
 
 def _disk_max(d_mat: Mat2, g: Vec2, power: float) -> tuple[float, tuple[float, float, float]]:
@@ -240,47 +237,53 @@ def _upper_value(ch: WiretapChannel, a: Vec2) -> float:
 
 
 # --------------------------------------------------------------------------
-# KKT verification
+# exact bracket
 # --------------------------------------------------------------------------
 
-def kkt_check(ch: WiretapChannel, q: Vec2) -> KKTReport:
-    """First-order optimality of the full-power beam S = P q q^T, unit q.
+def _beam_excess(ch: WiretapChannel, q: Vec2) -> float:
+    """(q^T q + P ||Hq||^2) / (q^T q + P (g^T q)^2) - 1 for a nonzero q, exact
+    for the float inputs and rounded once.  S = P q q^T / q^T q is feasible,
+    so (1/2) log1p of the exact value is an achievable secrecy rate."""
+    (h11, h12, h21, h22, g1, g2, q1, q2, p), d = _dyadic(*ch.H[0], *ch.H[1], *ch.g, *q, ch.P)
+    hq1, hq2, gq = h11 * q1 + h12 * q2, h21 * q1 + h22 * q2, g1 * q1 + g2 * q2
+    num = p * (hq1 * hq1 + hq2 * hq2 - gq * gq)  # both terms scaled by d^5
+    return num / (d**3 * (q1 * q1 + q2 * q2) + p * gq * gq)
 
-    For the objective log det(I + D S) - log(1 + g^T S g), D = H^T H, under
-    tr(S) <= P, the gradient is G = (I + D S)^{-1} D - g g^T / (1 + g^T S g),
-    which Sherman-Morrison turns into
-    G = D - P (Dq)(Dq)^T / (1 + P q^T D q) - g g^T / (1 + P (g^T q)^2)
-    with no inverse; the beam passes when C = lambda I - G (with
-    lambda = q^T G q) kills S, is PSD on the complement of the beam, the
-    multiplier is nonnegative, and complementary slackness holds.
+
+def _bound_at_most(ch: WiretapChannel, a: Vec2, rho: float) -> bool:
+    """Whether det(I + A(a) S) <= (1 + rho)(1 + g^T S g) for every PSD S with
+    tr S <= P, decided exactly for the float inputs; False for ||a|| >= 1.
+
+    The full-power beam orthogonal to g has ratio >= 1, so the disk decides
+    alone, rho < 0 included.  There N - (1 + rho) Den = c0 + w.z - gamma |z|^2
+    peaks, as in ``_disk_max``, at c0 + |w|^2 / 4 gamma when |w| <= 2 gamma
+    and at c0 - gamma + |w| on the rim otherwise.  kA = k H^T H + v v^T, with
+    k = 1 - ||a||^2 and v = H^T a - g, is a polynomial, so both comparisons
+    are squared and made in integers scaled by 4 k^2.
     """
-    d, g, power = ch._gram, ch.g, ch.P
-    dq = mk.matvec2(d, q)
-    main_term = mk.matscale2(-power / (1.0 + power * mk.dot2(q, dq)), mk.outer2(dq, dq))
-    eve_term = mk.matscale2(-1.0 / (1.0 + power * mk.dot2(g, q) ** 2), mk.outer2(g, g))
-    grad = mk.matadd2(mk.matadd2(d, main_term), eve_term)
-    s = mk.matscale2(power, mk.outer2(q, q))
-    lam = mk.quad2(grad, q)
-    c_mat = mk.matadd2(mk.matscale2(lam, mk.eye2()), mk.matscale2(-1.0, grad))
-    cs = mk.matmul2(c_mat, s)
-    stationarity = max(abs(x) for row in cs for x in row)
-    complementarity = abs(lam * (mk.trace2(s) - power))
-    margin = mk.quad2(c_mat, mk.orth_perp(q))
-
-    scale = max(1.0, power * mk.fro2(grad))
-    passes = (
-        stationarity <= EPS_KKT * scale
-        and complementarity <= EPS_KKT * scale
-        and lam >= -EPS_KKT
-        and margin >= -EPS_KKT * max(1.0, mk.fro2(grad))
+    (h11, h12, h21, h22, g1, g2, a1, a2, p, rh), d = _dyadic(
+        *ch.H[0], *ch.H[1], *ch.g, *a, ch.P, rho
     )
-    return KKTReport(
-        multiplier=lam,
-        residual_stationarity=stationarity,
-        residual_complementarity=complementarity,
-        psd_margin=margin,
-        passes=passes,
+    k = d * d - a1 * a1 - a2 * a2  # k d^2
+    if k <= 0:
+        return False
+    v1, v2 = h11 * a1 + h21 * a2 - d * g1, h12 * a1 + h22 * a2 - d * g2  # v d^2
+    b11 = k * (h11 * h11 + h21 * h21) + v1 * v1  # kA d^4
+    b12 = k * (h11 * h12 + h21 * h22) + v1 * v2
+    b22 = k * (h12 * h12 + h22 * h22) + v2 * v2
+    r = d + rh  # (1 + rho) d
+    # gamma, c0 and w, each scaled by 4 k^2 d^10.
+    gam = p * p * (b11 * b22 - b12 * b12)
+    c0 = gam + 2 * d * d * k * (
+        d * p * (b11 + b22) - 2 * d**3 * k * rh - k * p * r * (g1 * g1 + g2 * g2)
     )
+    s = 2 * d * d * k * p
+    w1 = s * (d * (b11 - b22) - r * k * (g1 * g1 - g2 * g2))
+    w2 = 2 * s * (d * b12 - r * k * g1 * g2)
+    ww = w1 * w1 + w2 * w2
+    if 0 < gam and ww <= 4 * gam * gam:
+        return 4 * gam * c0 + ww <= 0
+    return c0 <= gam and ww <= (gam - c0) ** 2
 
 
 # --------------------------------------------------------------------------

@@ -23,9 +23,6 @@ EPS_RANK = 1e-8
 # Half-width of the refused band around the degradedness boundary.
 EPS_CLASS = 1e-9
 
-# KKT residual threshold.
-EPS_KKT = 1e-8
-
 # Relative tightness threshold for the capacity certificate verdict.
 EPS_CERT = 1e-9
 
@@ -40,7 +37,8 @@ UNIT_COUPLING_TOL = 1e-9
 
 # Oracle search checks: EPS_GRID bounds the relative gap to the closed form,
 # the winner's unit-rank margin relative to P and, absolute, how far the
-# search may fall below the best beam on Degraded channels; EPS_GRID_EXCESS
+# search may fall below the best beam on Degraded channels, and is the exact
+# bracket's relative half-width about the beam's excess; EPS_GRID_EXCESS
 # is the roundoff by which a searched rate may exceed the closed-form optimum
 # or a lattice rate the solved one, and the slack by which a beam probe in
 # min_over_a must exceed the best sampled bound before a sample is skipped.

@@ -320,8 +320,8 @@ class TestOracleCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["passes"]
-        assert doc["kkt_optimum"]["passes"]
-        assert not doc["kkt_perturbed"]["passes"]
+        assert doc["bracket"]["certified"]
+        assert doc["perturbed"]["below"]
         assert doc["grid_search"]["gap_nats"] <= 1e-3
         assert doc["min_over_a"]["value_nats"] >= doc["closed_form"]["rate_nats"] - 1e-3
         assert "grid" not in doc  # every search is solved; no grid to report
@@ -422,9 +422,9 @@ class TestOracleCommand:
     @pytest.mark.parametrize("power", [1e12, 1e14])
     def test_high_snr_reports_pass(self, capsys, monkeypatch, power):
         # Here det(I + D S) / ||I + D S||_F^2 ~ 1 / P, below the 1e-12 floor
-        # at which a 2x2 inverse refuses the matrix as singular.  The KKT
-        # gradient forms no inverse, so each report passes, and the Degraded
-        # one carries no KKT section, since nothing judges it.
+        # at which a 2x2 inverse refuses the matrix as singular.  The exact
+        # bracket inverts nothing, so each report passes, and the Degraded
+        # one carries no bracket, since nothing judges its beam.
         channels, _ = sample_general_channels(11, 4)
         specs = [
             dumps(channels[i].with_power(power)._asdict(), compact=True)
@@ -440,11 +440,46 @@ class TestOracleCommand:
             doc = json.loads(out)
             assert doc["passes"] is True
             if doc["class"] == "General":
-                assert doc["kkt_optimum"]["passes"]
-                assert not doc["kkt_perturbed"]["passes"]
+                assert doc["bracket"]["certified"]
+                assert doc["perturbed"]["below"]
             else:
                 assert doc["class"] == "Degraded"
-                assert not [k for k in doc if k.startswith("kkt_")]
+                assert "bracket" not in doc and "perturbed" not in doc
+
+    @pytest.mark.parametrize("power", [1e-10, 1e-8, 1e-6])
+    def test_low_snr_reports_pass(self, capsys, monkeypatch, power):
+        # The bracket's width is relative to the beam's exact excess, so it
+        # follows P down to where the beam's rate keeps its digits.
+        channels, _ = sample_general_channels(11, 60)
+        for ch in channels:
+            spec = dumps(ch.with_power(power)._asdict(), compact=True)
+            monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+            code, out, err = run(capsys, ["oracle", "-"])
+            assert (code, err) == (0, ""), out
+
+    @pytest.mark.parametrize("power", [1e-10, 1.0, 1e14])
+    def test_beam_rotated_by_1e_4_rad_fails(self, capsys, monkeypatch, power):
+        # A beam 1e-4 rad off, still reporting the optimum's rate: the rate
+        # error is second order in the angle, yet far beyond EPS_GRID of the
+        # excess, so the genie bound at its a* cannot certify it.
+        from secrecy221 import achievable
+
+        real = achievable.optimal_beam
+
+        def rotated(ch):
+            beam = real(ch)
+            c, s = math.cos(1e-4), math.sin(1e-4)
+            q = (c * beam.q_a[0] - s * beam.q_a[1], s * beam.q_a[0] + c * beam.q_a[1])
+            return beam._replace(q_a=q)
+
+        monkeypatch.setattr(achievable, "optimal_beam", rotated)
+        channels, _ = sample_general_channels(11, 60)
+        for ch in channels:
+            spec = dumps(ch.with_power(power)._asdict(), compact=True)
+            monkeypatch.setattr("sys.stdin", io.StringIO(spec))
+            code, out, _ = run(capsys, ["oracle", "-"])
+            assert code == 2
+            assert json.loads(out)["bracket"]["certified"] is False
 
 
 class TestRandom:

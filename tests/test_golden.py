@@ -35,6 +35,14 @@ rank-one reduction, which was false whenever sigma_2 > 0.
 `ORACLE_SAMPLES_DIGEST` pins `oracle` at 50 samples on seed 28368, whose
 stream rejects one pair; it was recorded before the sampled bounds that two
 beam probes prove cannot lower the minimum were skipped.
+`oracle_example_a.out`, `oracle_example_a_defaults.out`,
+`ORACLE_SUITE_DIGEST`, `ORACLE_SAMPLES_DIGEST`, `ORACLE_POWER_DIGEST` and
+`ORACLE_POWER_EXITS` were all re-recorded once when the exact bracket
+replaced the float KKT test: each report's `bracket` and `perturbed`
+sections replaced `kkt_optimum` and `kkt_perturbed`, every other field held
+on all 117 reports, the Degraded reports stayed byte-identical, and the
+only exit codes that moved were the ten General channels of
+`ORACLE_POWER_DIGEST` at P = 1e-10, from 2 to 0.
 """
 
 import hashlib
@@ -74,13 +82,13 @@ WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a9000
 # SHA-256 over `oracle - --samples 4` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
 # "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
-# solved on the trace-P disk and the KKT gradient formed by Sherman-Morrison.
-ORACLE_SUITE_DIGEST = "1ce886377b23c0470f8357426d4956216e569d122c768d1f30e837db43e11e3f"
+# solved on the trace-P disk and the beam judged by the exact bracket.
+ORACLE_SUITE_DIGEST = "cf0eff9d68ad39f9ec96216133cc670dd2b07bf137697545d0fbda0a7ac254be"
 
 # SHA-256 over `oracle - --samples 50 --seed 28368` on the first 40 lines of
 # `random --seed 0 --count 1000`, in ORACLE_SUITE_DIGEST's format.  Recorded
 # on x86-64 Linux.
-ORACLE_SAMPLES_DIGEST = "99d9cc5ad290c0575c5745892ee427069971bf8b6760e82a663f399cca2d93c9"
+ORACLE_SAMPLES_DIGEST = "cffcd88784c98f4c8d6a84661a707e271f842573d57e706be0d33e0232319906"
 
 # SHA-256 over 50 Degraded channels at P = 10**k, k = -12..20 (1,650
 # certificates), in WIDE_POWER_DIGEST's format.  Channel i is the i-th of
@@ -90,11 +98,10 @@ DEGRADED_WIDE_POWER_DIGEST = "804c10d4531000c0c3975220b9a52c19864a406ca27eda9a4c
 
 # SHA-256 over `oracle -` (32 samples, seed 0) on `sample_general_channels(11,
 # 10)` plus EXAMPLE_DEGRADED, at P = 1e-10, 1e-6, 1, 1e8 and 1e14: each
-# report's stdout followed by "exit <code>\n".  The ten General channels exit
-# 2 at P = 1e-10, where the KKT gate does not follow P.  Recorded on x86-64
-# Linux.
-ORACLE_POWER_DIGEST = "5362797678d133aaaddb870c5b8d0ba8590510a6f8f8bf41facfc6c132ce92c4"
-ORACLE_POWER_EXITS = [2] * 10 + [0] * 45
+# report's stdout followed by "exit <code>\n".  Every report exits 0.
+# Recorded on x86-64 Linux.
+ORACLE_POWER_DIGEST = "fe7766192a88cad55a2bbd5978b6a8cb1ec2f2d7892aae6327ded2d8f77b698d"
+ORACLE_POWER_EXITS = [0] * 55
 
 # SHA-256 over 48 ReducedRank channels at P = 10**k, k = -12..20 (1,584
 # certificates), in WIDE_POWER_DIGEST's format; see reduced_rank_channels.

@@ -1,6 +1,7 @@
 """Oracle tests: the solved covariance search against a dense lattice and a
-50-digit reference, the lattice witness, KKT verdicts, root-sign
-verification, correlation sampling, and determinism."""
+50-digit reference, the lattice witness, the exact bracket and its
+optimality verdicts, root-sign verification, correlation sampling, and
+determinism."""
 
 import math
 import random
@@ -22,9 +23,9 @@ from secrecy221 import (
     capacity_certificate,
     classify,
     coupling_gain_matrix,
-    kkt_check,
     min_over_a,
     optimal_beam,
+    optimize_alpha,
     sample_general_channels,
     validate_covariance,
 )
@@ -198,7 +199,7 @@ class TestBruteForceGaussian:
         ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
         s_best, rate = brute_force_gaussian(ch)
         assert rate >= optimal_beam(ch).rate - 1e-12
-        assert mk.trace2(s_best.S) >= ch.P - 1e-15
+        assert s_best.S[0][0] + s_best.S[1][1] >= ch.P - 1e-15
 
     def test_soundness_never_exceeds_closed_form(self, suite1000):
         for ch in suite1000[:100]:
@@ -497,30 +498,134 @@ class TestDiskMaxIsExact:
         assert min(optima.values()) > 0
 
 
+def _excess_reference(ch, a):
+    """max det(I + A(a) S) / (1 + g^T S g) - 1 over PSD S with tr S <= P, in
+    50-digit arithmetic from the float inputs, with the excess formed
+    directly: ``disk_max_reference`` rounds the ratio, whose excess keeps
+    few digits at low P.  Returns (excess, "interior" or "rim").
+
+    Dinkelbach's iteration on the excess e: at the ratio 1 + e the maximum of
+    N - (1 + e) Den over the disk is at w / 2 gamma, w = (P/2)(delta -
+    (1 + e) eps), if that lies in the disk, and at w / |w| otherwise.
+    """
+    with mpmath.workdps(50):
+        (h11, h12), (h21, h22) = [[mpmath.mpf(x) for x in row] for row in ch.H]
+        g1, g2, a1, a2 = (mpmath.mpf(x) for x in (*ch.g, *a))
+        k = 1 - a1 * a1 - a2 * a2
+        v1, v2 = h11 * a1 + h21 * a2 - g1, h12 * a1 + h22 * a2 - g2
+        d11 = h11 * h11 + h21 * h21 + v1 * v1 / k
+        d12 = h11 * h12 + h21 * h22 + v1 * v2 / k
+        d22 = h12 * h12 + h22 * h22 + v2 * v2 / k
+        h = mpmath.mpf(ch.P) / 2
+        gamma = h * h * (d11 * d22 - d12 * d12)
+        dx, dy, ex, ey = d11 - d22, 2 * d12, g1 * g1 - g2 * g2, 2 * g1 * g2
+
+        def excess(x, y):
+            gap = h * (d11 + d22 - g1 * g1 - g2 * g2 + (dx - ex) * x + (dy - ey) * y)
+            gap += gamma * (1 - x * x - y * y)
+            return gap / (1 + h * (g1 * g1 + g2 * g2 + ex * x + ey * y))
+
+        e = excess(0, 0)
+        for _ in range(1000):
+            wx, wy = h * (dx - (1 + e) * ex), h * (dy - (1 + e) * ey)
+            w = mpmath.hypot(wx, wy)
+            if gamma > 0 and w <= 2 * gamma:
+                z, branch = (wx / (2 * gamma), wy / (2 * gamma)), "interior"
+            else:
+                z, branch = ((wx / w, wy / w) if w else (1, 0)), "rim"
+            step = excess(*z)
+            if step <= e * (1 + mpmath.mpf(10) ** -40):
+                return max(e, step, 0), branch
+            e = step
+        raise AssertionError("the reference iteration did not converge")
+
+
 class TestKKTCheck:
+    """First-order optimality, proved by the exact bracket: the beam's exact
+    excess rho, widened by EPS_GRID, bounds the genie bound at a* from
+    above, and a beam 0.1 rad away falls below rho (1 - EPS_GRID)."""
+
     def test_passes_at_optimum(self, example_a):
-        rep = kkt_check(example_a, (0.0, 1.0))
-        assert rep.passes
-        assert rep.multiplier >= 0.0
-        assert rep.psd_margin >= 0.0
+        # The beam (0, 1) has excess 1 exactly, and the bound at a* = (1/2, 0)
+        # is 1 + s22 <= 2: the bracket closes with no width at all.
+        assert oracle._beam_excess(example_a, (0.0, 1.0)) == 1.0
+        assert oracle._bound_at_most(example_a, (0.5, 0.0), 1.0)
+        assert not oracle._bound_at_most(example_a, (0.5, 0.0), 1.0 - 2.0**-53)
 
     def test_fails_along_eavesdropper(self, example_a):
-        rep = kkt_check(example_a, (1.0, 0.0))
-        assert not rep.passes
-        assert rep.multiplier < 0.0
+        # (1 + 1) / (1 + 4) - 1: a negative rate, which no bound certifies.
+        rho = oracle._beam_excess(example_a, (1.0, 0.0))
+        assert rho == -0.6
+        assert not oracle._bound_at_most(example_a, (0.5, 0.0), rho)
 
     def test_random_suite_pass_and_perturbed_fail(self, suite1000):
         for ch in suite1000[:100]:
             beam = optimal_beam(ch)
-            rep = kkt_check(ch, beam.q_a)
-            assert rep.passes
+            tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
+            rho = oracle._beam_excess(ch, beam.q_a)
+            assert oracle._bound_at_most(ch, tc.a_star, rho * (1.0 + EPS_GRID))
             rot = 0.1
             q = (
                 beam.q_a[0] * math.cos(rot) - beam.q_a[1] * math.sin(rot),
                 beam.q_a[0] * math.sin(rot) + beam.q_a[1] * math.cos(rot),
             )
-            rep_pert = kkt_check(ch, q)
-            assert not rep_pert.passes
+            assert oracle._beam_excess(ch, q) < rho * (1.0 - EPS_GRID)
+
+
+class TestExactBracket:
+    def test_bound_decision_matches_the_50_digit_reference(self):
+        rng = random.Random(20)
+        branches = {"interior": 0, "rim": 0}
+        for _ in range(1500):
+            h = ((rng.gauss(0, 1), rng.gauss(0, 1)), (rng.gauss(0, 1), rng.gauss(0, 1)))
+            ch = WiretapChannel(h, (rng.gauss(0, 1), rng.gauss(0, 1)), 10.0 ** rng.uniform(-8, 12))
+            r, t = math.sqrt(rng.random()) * (1.0 - EPS_RIM), rng.uniform(0.0, 2.0 * math.pi)
+            a = (r * math.cos(t), r * math.sin(t))
+            ref, branch = _excess_reference(ch, a)
+            branches[branch] += 1
+            assert oracle._bound_at_most(ch, a, float(ref * (1 + mpmath.mpf(1e-12))))
+            assert not oracle._bound_at_most(ch, a, float(ref * (1 - mpmath.mpf(1e-12))))
+            assert ref > 0 and not oracle._bound_at_most(ch, a, 0.0)  # far below, too
+        assert min(branches.values()) > 0
+
+    def test_refuses_below_the_beam_and_the_flipped_eavesdropper(self):
+        # A bound never falls below a feasible beam's excess, and a* of g is
+        # not a tight correlation of -g.
+        channels, _ = sample_general_channels(3, 200)
+        for power in (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12):
+            for base in channels:
+                ch = base.with_power(power)
+                beam = optimal_beam(ch)
+                a_star = optimize_alpha(ch, mk.orth_perp(beam.q_a)).a_star
+                rho = oracle._beam_excess(ch, beam.q_a)
+                assert not oracle._bound_at_most(ch, a_star, rho * (1.0 - 1e-6))
+                flipped = WiretapChannel(ch.H, mk.scale2(-1.0, ch.g), ch.P)
+                assert not oracle._bound_at_most(flipped, a_star, rho * (1.0 + EPS_GRID))
+
+    @pytest.mark.parametrize(
+        "a", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (1.0 + 2.0**-52, 0.0), (3.0, -4.0)]
+    )
+    def test_refuses_a_outside_the_open_disk(self, example_a, a):
+        # 0.6^2 + 0.8^2 rounds to 1 but exceeds it exactly.
+        assert not oracle._bound_at_most(example_a, a, 1e300)
+
+    def test_refuses_negative_rho(self):
+        # With H = 0 and a = 0, A = g g^T and every ratio is 1 exactly.
+        ch = WiretapChannel(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0), 1.0)
+        assert oracle._bound_at_most(ch, (0.0, 0.0), 0.0)
+        assert not oracle._bound_at_most(ch, (0.0, 0.0), -5e-324)
+
+    @pytest.mark.parametrize(
+        "q", [(3.0, -4.0), (1e150, 2e150), (-7e-300, 1e-310), (5e-324, 1e-320), (0.0, 2.5)]
+    )
+    def test_beam_excess_is_the_exact_ratio_rounded_once(self, q):
+        ch = WiretapChannel(((1.5, -0.3), (0.7, 2.0)), (0.9, -1.1), 3e-7)
+        q1, q2 = Fraction(q[0]), Fraction(q[1])
+        hq = [Fraction(r[0]) * q1 + Fraction(r[1]) * q2 for r in ch.H]
+        gq = Fraction(ch.g[0]) * q1 + Fraction(ch.g[1]) * q2
+        qq, hh, p = q1 * q1 + q2 * q2, hq[0] ** 2 + hq[1] ** 2, Fraction(ch.P)
+        exact = (qq + p * hh) / (qq + p * gq * gq) - 1
+        assert oracle._beam_excess(ch, q) == float(exact)
 
 
 class TestNoNonnegRoots:
@@ -570,15 +675,13 @@ class TestMinOverA:
             assert star_value <= min_value + EPS_GRID * max(1.0, abs(min_value))
 
     def test_returns_optimized_correlation_and_its_bound(self, suite1000):
-        from secrecy221 import optimize_alpha
-
         for ch in suite1000[:2]:
             a_best, value, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5)
             assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
             s_star, bound = brute_force_upper(ch, tc.a_star)
             assert star_value == bound
             assert value == brute_force_upper(ch, a_best)[1]
-            assert mk.trace2(s_star.S) <= ch.P + EPS_TRACE * max(1.0, ch.P)
+            assert s_star.S[0][0] + s_star.S[1][1] <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
     def test_requires_general(self, monkeypatch):
         # The precondition fails before any bound is searched.
@@ -721,4 +824,4 @@ class TestSampling:
         assert max(
             abs(s[i][j] - manual[i][j]) for i in range(2) for j in range(2)
         ) <= 1e-15
-        assert np.isclose(mk.trace2(s), 0.8)
+        assert np.isclose(s[0][0] + s[1][1], 0.8)

@@ -1,13 +1,15 @@
 """Tooling: the suite's pytest settings (a failing property test reports its
-falsifying example instead of aborting the run), and what importing the
-command-line front end loads."""
+falsifying example instead of aborting the run), what importing the
+command-line front end loads, and that every tolerance has a reader."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src" / "secrecy221"
 
 FAILING = '''
 from hypothesis import given, settings
@@ -79,3 +81,28 @@ print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - bef
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank')] []\n"
+
+
+def test_every_tolerance_is_read_by_another_module():
+    # tolerances.py promises one definition per tolerance; a constant that no
+    # other module reads is a gate that nothing applies.
+    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    defined = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "tolerances.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+    assert defined
+    assert sorted(defined - read) == []
