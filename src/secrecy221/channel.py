@@ -34,7 +34,24 @@ def _check_finite(values, what: str) -> None:
             raise ValueError(f"{what} must be finite, got {x!r}")
 
 
+def _check_power(H: Mat2, g: Vec2, P: float) -> None:
+    """Refuse a power that is not finite and positive or leaves the range."""
+    if not (math.isfinite(P) and P > 0.0):
+        raise ValueError(f"power budget must be finite and positive, got {P!r}")
+    h0, h1 = H
+    gain_sq = max(mk.dot2(h0, h0) + mk.dot2(h1, h1), mk.dot2(g, g))
+    if not (max(gain_sq, P) <= MAX_GAIN_SQ and P * gain_sq <= MAX_SNR):
+        raise ValueError(
+            f"max(||H||_F^2, ||g||^2) = {gain_sq!r} at P = {P!r} exceeds the "
+            f"supported range (gain and P {MAX_GAIN_SQ!r}, P * gain {MAX_SNR!r})"
+        )
+
+
 _ChannelFields = NamedTuple("_ChannelFields", [("H", Mat2), ("g", Vec2), ("P", float)])
+
+# The cached members that depend on H and g alone, which with_power carries
+# from one power to the next; the beam pencil and its eigenpairs depend on P.
+_P_FREE_MEMBERS = ("_gram", "_sv_ratio", "_rank_deficient", "_ht_inv", "_w", "_resolvent_inv")
 
 
 class WiretapChannel(_ChannelFields):
@@ -50,15 +67,7 @@ class WiretapChannel(_ChannelFields):
     def __new__(cls, H: Mat2, g: Vec2, P: float):
         _check_finite((*H[0], *H[1]), "H entries")
         _check_finite(g, "g entries")
-        if not (math.isfinite(P) and P > 0.0):
-            raise ValueError(f"power budget must be finite and positive, got {P!r}")
-        h0, h1 = H
-        gain_sq = max(mk.dot2(h0, h0) + mk.dot2(h1, h1), mk.dot2(g, g))
-        if not (max(gain_sq, P) <= MAX_GAIN_SQ and P * gain_sq <= MAX_SNR):
-            raise ValueError(
-                f"max(||H||_F^2, ||g||^2) = {gain_sq!r} at P = {P!r} exceeds the "
-                f"supported range (gain and P {MAX_GAIN_SQ!r}, P * gain {MAX_SNR!r})"
-            )
+        _check_power(H, g, P)
         return super().__new__(cls, H, g, P)
 
     @classmethod
@@ -119,7 +128,19 @@ class WiretapChannel(_ChannelFields):
         return mk.gen_eig2_rank1(self._beam_pencil[0], self.P, self.g)
 
     def with_power(self, power: float) -> "WiretapChannel":
-        return WiretapChannel(self.H, self.g, power)
+        """The channel (H, g, power), carrying the P-free members computed so far.
+
+        H and g were checked when this channel was built, so only the power
+        is checked, with the constructor's messages.  A member that raised
+        was never stored, so the copy raises it again on first use.
+        """
+        _check_power(self.H, self.g, power)
+        child = _ChannelFields.__new__(WiretapChannel, self.H, self.g, power)
+        cached, carried = vars(self), vars(child)
+        for name in _P_FREE_MEMBERS:
+            if name in cached:
+                carried[name] = cached[name]
+        return child
 
 
 class ChannelKind(Enum):

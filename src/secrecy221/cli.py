@@ -24,7 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import matkit as mk
-from .channel import ChannelKind, WiretapChannel, classify
+from .channel import ChannelKind, WiretapChannel, _check_power, classify
 from .converse import LOG2, CapacityCertificate, capacity_certificate
 from .errors import ChannelSpecError
 from .tolerances import (
@@ -212,14 +212,19 @@ def cmd_sweep(args) -> int:
         ]
 
     try:
-        channels = [ch.with_power(power) for power in powers]
+        for power in powers:
+            _check_power(ch.H, ch.g, power)
     except ValueError as exc:
         raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
+    # The class depends on H and g alone: refuse a boundary channel before
+    # the header, and leave the P-free members cached for the first row.
+    classify(ch)
 
     sys.stdout.write("P,capacity_nats,capacity_bits,lambda1,verdict\n")
     previous = -math.inf
-    for power, ch_p in zip(powers, channels):
-        cert = capacity_certificate(ch_p)
+    for power in powers:
+        ch = ch.with_power(power)
+        cert = capacity_certificate(ch)
         cap = max(0.0, cert.capacity_nats)
         if cap < previous - EPS_MONOTONE:
             sys.stderr.write(

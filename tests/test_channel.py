@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import cached_property
 
 import pytest
 
@@ -14,12 +15,13 @@ from secrecy221 import (
     validate_covariance,
 )
 from secrecy221 import matkit as mk
-from secrecy221.channel import _gaussian_rate_detail
+from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail
 from secrecy221.errors import (
     BoundaryAmbiguous,
     InvalidCovariance,
     NotPSD,
     PowerExceeded,
+    SingularMatrix,
 )
 from secrecy221.tolerances import EPS_ID, MAX_GAIN_SQ, MAX_SNR
 
@@ -105,6 +107,61 @@ class TestWiretapChannel:
             WiretapChannel._make((I2, (math.nan, 0.0), 1.0))
         with pytest.raises(ValueError, match="exceeds the supported"):
             example_a._replace(P=MAX_SNR)
+
+    @pytest.mark.parametrize(
+        "h,g,power,fragment",
+        [
+            (I2, (2.0, 0.0), 0.0, "power budget"),
+            (I2, (2.0, 0.0), -1.0, "power budget"),
+            (I2, (2.0, 0.0), math.nan, "power budget"),
+            (I2, (2.0, 0.0), math.inf, "power budget"),
+            (I2, (2.0, 0.0), 2.0 * MAX_SNR / 4.0, "exceeds the supported"),
+            (((1e-80, 0.0), (0.0, 1e-80)), (0.5e-80, 0.0), 2.0 * MAX_GAIN_SQ, "exceeds"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "snr", "power"],
+    )
+    def test_with_power_refuses_like_the_constructor(self, h, g, power, fragment):
+        parent = WiretapChannel(h, g, 1.0)
+        with pytest.raises(ValueError, match=fragment) as built:
+            WiretapChannel(h, g, power)
+        with pytest.raises(ValueError) as derived:
+            parent.with_power(power)
+        assert str(derived.value) == str(built.value)
+
+    def test_with_power_carries_only_the_p_free_members(self):
+        parent = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
+        capacity_certificate(parent)
+        assert {"_beam_pencil", "_beam_eig", *_P_FREE_MEMBERS} <= set(vars(parent))
+        child = parent.with_power(3.0)
+        assert type(child) is WiretapChannel
+        assert child == WiretapChannel(parent.H, parent.g, 3.0)
+        assert set(vars(child)) == set(_P_FREE_MEMBERS)
+        assert capacity_certificate(child) == capacity_certificate(
+            WiretapChannel(parent.H, parent.g, 3.0)
+        )
+
+    def test_with_power_recomputes_a_member_that_raised(self):
+        parent = WiretapChannel(((1.0, 1.0), (1.0, 1.0)), (0.5, 0.2), 1.0)
+        with pytest.raises(SingularMatrix):
+            parent._w
+        child = parent.with_power(2.0)
+        assert "_gram" in vars(child) and "_w" not in vars(child)
+        with pytest.raises(SingularMatrix):
+            child._w
+
+    def test_p_free_members_are_exactly_those_the_power_leaves_alone(self):
+        # A cached member added later must be listed if it ignores P, so a
+        # sweep shares it, and must stay off the list if it reads P.
+        members = {
+            name
+            for name, attr in vars(WiretapChannel).items()
+            if isinstance(attr, cached_property)
+        }
+        assert set(_P_FREE_MEMBERS) <= members
+        h, g = ((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9)
+        lo, hi = WiretapChannel(h, g, 0.5), WiretapChannel(h, g, 2.0)
+        for name in sorted(members):
+            assert (getattr(lo, name) == getattr(hi, name)) == (name in _P_FREE_MEMBERS), name
 
     def test_cached_members_keep_equality_and_hash(self):
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)

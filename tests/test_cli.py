@@ -3,17 +3,28 @@
 import io
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secrecy221 import cli, sample_general_channels
+from secrecy221 import (
+    ChannelKind,
+    WiretapChannel,
+    capacity_certificate,
+    classify,
+    cli,
+    sample_general_channels,
+)
 from secrecy221.cli import dumps, main
+from secrecy221.converse import LOG2
 
 GOLDEN = Path(__file__).parent / "golden"
 
 EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
+
+SWEEP_SEED = 2021
 
 
 @pytest.fixture
@@ -282,6 +293,62 @@ class TestSweep:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert all(row[4] == "Inapplicable" for row in rows)
         assert float(rows[1][1]) >= float(rows[0][1]) - 1e-12
+
+    def test_boundary_channel_refused_before_the_header(self, capsys, tmp_path):
+        path = tmp_path / "boundary.json"
+        path.write_text('{"H": [[1, 0], [0, 1]], "g": [1, 0], "P": 1}')
+        argv = ["sweep", str(path), "--pmin", "1", "--pmax", "2", "--steps", "3"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "BoundaryAmbiguous"
+        # A refused power wins over the class.
+        code, out, err = run(capsys, [*argv[:5], "1e40", *argv[6:]])
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert "invalid sweep power" in error["message"]
+
+    def test_rows_equal_fresh_certificates(self, capsys, tmp_path):
+        # Each row's channel is derived from the previous row's, so a
+        # P-dependent member leaking between rows would show up here.
+        rng = random.Random(SWEEP_SEED)
+        channels = {ChannelKind.GENERAL: sample_general_channels(SWEEP_SEED, 3)[0]}
+        for kind, rank_one in ((ChannelKind.DEGRADED, False), (ChannelKind.REDUCED_RANK, True)):
+            found = channels.setdefault(kind, [])
+            while len(found) < 2:
+                a, b, c, d = (rng.gauss(0, 1) for _ in range(4))
+                h = ((a * c, a * d), (b * c, b * d)) if rank_one else ((a, b), (c, d))
+                ch = WiretapChannel(h, (rng.gauss(0, 1), rng.gauss(0, 1)), 1.0)
+                if classify(ch).kind is kind:
+                    found.append(ch)
+        seen = set()
+        for kind, found in channels.items():
+            for ch in found:
+                path = tmp_path / "channel.json"
+                path.write_text(dumps(ch._asdict()))
+                code, out, err = run(
+                    capsys,
+                    [
+                        "sweep", str(path), "--pmin", "1e-14", "--pmax", "1e20",
+                        "--steps", "35", "--log-spacing",
+                    ],
+                )
+                rows = out.splitlines()[1:]
+                assert (code, len(rows)) == (0, 35), err
+                for row in rows:
+                    power = float(row.split(",")[0])
+                    cert = capacity_certificate(WiretapChannel(ch.H, ch.g, power))
+                    cap = max(0.0, cert.capacity_nats)
+                    fields = (power, cap, cap / LOG2, cert.lambda1)
+                    assert row == ",".join([*map(cli._fmt_float, fields), cert.verdict])
+                    seen.add((kind, cert.verdict, "tight_path_error" in cert.flags))
+        assert seen >= {
+            (ChannelKind.GENERAL, "Tight", False),
+            (ChannelKind.GENERAL, "NotTight", False),
+            (ChannelKind.GENERAL, "Inapplicable", True),
+            (ChannelKind.DEGRADED, "Inapplicable", False),
+            (ChannelKind.REDUCED_RANK, "Inapplicable", False),
+        }
 
     def test_arguments_checked_before_spec(self, capsys, monkeypatch):
         # A refused argument wins over a malformed spec, and stdin is left unread.

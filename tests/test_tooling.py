@@ -3,6 +3,7 @@ falsifying example instead of aborting the run), what importing the
 command-line front end loads, and that every tolerance has a reader."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -53,34 +54,40 @@ def test_importing_the_cli_leaves_numpy_unloaded(tmp_path):
     # dataclasses, which pulls in inspect, ast and dis.  `site` may preload
     # modules, so only what the import and the calls add to a bare
     # interpreter counts.  (A Degraded certificate still loads numpy through
-    # its witness lattice.)
+    # its witness lattice.)  A General sweep takes the same path per row.
     specs = {
         "general.json": '{"H": [[1, 0], [0, 1]], "g": [2, 0], "P": 1}',
         "reduced_rank.json": '{"H": [[1, 0], [0, 0.99e-8]], "g": [0.1, 0], "P": 1e12}',
     }
     for name, spec in specs.items():
         (tmp_path / name).write_text(spec)
+    calls = [
+        ["capacity", "general.json"],
+        ["capacity", "reduced_rank.json"],
+        ["sweep", "general.json", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "13"],
+    ]
     env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
     code = """
 import io, json, sys
 before = set(sys.modules)
 import secrecy221.cli as cli
 runs = []
-for path in sys.argv[1:]:
+for argv in json.loads(sys.argv[1]):
     out, sys.stdout = sys.stdout, io.StringIO()
-    code = cli.main(["capacity", path])
+    code = cli.main(argv)
     text, sys.stdout = sys.stdout.getvalue(), out
-    runs.append((code, json.loads(text)["class"]))
+    runs.append((code, json.loads(text)["class"] if argv[0] == "capacity" else text.count("\\n")))
 print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - before)))
 """
     proc = subprocess.run(
-        [sys.executable, "-c", code, *(str(tmp_path / name) for name in specs)],
+        [sys.executable, "-c", code, json.dumps(calls)],
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank')] []\n"
+    assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank'), (0, 14)] []\n"
 
 
 def test_every_tolerance_is_read_by_another_module():
