@@ -23,7 +23,6 @@ from .converse import (
 )
 from .oracle import (
     brute_force_gaussian,
-    brute_force_upper,
     min_over_a,
     sample_general_channels,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "beam_covariance",
     "beam_rate",
     "brute_force_gaussian",
-    "brute_force_upper",
     "capacity_certificate",
     "classify",
     "coupling_gain_matrix",

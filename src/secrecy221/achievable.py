@@ -58,7 +58,7 @@ def optimal_beam(ch: WiretapChannel) -> BeamSolution:
     if ch._rank_deficient:
         raise RankDeficient("main channel gain is rank deficient")
     a, b = ch._beam_pencil
-    (l1, l2), (q1, _) = ch._beam_eig
+    (l1, l2), q1 = ch._beam_eig
 
     # Fixed-point relation B^{-1} A q = lambda_1 q, verified in the
     # equivalent form A q = lambda_1 B q.  The residual is normalized by

@@ -77,7 +77,7 @@ class WiretapChannel(_ChannelFields):
 
     def gram(self) -> Mat2:
         """H^T H."""
-        return mk.symmetrize2(mk.matmul2(mk.transpose2(self.H), self.H))
+        return mk.matmul2(mk.transpose2(self.H), self.H)
 
     @cached_property
     def _gram(self) -> Mat2:
@@ -106,25 +106,26 @@ class WiretapChannel(_ChannelFields):
     @cached_property
     def _w(self) -> Mat2:
         """W = (H^T H)^{-1}."""
-        return mk.symmetrize2(mk.inv2(self._gram))
+        return mk.inv2(self._gram)
 
     @cached_property
     def _resolvent_inv(self) -> Mat2:
         """(H^T H - g g^T)^{-1}."""
-        m = mk.matadd2(self._gram, mk.matscale2(-1.0, mk.outer2(self.g, self.g)))
-        return mk.inv2(mk.symmetrize2(m))
+        return mk.inv2(mk.matadd2(self._gram, mk.matscale2(-1.0, mk.outer2(self.g, self.g))))
 
     @cached_property
     def _beam_pencil(self) -> tuple[Mat2, Mat2]:
         """(I + P H^T H, I + P g g^T)."""
         eye = mk.eye2()
-        a = mk.matadd2(eye, mk.matscale2(self.P, self._gram))
-        b = mk.matadd2(eye, mk.matscale2(self.P, mk.outer2(self.g, self.g)))
-        return mk.symmetrize2(a), mk.symmetrize2(b)
+        return (
+            mk.matadd2(eye, mk.matscale2(self.P, self._gram)),
+            mk.matadd2(eye, mk.matscale2(self.P, mk.outer2(self.g, self.g))),
+        )
 
     @cached_property
-    def _beam_eig(self) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
-        """Both eigenpairs of the beam pencil; B = I + P g g^T is rank-one."""
+    def _beam_eig(self) -> tuple[tuple[float, float], Vec2]:
+        """The beam pencil's eigenvalues and top eigenvector (the optimal
+        beam); B = I + P g g^T is rank-one."""
         return mk.gen_eig2_rank1(self._beam_pencil[0], self.P, self.g)
 
     def with_power(self, power: float) -> "WiretapChannel":
@@ -192,25 +193,28 @@ def validate_covariance(s, power: float) -> CovMat:
 
     Eigenvalues in [-EPS_PSD * scale, 0) of the raw 2x2 matrix are treated
     as zero and the covariance is reconstructed without them; anything more
-    negative raises NotPSD.
+    negative raises NotPSD.  The input's two off-diagonal entries are
+    averaged: a covariance enters the library here, and every matrix the
+    library builds itself is symmetric by construction.
     """
     if not all(math.isfinite(x) for row in s for x in row):
         raise InvalidCovariance("covariance entries must be finite")
-    sym = mk.symmetrize2(s)
-    (l1, l2), (v1, v2) = mk.sym_eig2(sym)
+    b = 0.5 * (s[0][1] + s[1][0])
+    sym = ((s[0][0], b), (b, s[1][1]))
+    (l1, l2), v1 = mk.sym_eig2(sym)
     scale = max(1.0, abs(l1))
     if l2 < -EPS_PSD * scale:
         raise NotPSD(f"covariance has negative eigenvalue {l2!r}")
     if l1 + l2 > power + EPS_TRACE * max(1.0, power):
         raise PowerExceeded(f"trace {l1 + l2!r} exceeds power budget {power!r}")
     if l2 < 0.0:
-        sym = mk.symmetrize2(mk.matscale2(max(l1, 0.0), mk.outer2(v1, v1)))
+        sym = mk.matscale2(max(l1, 0.0), mk.outer2(v1, v1))
     return CovMat(sym)
 
 
 def beam_covariance(q: Vec2, power: float) -> CovMat:
     """Unit-rank covariance P q q^T for a unit beam direction q."""
-    return CovMat(mk.symmetrize2(mk.matscale2(power, mk.outer2(q, q))))
+    return CovMat(mk.matscale2(power, mk.outer2(q, q)))
 
 
 def _require_positive(route: str, **log_args: float) -> None:

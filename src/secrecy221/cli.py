@@ -202,14 +202,18 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ChannelSpecError("sweep requires steps >= 2")
     ch = read_channel(args.channel)
+    n = args.steps - 1
     if args.log_spacing:
         lo, hi = math.log(args.pmin), math.log(args.pmax)
-        powers = [math.exp(lo + (hi - lo) * i / (args.steps - 1)) for i in range(args.steps)]
+        inner = [math.exp(lo + (hi - lo) * i / n) for i in range(1, n)]
     else:
-        powers = [
-            args.pmin + (args.pmax - args.pmin) * i / (args.steps - 1)
-            for i in range(args.steps)
-        ]
+        inner = [args.pmin + (args.pmax - args.pmin) * i / n for i in range(1, n)]
+    # The ends exactly as asked: exp(log(p)) and pmin + (pmax - pmin) need not
+    # round back to p and pmax.  Nor may a rounded inner power pass an end (as
+    # exp(log(p)) does for pmin == pmax); min and max test that without a loop.
+    powers = [args.pmin, *inner, args.pmax]
+    if min(powers) < args.pmin or max(powers) > args.pmax:
+        powers = [min(max(p, args.pmin), args.pmax) for p in powers]
 
     try:
         for power in powers:

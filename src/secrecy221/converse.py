@@ -156,9 +156,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
         raise InvariantViolated(f"||a*|| = {a_norm!r} is not inside the unit disk")
 
     theta = alpha_star * alpha_star / (1.0 - mk.dot2(a_star, a_star))
-    a_mat = mk.symmetrize2(
-        mk.matadd2(ch._gram, mk.matscale2(theta, mk.outer2(q_perp, q_perp)))
-    )
+    a_mat = mk.matadd2(ch._gram, mk.matscale2(theta, mk.outer2(q_perp, q_perp)))
     return TightCorrelation(
         alpha_star=alpha_star,
         theta_star=theta,
@@ -196,7 +194,7 @@ def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
         raise NoiseDegenerate(f"||a|| = {a_norm!r} is not < 1")
     k = 1.0 - mk.dot2(a, a)
     v = mk.sub2(mk.matvec2(mk.transpose2(ch.H), a), ch.g)
-    return mk.symmetrize2(mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v))))
+    return mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v)))
 
 
 def _upper_value_detail(
@@ -252,11 +250,8 @@ def _upper_bound_max_detail(
     eigenvalue of (I + P g g^T)^{-1}(I + P H^T H + P theta* q_perp q_perp^T),
     the spectrum, and the residuals the certificate gates."""
     a_rayleigh, b = ch._beam_pencil
-    abar = mk.symmetrize2(
-        mk.matadd2(
-            a_rayleigh,
-            mk.matscale2(ch.P * tc.theta_star, mk.outer2(tc.q_perp, tc.q_perp)),
-        )
+    abar = mk.matadd2(
+        a_rayleigh, mk.matscale2(ch.P * tc.theta_star, mk.outer2(tc.q_perp, tc.q_perp))
     )
     (lmax, lmin), _ = mk.gen_eig2_rank1(abar, ch.P, ch.g)
     (lam1, _), _ = ch._beam_eig

@@ -20,10 +20,6 @@ class SingularMatrix(MatrixError):
     """Determinant too small relative to the matrix scale to invert."""
 
 
-class NotPositiveDefinite(MatrixError):
-    """A matrix required to be positive definite is not."""
-
-
 class NoiseDegenerate(MatrixError):
     """Noise cross-correlation has norm at (or beyond) one."""
 

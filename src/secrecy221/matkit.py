@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotPositiveDefinite, SingularMatrix
-from .tolerances import EPS_SING, EPS_UNIT
+from .errors import SingularMatrix
+from .tolerances import EPS_SING
 
 Vec2 = tuple[float, float]
 Mat2 = tuple[Vec2, Vec2]
@@ -103,11 +103,6 @@ def quad2(m: Mat2, v: Vec2) -> float:
     return dot2(v, matvec2(m, v))
 
 
-def symmetrize2(m: Mat2) -> Mat2:
-    b = 0.5 * (m[0][1] + m[1][0])
-    return ((m[0][0], b), (b, m[1][1]))
-
-
 def fro2(m: Mat2) -> float:
     return math.sqrt(m[0][0] ** 2 + m[0][1] ** 2 + m[1][0] ** 2 + m[1][1] ** 2)
 
@@ -146,45 +141,42 @@ def inv2(m: Mat2) -> Mat2:
 # symmetric and generalized eigenproblems
 # --------------------------------------------------------------------------
 
-def sym_eig2(m: Mat2) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
-    """Eigendecomposition of a symmetric 2x2 matrix, closed form.
+def sym_eig2(m: Mat2) -> tuple[tuple[float, float], Vec2]:
+    """Eigenvalues and top eigenvector of a symmetric 2x2 matrix, closed form.
 
-    Returns eigenvalues in descending order with an orthonormal pair of
-    eigenvectors.  Each eigenvector is oriented so its first nonzero
-    component is positive; for diagonal input the vectors are the axes, and
-    an exact eigenvalue tie returns the identity basis.
+    Returns the eigenvalues in descending order and a unit eigenvector of
+    the larger one, oriented so its first nonzero component is positive;
+    for diagonal input it is an axis, (1, 0) on an exact tie.  The
+    off-diagonal is read as the mean of m[0][1] and m[1][0], so a product
+    such as B^{-1/2} A B^{-1/2}, symmetric only up to rounding, may be
+    passed as it is.
     """
     a = m[0][0]
     d = m[1][1]
     b = 0.5 * (m[0][1] + m[1][0])
     if b == 0.0:
-        if a >= d:
-            return (a, d), ((1.0, 0.0), (0.0, 1.0))
-        return (d, a), ((0.0, 1.0), (1.0, 0.0))
+        return ((a, d), (1.0, 0.0)) if a >= d else ((d, a), (0.0, 1.0))
     s = math.hypot(a - d, 2.0 * b)
     l1 = 0.5 * ((a + d) + s)
     l2 = 0.5 * ((a + d) - s)
     u: Vec2 = (b, l1 - a)
     w: Vec2 = (l1 - d, b)
     v1 = unit2(u if u[0] * u[0] + u[1] * u[1] >= w[0] * w[0] + w[1] * w[1] else w)
-    v1 = _sign_fix(v1)
-    v2 = _sign_fix((-v1[1], v1[0]))
-    return (l1, l2), (v1, v2)
+    return (l1, l2), _sign_fix(v1)
 
 
-def gen_eig2_rank1(
-    a: Mat2, c: float, v: Vec2
-) -> tuple[tuple[float, float], tuple[Vec2, Vec2]]:
-    """Both eigenpairs of the pencil (A, B) with B = I + c v v^T, c >= 0.
+def gen_eig2_rank1(a: Mat2, c: float, v: Vec2) -> tuple[tuple[float, float], Vec2]:
+    """Eigenvalues and top eigenvector of the pencil (A, B), B = I + c v v^T.
 
+    A is symmetric and c >= 0 (every caller passes the channel's checked
+    power).  Returns the generalized eigenvalues in descending order and
+    the unit eigenvector of the larger one, oriented like ``sym_eig2``'s.
     Exploits the rank-one structure: B's eigenvalues are exactly
     {1 + c ||v||^2, 1}, so B^{-1/2} and det B are computed without the
     cancellation a generic route suffers when c ||v||^2 is huge, and the
     smaller generalized eigenvalue comes from the product identity
     l1 l2 = det(A) / det(B) instead of a catastrophic subtraction.
     """
-    if c < 0.0:
-        raise NotPositiveDefinite("rank-one weight must be nonnegative")
     n2 = v[0] * v[0] + v[1] * v[1]
     det_b = 1.0 + c * n2
     if c == 0.0 or n2 == 0.0:
@@ -193,13 +185,10 @@ def gen_eig2_rank1(
         r = (1.0 / math.sqrt(det_b) - 1.0) / n2
         bih = ((1.0 + r * v[0] * v[0], r * v[0] * v[1]),
                (r * v[0] * v[1], 1.0 + r * v[1] * v[1]))
-    cmat = symmetrize2(matmul2(matmul2(bih, symmetrize2(a)), bih))
-    (l1, l2), (w1, w2) = sym_eig2(cmat)
+    (l1, l2), w1 = sym_eig2(matmul2(matmul2(bih, a), bih))
     if l1 != 0.0:
-        l2 = det2(symmetrize2(a)) / (det_b * l1)
-    q1 = _sign_fix(unit2(matvec2(bih, w1)))
-    q2 = _sign_fix(unit2(matvec2(bih, w2)))
-    return (l1, l2), (q1, q2)
+        l2 = det2(a) / (det_b * l1)
+    return (l1, l2), _sign_fix(unit2(matvec2(bih, w1)))
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +197,6 @@ def gen_eig2_rank1(
 
 def orth_perp(v: Vec2) -> Vec2:
     """90-degree counterclockwise rotation (-y, x) of a unit vector."""
-    if abs(norm2(v) - 1.0) > EPS_UNIT:
-        raise ValueError("orth_perp requires a unit vector")
     return (-v[1], v[0])
 
 

@@ -60,12 +60,7 @@ def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
     s = math.sin(phi)
     q1 = (c, s)
     q2 = (-s, c)
-    return mk.symmetrize2(
-        mk.matadd2(
-            mk.matscale2(p1, mk.outer2(q1, q1)),
-            mk.matscale2(p2, mk.outer2(q2, q2)),
-        )
-    )
+    return mk.matadd2(mk.matscale2(p1, mk.outer2(q1, q1)), mk.matscale2(p2, mk.outer2(q2, q2)))
 
 
 # --------------------------------------------------------------------------
@@ -198,12 +193,6 @@ def _solved_rate(
     return 0.5 * math.log(best), param
 
 
-def _solved_optimum(ch: WiretapChannel, d_mat: Mat2) -> tuple[CovMat, float]:
-    """``_solved_rate`` with its maximizer as a validated covariance: (S_best, nats)."""
-    rate, param = _solved_rate(d_mat, ch.g, ch.P)
-    return validate_covariance(covariance_from_param(*param), ch.P), rate
-
-
 def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
     """Maximize the Gaussian secrecy rate over every covariance of trace <= P.
 
@@ -216,23 +205,19 @@ def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
         channel's optimum lies inside the disk.  The rate equals the
         closed-form optimum of a General channel up to rounding.
     """
-    return _solved_optimum(ch, ch._gram)
-
-
-def brute_force_upper(ch: WiretapChannel, a: Vec2) -> tuple[CovMat, float]:
-    """Maximize the genie upper bound U(S, a) over covariances, exactly.
-
-    Uses the collapsed 2x2 form of the bound (gain matrix A(a)), which the
-    converse module has already cross-checked against the 3x3 and
-    estimation-theoretic routes.  Returns (S_best, value) like
-    ``brute_force_gaussian``.  An a not strictly inside the unit disk raises
-    NoiseDegenerate.
-    """
-    return _solved_optimum(ch, coupling_gain_matrix(ch, a))
+    rate, param = _solved_rate(ch._gram, ch.g, ch.P)
+    return validate_covariance(covariance_from_param(*param), ch.P), rate
 
 
 def _upper_value(ch: WiretapChannel, a: Vec2) -> float:
-    """``brute_force_upper``'s value alone, with no covariance built."""
+    """The genie upper bound U(S, a) maximized over covariances, exactly (nats).
+
+    Uses the collapsed 2x2 form of the bound (gain matrix A(a)), which the
+    converse module has already cross-checked against the 3x3 and
+    estimation-theoretic routes.  Only the value is returned: no caller
+    reads the maximizing covariance.  An a not strictly inside the unit
+    disk raises NoiseDegenerate.
+    """
     return _solved_rate(coupling_gain_matrix(ch, a), ch.g, ch.P)[0]
 
 
@@ -301,10 +286,8 @@ def min_over_a(
     Every member of the family is a valid upper bound, so the sampled
     minimum should stay above the achievable rate (up to EPS_GRID), and the
     optimized correlation should do at least as well as every sample.  Each
-    bound is maximized over covariances exactly.  The sampled bounds are
-    searched for their value alone (``_upper_value``), since only their
-    values are compared; the bound at a* comes from ``brute_force_upper``
-    with its maximizing covariance, as a library caller gets it.
+    bound, the one at a* included, is maximized over covariances exactly by
+    ``_upper_value``, for its value alone, since only values are compared.
 
     A sample is not searched when a beam probe proves it cannot lower the
     minimum.  The full-power beams S = P q q^T, q in {q_a, q_perp}, are
@@ -364,8 +347,7 @@ def min_over_a(
                 best_a = a
     assert best_a is not None
 
-    _, star_value = brute_force_upper(ch, tc.a_star)
-    return best_a, best_value, tc, star_value
+    return best_a, best_value, tc, _upper_value(ch, tc.a_star)
 
 
 def sample_general_channels(

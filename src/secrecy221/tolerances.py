@@ -5,8 +5,7 @@ the floating-point substitutes.  They are deliberately centralized so tests
 and documentation reference one source of truth.
 """
 
-# Unit-norm / identity-product / eigen-residual checks (relative).
-EPS_UNIT = 1e-10
+# Identity-product / eigen-residual checks (relative).
 EPS_ID = 1e-10
 EPS_EIG = 1e-10
 

@@ -35,7 +35,7 @@ def no_nonneg_roots(d_mat: mk.Mat2, g: mk.Vec2, lam: float) -> bool:
     and no full-rank covariance satisfies stationarity.  True when both the
     sign analysis and the larger root (when real) say so.
     """
-    c = mk.quad2(mk.inv2(mk.symmetrize2(d_mat)), g)
+    c = mk.quad2(mk.inv2(d_mat), g)
     lin = 1.0 + c
     const = c + (mk.dot2(g, g) / lam) * (c - 1.0)
     disc = lin * lin - 4.0 * const

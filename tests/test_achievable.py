@@ -91,7 +91,7 @@ class TestOptimalBeam:
         sol = optimal_beam(ch)
         assert sol.no_eavesdropper
         # beam is the strongest main-channel direction
-        (l1, _), (v1, _) = mk.sym_eig2(ch.gram())
+        (l1, _), v1 = mk.sym_eig2(ch.gram())
         assert math.isclose(abs(mk.dot2(sol.q_a, v1)), 1.0, abs_tol=1e-12)
         assert math.isclose(sol.rate, 0.5 * math.log(1.0 + ch.P * l1), rel_tol=1e-12)
 

@@ -12,6 +12,9 @@ from secrecy221 import (
     beam_covariance,
     capacity_certificate,
     classify,
+    coupling_gain_matrix,
+    optimal_beam,
+    optimize_alpha,
     validate_covariance,
 )
 from secrecy221 import matkit as mk
@@ -19,10 +22,13 @@ from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail
 from secrecy221.errors import (
     BoundaryAmbiguous,
     InvalidCovariance,
+    NoiseDegenerate,
     NotPSD,
     PowerExceeded,
+    SecrecyError,
     SingularMatrix,
 )
+from secrecy221.oracle import covariance_from_param
 from secrecy221.tolerances import EPS_ID, MAX_GAIN_SQ, MAX_SNR
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
@@ -318,3 +324,107 @@ class TestGaussianRate:
             r1 = gaussian_rate(ch, s_raw)
             r2 = gaussian_rate(ch_rot, s_rot)
             assert math.isclose(r1, r2, abs_tol=1e-11)
+
+
+def _assert_symmetric(m, what):
+    """m[0][1] and m[1][0] are the same float, sign bit included."""
+    assert m[0][1] == m[1][0], (what, m)
+    assert math.copysign(1.0, m[0][1]) == math.copysign(1.0, m[1][0]), (what, m)
+
+
+class TestSymmetricByConstruction:
+    """Nothing in the library re-symmetrizes what it builds: float products
+    commute, and scaling, adding and the closed-form inverse keep equal
+    off-diagonals equal.  Only validate_covariance, where a covariance
+    enters from outside, and sym_eig2 average the two off-diagonals."""
+
+    SCALES = (1e-60, 1e-30, 1e-8, 1e-2, 1.0, 1e3, 1e8, 1e30, 1e60)
+    POWERS = (1e-18, 1e-12, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12, 1e20, 1e28)
+
+    @staticmethod
+    def _channels(rng):
+        """Four each of General, Degraded and ReducedRank, at P = 1."""
+        found = {kind: [] for kind in ChannelKind}
+        while min(map(len, found.values())) < 4:
+            a, b, c, d = (rng.gauss(0, 1) for _ in range(4))
+            rank_one = rng.random() < 0.3
+            h = ((a * c, a * d), (b * c, b * d)) if rank_one else ((a, b), (c, d))
+            ch = WiretapChannel(h, (rng.gauss(0, 1), rng.gauss(0, 1)), 1.0)
+            try:
+                kind = classify(ch).kind
+            except BoundaryAmbiguous:
+                continue
+            if len(found[kind]) < 4:
+                found[kind].append(ch)
+        return [(kind, ch) for kind, chs in found.items() for ch in chs]
+
+    def test_every_built_matrix_is_bitwise_symmetric(self, monkeypatch):
+        # The rank-one pencil solver is handed the beam pencil's A and, in a
+        # General certificate, the bound matrix I + P H^T H + P theta* q_perp
+        # q_perp^T, which the library builds and never returns.
+        pencils = []
+        real = mk.gen_eig2_rank1
+
+        def recorded(a, c, v):
+            pencils.append(a)
+            return real(a, c, v)
+
+        monkeypatch.setattr(mk, "gen_eig2_rank1", recorded)
+        rng = random.Random(22)
+        checked = dict.fromkeys(
+            ("gram", "w", "resolvent_inv", "pencil", "A_star", "bound", "coupling",
+             "beam_covariance", "covariance_from_param", "clipped"),
+            0,
+        )
+
+        def check(m, what):
+            _assert_symmetric(m, what)
+            checked[what] += 1
+
+        for kind, base in self._channels(rng):
+            for scale in self.SCALES:
+                h = (mk.scale2(scale, base.H[0]), mk.scale2(scale, base.H[1]))
+                g = mk.scale2(scale, base.g)
+                for power in self.POWERS:
+                    try:
+                        ch = WiretapChannel(h, g, power)
+                    except ValueError:  # beyond MAX_SNR or MAX_GAIN_SQ
+                        continue
+                    check(ch._gram, "gram")
+                    for name in ("_w", "_resolvent_inv"):
+                        try:
+                            check(getattr(ch, name), name[1:])
+                        except SingularMatrix:
+                            pass
+                    for m in ch._beam_pencil:
+                        check(m, "pencil")
+                    if kind is ChannelKind.GENERAL:
+                        try:
+                            beam = optimal_beam(ch)
+                            tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
+                        except SecrecyError:
+                            pass
+                        else:
+                            check(tc.A_star, "A_star")
+                            check(beam_covariance(beam.q_a, power).S, "beam_covariance")
+                            del pencils[:]  # the beam pencil is cached by now
+                            capacity_certificate(ch)
+                            for m in pencils:
+                                check(m, "bound")
+                    for _ in range(3):
+                        r, t = math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
+                        a = (r * math.cos(t), r * math.sin(t))
+                        try:
+                            check(coupling_gain_matrix(ch, a), "coupling")
+                        except NoiseDegenerate:
+                            pass
+                    t = rng.uniform(0.0, 2.0 * math.pi)
+                    q = (math.cos(t), math.sin(t))
+                    check(beam_covariance(q, power).S, "beam_covariance")
+                    p1 = power * rng.random()
+                    check(covariance_from_param(t, p1, power - p1), "covariance_from_param")
+                    # A roundoff-negative eigenvalue: the rebuilt covariance.
+                    s = covariance_from_param(t, power, -1e-14 * power)
+                    assert mk.sym_eig2(s)[0][1] < 0.0
+                    check(validate_covariance(s, power).S, "clipped")
+        assert min(checked.values()) > 0, checked

@@ -262,6 +262,39 @@ class TestSweep:
         assert float(last[3]) == 5.0
         assert first[4] == last[4] == "Tight"
 
+    @pytest.mark.parametrize("log_spacing", [False, True], ids=["linear", "log"])
+    def test_rows_start_and_end_at_the_requested_powers(self, capsys, example_a_path, log_spacing):
+        # exp(log(p)) and pmin + (pmax - pmin) round off p and pmax: 1e-2 ..
+        # 1e10 in log spacing and 0.3 .. 0.9 in linear spacing both did, and
+        # exp(log(p)) puts inner rows below 5 and above 0.1.
+        rng = random.Random(SWEEP_SEED)
+        ranges = [(1e-2, 1e10, 121), (0.3, 0.9, 3), (0.2, 0.9, 2), (5.0, 5.0, 3), (0.1, 0.1, 4)]
+        for _ in range(30):
+            pmin = 10.0 ** rng.uniform(-12.0, 12.0)
+            ranges.append((pmin, pmin * 10.0 ** rng.uniform(0.0, 12.0), rng.randint(2, 7)))
+        for pmin, pmax, steps in ranges:
+            argv = ["sweep", example_a_path, "--pmin", repr(pmin), "--pmax", repr(pmax)]
+            argv += ["--steps", str(steps), *(["--log-spacing"] if log_spacing else [])]
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            powers = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+            assert len(powers) == steps
+            assert (powers[0], powers[-1]) == (pmin, pmax)
+            assert all(pmin <= p <= pmax for p in powers)
+
+    def test_power_at_the_supported_limit(self, capsys, tmp_path):
+        # capacity accepts this P; a log sweep ending at it used to compute
+        # it as 1.3012376532267592e+28, beyond MAX_SNR, and refuse the sweep.
+        limit = "1.3012376532267584e+28"
+        path = tmp_path / "limit.json"
+        path.write_text(f'{{"H": [[1, 0], [0, 1]], "g": [8.766408196046324, 0], "P": {limit}}}')
+        assert run(capsys, ["capacity", str(path)])[0] == 0
+        argv = ["sweep", str(path), "--pmin", "1", "--pmax", limit, "--steps", "5"]
+        for spacing in ([], ["--log-spacing"]):
+            code, out, err = run(capsys, [*argv, *spacing])
+            assert code == 0, err
+            assert out.splitlines()[-1].split(",")[0] == limit
+
     def test_nondecreasing_capacity(self, capsys, example_a_path):
         code, out, err = run(
             capsys,
@@ -400,18 +433,11 @@ class TestOracleCommand:
         # min-over-a relation: a report with passes false, not a bare error.
         from secrecy221 import oracle
 
-        real = oracle.brute_force_upper
-
-        def low(*args):
-            cov, value = real(*args)
-            return cov, value - 0.1
-
         real_value = oracle._upper_value
 
         def low_value(*args):
             return real_value(*args) - 0.1
 
-        monkeypatch.setattr(oracle, "brute_force_upper", low)
         monkeypatch.setattr(oracle, "_upper_value", low_value)
         argv = ["oracle", example_a_path, "--samples", "4"]
         code, out, _ = run(capsys, argv)

@@ -42,7 +42,10 @@ replaced the float KKT test: each report's `bracket` and `perturbed`
 sections replaced `kkt_optimum` and `kkt_perturbed`, every other field held
 on all 117 reports, the Degraded reports stayed byte-identical, and the
 only exit codes that moved were the ten General channels of
-`ORACLE_POWER_DIGEST` at P = 1e-10, from 2 to 0.
+`ORACLE_POWER_DIGEST` at P = 1e-10, from 2 to 0.  `sweep_example_a.out` was
+re-recorded once when a sweep's first and last rows were put at exactly
+--pmin and --pmax (they had been exp(log(p)), here 0.010000000000000004 and
+10000000000.000004); no other row changed.
 """
 
 import hashlib

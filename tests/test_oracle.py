@@ -19,7 +19,6 @@ from secrecy221 import (
     ChannelKind,
     WiretapChannel,
     brute_force_gaussian,
-    brute_force_upper,
     capacity_certificate,
     classify,
     coupling_gain_matrix,
@@ -191,7 +190,7 @@ class TestBruteForceGaussian:
     def test_example_a_finds_known_optimum(self, example_a):
         s_best, rate = brute_force_gaussian(example_a)
         assert math.isclose(rate, 0.5 * math.log(2.0), rel_tol=1e-15)
-        (l1, l2), (v1, _) = mk.sym_eig2(s_best.S)
+        (l1, l2), v1 = mk.sym_eig2(s_best.S)
         assert l2 <= 1e-15  # unit rank
         assert abs(mk.dot2(v1, (0.0, 1.0))) >= 1.0 - 1e-15  # beam along (0, 1)
 
@@ -249,11 +248,11 @@ class TestBruteForceGaussian:
 
 class TestBruteForceUpper:
     def test_example_a_at_tight_correlation(self, example_a):
-        _, value = brute_force_upper(example_a, (0.5, 0.0))
+        value = oracle._upper_value(example_a, (0.5, 0.0))
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-15)
 
     def test_zero_correlation_is_looser(self, example_a):
-        _, value = brute_force_upper(example_a, (0.0, 0.0))
+        value = oracle._upper_value(example_a, (0.0, 0.0))
         assert value >= 0.5 * math.log(2.0) + 1e-3
 
     def test_unit_rank_at_tight_correlation(self, suite1000):
@@ -261,7 +260,9 @@ class TestBruteForceUpper:
 
         for ch in suite1000[:20]:
             tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            s_best, value = brute_force_upper(ch, tc.a_star)
+            d = coupling_gain_matrix(ch, tc.a_star)
+            value, param = oracle._solved_rate(d, ch.g, ch.P)
+            s_best = validate_covariance(covariance_from_param(*param), ch.P)
             (l1, l2), _ = mk.sym_eig2(s_best.S)
             assert l2 <= 1e-3 * ch.P
             assert value <= optimal_beam(ch).rate + 1e-12
@@ -269,7 +270,7 @@ class TestBruteForceUpper:
     def test_degenerate_correlation_rejected(self, example_a):
         for a in ((0.8, 0.6), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
-                brute_force_upper(example_a, a)
+                oracle._upper_value(example_a, a)
         # Outside the unit disk A(a) would be I or indefinite, not a bound.
         for a in ((2.0, 0.0), (0.0, 1.5), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
@@ -300,10 +301,9 @@ class TestSolvedSearch:
             for a in ((0.0, 0.0), (0.3, -0.6)):
                 d = coupling_gain_matrix(ch, a)
                 value, param = check_against_dense(d, ch.g, ch.P, *grid, reference=True)
-                s_best, bound = brute_force_upper(ch, a)
+                bound = oracle._upper_value(ch, a)
                 assert bound == 0.5 * math.log(value)
-                assert oracle._upper_value(ch, a) == brute_force_upper(ch, a)[1]
-                assert s_best == validate_covariance(covariance_from_param(*param), ch.P)
+                assert oracle._solved_rate(d, ch.g, ch.P) == (bound, param)
 
     def test_all_ties_return_the_origin(self):
         # D = 0 and g = 0 make every ratio 1: the solver returns the origin,
@@ -315,9 +315,10 @@ class TestSolvedSearch:
         assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == 1.0
 
     def test_value_searches_build_no_covariance(self, example_a, monkeypatch):
-        # Only the values of the sampled bounds and of the Degraded rate are
-        # read, so of min_over_a's 33 searches only the bound at a* builds
-        # its maximizing covariance, and a Degraded certificate builds none.
+        # Only the values of the bounds and of the Degraded rate are read,
+        # so none of min_over_a's 33 searches, the bound at a* included,
+        # builds its maximizing covariance, and a Degraded certificate
+        # builds none.
         calls = []
         real = oracle.covariance_from_param
 
@@ -327,8 +328,7 @@ class TestSolvedSearch:
 
         monkeypatch.setattr(oracle, "covariance_from_param", counted)
         min_over_a(example_a, optimal_beam(example_a), 32, 0)
-        assert len(calls) == 1
-        calls.clear()
+        assert calls == []
         cert = capacity_certificate(WiretapChannel(I2, (0.5, 0.0), 1.0))
         assert cert.kind is ChannelKind.DEGRADED
         assert calls == []
@@ -662,7 +662,7 @@ class TestMinOverA:
         assert mk.norm2(mk.sub2(a_best, (0.5, 0.0))) <= 0.25
 
     def test_zero_sample_is_valid_bound(self, example_a):
-        _, value = brute_force_upper(example_a, (0.0, 0.0))
+        value = oracle._upper_value(example_a, (0.0, 0.0))
         assert value >= 0.5 * math.log(2.0) - 1e-9
 
     def test_dominance_on_random_channels(self, suite1000):
@@ -678,26 +678,22 @@ class TestMinOverA:
         for ch in suite1000[:2]:
             a_best, value, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5)
             assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            s_star, bound = brute_force_upper(ch, tc.a_star)
+            d = coupling_gain_matrix(ch, tc.a_star)
+            bound, param = oracle._solved_rate(d, ch.g, ch.P)
             assert star_value == bound
-            assert value == brute_force_upper(ch, a_best)[1]
+            assert value == oracle._upper_value(ch, a_best)
+            s_star = validate_covariance(covariance_from_param(*param), ch.P)
             assert s_star.S[0][0] + s_star.S[1][1] <= ch.P + EPS_TRACE * max(1.0, ch.P)
 
     def test_requires_general(self, monkeypatch):
         # The precondition fails before any bound is searched.
         calls = []
-        real = oracle.brute_force_upper
         real_value = oracle._upper_value
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
 
         def counted_value(*args):
             calls.append(args)
             return real_value(*args)
 
-        monkeypatch.setattr(oracle, "brute_force_upper", counted)
         monkeypatch.setattr(oracle, "_upper_value", counted_value)
         degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
         with pytest.raises(PreconditionFailed):
@@ -711,15 +707,10 @@ class TestMinOverA:
         # sample is pair 16's, and the 32nd needs a 33rd pair.
         searched = []
 
-        def recorded(ch, a):
-            searched.append(a)
-            return None, 1.0
-
         def recorded_value(ch, a):
             searched.append(a)
             return 1e300
 
-        monkeypatch.setattr(oracle, "brute_force_upper", recorded)
         monkeypatch.setattr(oracle, "_upper_value", recorded_value)
         min_over_a(example_a, optimal_beam(example_a), 32, seed)
         rng = np.random.default_rng(seed)

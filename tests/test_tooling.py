@@ -1,13 +1,18 @@
 """Tooling: the suite's pytest settings (a failing property test reports its
 falsifying example instead of aborting the run), what importing the
-command-line front end loads, and that every tolerance has a reader."""
+command-line front end loads, that its numpy-free outputs are the same on
+every supported interpreter, and that every tolerance has a reader."""
 
 import ast
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SRC = PYPROJECT.parent / "src" / "secrecy221"
@@ -88,6 +93,86 @@ print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - bef
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank'), (0, 14)] []\n"
+
+
+# Runs each [argv, stdin] of the JSON file named by argv[1] through the CLI
+# and writes "exit <code>" and the call's stdout, in order.
+CLI_CALLS = """
+import io, json, sys
+import secrecy221.cli as cli
+with open(sys.argv[1], encoding="utf-8") as fh:
+    calls = json.load(fh)
+for argv, spec in calls:
+    sys.stdin = io.StringIO(spec)
+    out, sys.stdout = sys.stdout, io.StringIO()
+    code = cli.main(argv)
+    text, sys.stdout = sys.stdout.getvalue(), out
+    sys.stdout.write(f"exit {code}\\n{text}")
+"""
+
+
+def test_numpy_free_outputs_match_across_interpreters(tmp_path):
+    # Certificates are closed-form float arithmetic, so each supported
+    # CPython must print the same bytes.  General and ReducedRank
+    # certificates and sweeps import no numpy, which the other interpreters
+    # may lack, so the channels are drawn here with random.
+    from secrecy221 import ChannelKind, WiretapChannel, classify
+    from secrecy221.errors import BoundaryAmbiguous
+
+    rng = random.Random(310)
+    found = {ChannelKind.GENERAL: [], ChannelKind.REDUCED_RANK: []}
+    while len(found[ChannelKind.GENERAL]) < 6 or len(found[ChannelKind.REDUCED_RANK]) < 3:
+        a, b, c, d, g1, g2 = (rng.gauss(0, 1) for _ in range(6))
+        h = ((a * c, a * d), (b * c, b * d)) if rng.random() < 0.3 else ((a, b), (c, d))
+        try:
+            kind = classify(WiretapChannel(h, (g1, g2), 1.0)).kind
+        except BoundaryAmbiguous:
+            continue
+        if kind in found and len(found[kind]) < (6 if kind is ChannelKind.GENERAL else 3):
+            found[kind].append({"H": [list(h[0]), list(h[1])], "g": [g1, g2]})
+    calls = [
+        [["capacity", "-"], json.dumps({**spec, "P": power})]
+        for specs in found.values()
+        for spec in specs
+        for power in (1e-8, 1e-2, 1.0, 3.7, 1e4, 1e9)
+    ]
+    general = json.dumps({**found[ChannelKind.GENERAL][0], "P": 1.0})
+    sweep = ["sweep", "-", "--pmin", "1e-3", "--pmax", "1e9", "--steps", "25", "--log-spacing"]
+    calls.append([sweep, general])
+    (tmp_path / "calls.json").write_text(json.dumps(calls))
+
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+
+    def outputs(python):
+        proc = subprocess.run(
+            [python, "-c", CLI_CALLS, "calls.json"],
+            capture_output=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert proc.returncode == 0, (python, proc.stderr.decode())
+        return proc.stdout
+
+    expected = outputs(sys.executable)
+    # Every call prints a certificate or a sweep: Tight, Inapplicable or NotTight.
+    assert expected.count(b"exit 0\n") + expected.count(b"exit 2\n") == len(calls)
+    compared = []
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        python = shutil.which(name)
+        if python is None:
+            continue
+        try:
+            probe = subprocess.run(
+                [python, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = tuple(map(int, probe.stdout.split())) if probe.returncode == 0 else None
+        if version is None or version == sys.version_info[:2]:
+            continue  # does not start, or is the running interpreter's version
+        assert outputs(python) == expected, name
+        compared.append(name)
+    if not compared:
+        pytest.skip("no other CPython 3.10-3.13 starts on PATH")
 
 
 def test_every_tolerance_is_read_by_another_module():
