@@ -1,5 +1,5 @@
 """Brute-force verification: the solved covariance search, the exact bracket
-on the closed-form beam, and sampling of admissible noise correlations.
+on the closed-form beam, and sampling of random General channels.
 
 The covariance search is a genuinely independent route to the rates.  The
 covariances of trace P form the disk S(z) = (P/2) [[1 + x, y], [y, 1 - x]],
@@ -22,16 +22,9 @@ power of two.  ``_beam_excess`` rounds the beam's excess ratio once, and
 disk.  The genie-aided channel is degraded, so its Gaussian maximum is its
 secrecy capacity, which bounds the channel's at any a inside the unit disk.
 
-``min_over_a`` solves the genie bound only at the sampled correlations that
-can still lower the minimum.  Each sample is first probed at the two
-full-power beams the call already holds, q_a and q_perp; a beam is a
-feasible covariance, so a probe rate above the best bound so far, by more
-than the roundoff EPS_GRID_EXCESS, proves that the sample's maximum is above
-it too.  The minimum and its correlation are unchanged.
-
-Only ``min_over_a`` and ``sample_general_channels`` draw random numbers,
-from the caller's seed, and the witness reduces in a fixed order, so
-identical seeds give bit-identical results regardless of thread count.
+Only ``sample_general_channels`` draws random numbers, from the caller's
+seed, and the witness reduces in a fixed order, so identical seeds give
+bit-identical results regardless of thread count.
 numpy is imported by the functions that use it, not by the package.
 """
 
@@ -40,7 +33,6 @@ from __future__ import annotations
 import math
 
 from . import matkit as mk
-from .achievable import BeamSolution
 from .channel import (
     ChannelKind,
     CovMat,
@@ -48,10 +40,8 @@ from .channel import (
     classify,
     validate_covariance,
 )
-from .converse import TightCorrelation, coupling_gain_matrix
 from .errors import BoundaryAmbiguous
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_GRID_EXCESS, EPS_RIM
 
 
 def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
@@ -209,18 +199,6 @@ def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
     return validate_covariance(covariance_from_param(*param), ch.P), rate
 
 
-def _upper_value(ch: WiretapChannel, a: Vec2) -> float:
-    """The genie upper bound U(S, a) maximized over covariances, exactly (nats).
-
-    Uses the collapsed 2x2 form of the bound (gain matrix A(a)), which the
-    converse module has already cross-checked against the 3x3 and
-    estimation-theoretic routes.  Only the value is returned: no caller
-    reads the maximizing covariance.  An a not strictly inside the unit
-    disk raises NoiseDegenerate.
-    """
-    return _solved_rate(coupling_gain_matrix(ch, a), ch.g, ch.P)[0]
-
-
 # --------------------------------------------------------------------------
 # exact bracket
 # --------------------------------------------------------------------------
@@ -274,81 +252,6 @@ def _bound_at_most(ch: WiretapChannel, a: Vec2, rho: float) -> bool:
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
-
-def min_over_a(
-    ch: WiretapChannel,
-    beam: BeamSolution,
-    samples: int,
-    seed: int,
-) -> tuple[Vec2, float, TightCorrelation, float]:
-    """Sample admissible correlations and minimize the solved upper bound.
-
-    Every member of the family is a valid upper bound, so the sampled
-    minimum should stay above the achievable rate (up to EPS_GRID), and the
-    optimized correlation should do at least as well as every sample.  Each
-    bound, the one at a* included, is maximized over covariances exactly by
-    ``_upper_value``, for its value alone, since only values are compared.
-
-    A sample is not searched when a beam probe proves it cannot lower the
-    minimum.  The full-power beams S = P q q^T, q in {q_a, q_perp}, are
-    feasible, so the search's value is at least the probe rate
-    (1/2) log[(1 + P q^T A(a) q) / (1 + P (g^T q)^2)], up to the roundoff
-    EPS_GRID_EXCESS.  A sample whose probe rate exceeds the best value by
-    more than that would search to a value above it, and only a strictly
-    lower value replaces the best, so a_best and value are those of the
-    exhaustive search: the first minimum over every sample.  The
-    values are returned, not judged: the oracle verb checks both
-    relations.  ``beam`` is the channel's ``optimal_beam``; channels that
-    are not General fail in optimal_beam or optimize_alpha, before any
-    search.
-
-    Returns (a_best, value, tc, star_value): the best sample and its bound,
-    and ``optimize_alpha``'s correlation with the bound at a*.
-    """
-    import numpy as np
-
-    from .converse import optimize_alpha
-
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    tc = optimize_alpha(ch, mk.orth_perp(beam.q_a))
-    # q^T A(a) q = ||Hq||^2 + (a^T Hq - g^T q)^2 / (1 - ||a||^2), with every
-    # term but a's computed once.
-    probes = []
-    for q in (beam.q_a, tc.q_perp):
-        hq, gq = mk.matvec2(ch.H, q), mk.dot2(ch.g, q)
-        probes.append((hq, mk.dot2(hq, hq), gq, 1.0 + ch.P * gq * gq))
-
-    # One draw for every sample; a rejected pair's successor is the stream's next.
-    rng = np.random.default_rng(seed)
-    uv, i = rng.random(2 * samples), 0
-    best_a: Vec2 | None = None
-    best_value = math.inf
-    for _ in range(samples):
-        while True:
-            if i == len(uv):
-                uv, i = rng.random(2), 0
-            u, v = uv[i], uv[i + 1]
-            i += 2
-            r = math.sqrt(u)
-            if r < 1.0 - EPS_RIM:
-                break
-        ang = 2.0 * math.pi * v
-        a = (r * math.cos(ang), r * math.sin(ang))
-        k = 1.0 - mk.dot2(a, a)
-        for hq, hh, gq, den in probes:
-            probe = (1.0 + ch.P * (hh + (mk.dot2(a, hq) - gq) ** 2 / k)) / den
-            if 0.5 * math.log(probe) > best_value + EPS_GRID_EXCESS:
-                break
-        else:
-            value = _upper_value(ch, a)
-            if value < best_value:
-                best_value = value
-                best_a = a
-    assert best_a is not None
-
-    return best_a, best_value, tc, _upper_value(ch, tc.a_star)
-
 
 def sample_general_channels(
     seed: int, count: int, power: float = 1.0

@@ -38,14 +38,10 @@ UNIT_COUPLING_TOL = 1e-9
 # the winner's unit-rank margin relative to P and, absolute, how far the
 # search may fall below the best beam on Degraded channels, and is the exact
 # bracket's relative half-width about the beam's excess; EPS_GRID_EXCESS
-# is the roundoff by which a searched rate may exceed the closed-form optimum
-# or a lattice rate the solved one, and the slack by which a beam probe in
-# min_over_a must exceed the best sampled bound before a sample is skipped.
+# is the roundoff by which the solved search's rate may exceed the
+# closed-form optimum, or a lattice rate the solved one.
 EPS_GRID = 1e-9
 EPS_GRID_EXCESS = 1e-12
-
-# Sampled noise correlations stay this far inside the unit circle.
-EPS_RIM = 1e-6
 
 # Slack before a power sweep warns that capacity decreased with power.
 EPS_MONOTONE = 1e-12

@@ -2,15 +2,17 @@
 that more than one module checks but the library does not compute: the
 null-beam rate, the root-sign lemma of the full-rank stationarity
 quadratic, and the 50-digit maximum of the Gaussian rate ratio over the
-covariances.  Import the helpers with ``from conftest import ...``."""
+covariances, and the genie bound maximized over the covariances.  Import the
+helpers with ``from conftest import ...``."""
 
 import math
 
 import mpmath
 import pytest
 
-from secrecy221 import WiretapChannel, sample_general_channels
+from secrecy221 import WiretapChannel, coupling_gain_matrix, sample_general_channels
 from secrecy221 import matkit as mk
+from secrecy221.oracle import _solved_rate
 
 SUITE_SEED = 20260808
 
@@ -41,6 +43,12 @@ def no_nonneg_roots(d_mat: mk.Mat2, g: mk.Vec2, lam: float) -> bool:
     disc = lin * lin - 4.0 * const
     root_hi = 0.5 * (-lin + math.sqrt(disc)) if disc >= 0.0 else -math.inf
     return lin > 0.0 and const > 0.0 and root_hi < 0.0
+
+
+def upper_value(ch: WiretapChannel, a: mk.Vec2) -> float:
+    """The genie upper bound at a, maximized over covariances exactly (nats);
+    an a not strictly inside the unit disk raises NoiseDegenerate."""
+    return _solved_rate(coupling_gain_matrix(ch, a), ch.g, ch.P)[0]
 
 
 def disk_max_reference(d_mat: mk.Mat2, g: mk.Vec2, power: float) -> float:

@@ -28,7 +28,7 @@ import subprocess
 import sys
 import time
 
-from conftest import no_nonneg_roots, null_beam_rate
+from conftest import no_nonneg_roots, null_beam_rate, upper_value
 from secrecy221 import (
     brute_force_gaussian,
     capacity_certificate,
@@ -172,13 +172,13 @@ def test_criterion_5_upper_bound_validity(suite1000):
                     break
             ang = rng.uniform(0.0, 2.0 * math.pi)
             a = (r * math.cos(ang), r * math.sin(ang))
-            value = oracle._upper_value(ch, a)
+            value = upper_value(ch, a)
             assert lattice_512(ch, coupling_gain_matrix(ch, a)) <= value + EPS_GRID_EXCESS
             values.append(value)
             worst_floor = min(worst_floor, value - lower)
             assert value >= lower - 1e-3
         tc = optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-        star = oracle._upper_value(ch, tc.a_star)
+        star = upper_value(ch, tc.a_star)
         assert lattice_512(ch, coupling_gain_matrix(ch, tc.a_star)) <= star + EPS_GRID_EXCESS
         excess = star - min(values)
         worst_excess = max(worst_excess, excess)
@@ -225,10 +225,6 @@ def test_criterion_8_oracle_determinism(tmp_path):
         "secrecy221",
         "oracle",
         str(spec),
-        "--samples",
-        "16",
-        "--seed",
-        "7",
     ]
     outputs = []
     for threads in ("1", "4"):

@@ -8,7 +8,7 @@ import random
 import mpmath
 import pytest
 
-from conftest import disk_max_reference
+from conftest import disk_max_reference, upper_value as solved_upper_value
 from secrecy221 import (
     ChannelKind,
     TightCorrelation,
@@ -18,7 +18,6 @@ from secrecy221 import (
     brute_force_gaussian,
     capacity_certificate,
     coupling_gain_matrix,
-    min_over_a,
     optimal_beam,
     optimize_alpha,
     validate_covariance,
@@ -40,7 +39,7 @@ from secrecy221.errors import (
     PreconditionFailed,
     SingularMatrix,
 )
-from secrecy221.tolerances import EPS_CERT, EPS_ID
+from secrecy221.tolerances import EPS_CERT, EPS_GRID, EPS_ID
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -306,15 +305,16 @@ class TestCapacityCertificate:
             assert name in cert.residuals
 
     def test_spec_cross_checked_instance(self):
-        # Non-trivial instance confirmed by two independent oracles.
+        # Non-trivial instance confirmed by two independent oracles: the
+        # solved covariance search and the exact bracket at a*.
         ch = WiretapChannel(((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9), 2.0)
         cert = capacity_certificate(ch)
         assert cert.verdict == "Tight"
         _, grid_rate = brute_force_gaussian(ch)
         assert abs(cert.lower - grid_rate) <= 1e-3
-        _, min_val, _, _ = min_over_a(ch, optimal_beam(ch), 50, seed=6)
-        assert min_val >= cert.lower - 1e-3
-        assert oracle._upper_value(ch, cert.correlation.a_star) <= min_val + 1e-3
+        rho = oracle._beam_excess(ch, cert.beam.q_a)
+        assert oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
+        assert not oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 - EPS_GRID))
 
     def test_blown_identity_is_nottight(self, monkeypatch, tmp_path, capsys):
         # A wrong theta* blows the {lambda_1, 1} spectrum identity: the
@@ -410,7 +410,7 @@ class TestCapacityCertificate:
         path = tmp_path / "channel.json"
         path.write_text('{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}')
         beams.clear()
-        assert main(["oracle", str(path), "--samples", "4"]) == 0
+        assert main(["oracle", str(path)]) == 0
         capsys.readouterr()
         assert len(calls) == 2
         assert len(beams) == 1
@@ -543,7 +543,7 @@ class TestCapacityCertificate:
                 r = math.sqrt(rng.uniform(0, 0.98))
                 phi = rng.uniform(0, 2 * math.pi)
                 a = (r * math.cos(phi), r * math.sin(phi))
-                assert oracle._upper_value(ch, a) >= lower - 1e-3
+                assert solved_upper_value(ch, a) >= lower - 1e-3
 
     def test_certificate_gain_matrix_consistency(self, suite1000):
         # A(a*) assembled from theta* q_perp q_perp^T equals the generic

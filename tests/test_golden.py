@@ -9,10 +9,9 @@ that table, the min-over-a relations judged by the oracle verb, the
 oracle grid evaluated in row blocks over a per-report frame, and then only
 at each angle's origin and full-power candidates, with the grid fixed at
 256 x 256); any change to them is a contract change and has to be made
-deliberately.  `oracle_example_a.out`, `oracle_example_a_defaults.out` and
-`ORACLE_SUITE_DIGEST` were last re-recorded when every covariance search
-was solved by Dinkelbach's iteration on the trace-P disk and the report
-lost its "grid" field: the grid-search rates moved by at most 1.7e-16 nats,
+deliberately.  `oracle_example_a.out` and `ORACLE_SUITE_DIGEST` were
+re-recorded when every covariance search was solved by Dinkelbach's
+iteration on the trace-P disk and the report lost its "grid" field: the grid-search rates moved by at most 1.7e-16 nats,
 the min-over-a values by at most 1.1e-16 nats down or 5.5e-4 nats up, and
 every report's verdict and exit code held.  `ORACLE_SUITE_DIGEST` alone was
 re-recorded again when the KKT check took the channel and the beam and
@@ -32,17 +31,16 @@ diagonal and rotated channels, exactly and nearly rank one, across 33 power
 decades; it was recorded when that certificate took the best beam of H
 from the channel's own beam pencil and dropped the upper bound of the
 rank-one reduction, which was false whenever sigma_2 > 0.
-`ORACLE_SAMPLES_DIGEST` pins `oracle` at 50 samples on seed 28368, whose
-stream rejects one pair; it was recorded before the sampled bounds that two
-beam probes prove cannot lower the minimum were skipped.
-`oracle_example_a.out`, `oracle_example_a_defaults.out`,
-`ORACLE_SUITE_DIGEST`, `ORACLE_SAMPLES_DIGEST`, `ORACLE_POWER_DIGEST` and
-`ORACLE_POWER_EXITS` were all re-recorded once when the exact bracket
-replaced the float KKT test: each report's `bracket` and `perturbed`
-sections replaced `kkt_optimum` and `kkt_perturbed`, every other field held
-on all 117 reports, the Degraded reports stayed byte-identical, and the
-only exit codes that moved were the ten General channels of
-`ORACLE_POWER_DIGEST` at P = 1e-10, from 2 to 0.  `sweep_example_a.out` was
+`oracle_example_a.out`, `ORACLE_SUITE_DIGEST`, `ORACLE_POWER_DIGEST` and
+`ORACLE_POWER_EXITS` were re-recorded once when the exact bracket replaced
+the float KKT test: each report's `bracket` and `perturbed` sections
+replaced `kkt_optimum` and `kkt_perturbed`, every other field held, the
+Degraded reports stayed byte-identical, and the only exit codes that moved
+were the ten General channels of `ORACLE_POWER_DIGEST` at P = 1e-10, from 2
+to 0.  They were re-recorded again when the report dropped its sampled
+correlations (the `samples`, `seed` and `min_over_a` fields, and the verb's
+`--samples` and `--seed` options): every other field of all 76 reports was
+byte-identical, and every exit code held.  `sweep_example_a.out` was
 re-recorded once when a sweep's first and last rows were put at exactly
 --pmin and --pmax (they had been exp(log(p)), here 0.010000000000000004 and
 10000000000.000004); no other row changed.
@@ -82,16 +80,11 @@ RANDOM_SUITE_DIGEST = "a6e90e953772e39ed8c5743321ab9cb8baefe797b372eb6f69b7950a2
 # x86-64 Linux.
 WIDE_POWER_DIGEST = "d738541a361b25a89ddbe65f75c2cf958dc68324bbace2084e8f08a900062694"
 
-# SHA-256 over `oracle - --samples 4` on the first 20 lines of
+# SHA-256 over `oracle -` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by
 # "exit <code>\n".  Recorded on x86-64 Linux with every covariance search
-# solved on the trace-P disk and the beam judged by the exact bracket.
-ORACLE_SUITE_DIGEST = "cf0eff9d68ad39f9ec96216133cc670dd2b07bf137697545d0fbda0a7ac254be"
-
-# SHA-256 over `oracle - --samples 50 --seed 28368` on the first 40 lines of
-# `random --seed 0 --count 1000`, in ORACLE_SUITE_DIGEST's format.  Recorded
-# on x86-64 Linux.
-ORACLE_SAMPLES_DIGEST = "cffcd88784c98f4c8d6a84661a707e271f842573d57e706be0d33e0232319906"
+# solved on the trace-P disk and the beam judged by the exact bracket alone.
+ORACLE_SUITE_DIGEST = "f88404bc68c2b134bbe44b822ae44b3b4ada2a09af0b942ff6c5bafa59a475f4"
 
 # SHA-256 over 50 Degraded channels at P = 10**k, k = -12..20 (1,650
 # certificates), in WIDE_POWER_DIGEST's format.  Channel i is the i-th of
@@ -99,11 +92,11 @@ ORACLE_SAMPLES_DIGEST = "cffcd88784c98f4c8d6a84661a707e271f842573d57e706be0d33e0
 # Recorded on x86-64 Linux.
 DEGRADED_WIDE_POWER_DIGEST = "804c10d4531000c0c3975220b9a52c19864a406ca27eda9a4ce011a649bdb313"
 
-# SHA-256 over `oracle -` (32 samples, seed 0) on `sample_general_channels(11,
-# 10)` plus EXAMPLE_DEGRADED, at P = 1e-10, 1e-6, 1, 1e8 and 1e14: each
-# report's stdout followed by "exit <code>\n".  Every report exits 0.
-# Recorded on x86-64 Linux.
-ORACLE_POWER_DIGEST = "fe7766192a88cad55a2bbd5978b6a8cb1ec2f2d7892aae6327ded2d8f77b698d"
+# SHA-256 over `oracle -` on `sample_general_channels(11, 10)` plus
+# EXAMPLE_DEGRADED, at P = 1e-10, 1e-6, 1, 1e8 and 1e14: each report's
+# stdout followed by "exit <code>\n".  Every report exits 0.  Recorded on
+# x86-64 Linux.
+ORACLE_POWER_DIGEST = "0440d6411541bdd71dd42423acf3bd4db8851b5a87dafd0661cf9130715b4964"
 ORACLE_POWER_EXITS = [0] * 55
 
 # SHA-256 over 48 ReducedRank channels at P = 10**k, k = -12..20 (1,584
@@ -128,8 +121,7 @@ CASES = [
         EXAMPLE_A,
         ["sweep", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"],
     ),
-    ("oracle_example_a", EXAMPLE_A, ["oracle", "--samples", "4"]),
-    ("oracle_example_a_defaults", EXAMPLE_A, ["oracle"]),
+    ("oracle_example_a", EXAMPLE_A, ["oracle"]),
 ]
 
 
@@ -176,22 +168,10 @@ def test_oracle_suite_digest(capsys, monkeypatch):
     digest = hashlib.sha256()
     for line in lines:
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
-        code = main(["oracle", "-", "--samples", "4"])
+        code = main(["oracle", "-"])
         digest.update(capsys.readouterr().out.encode())
         digest.update(f"exit {code}\n".encode())
     assert digest.hexdigest() == ORACLE_SUITE_DIGEST
-
-
-def test_oracle_samples_digest(capsys, monkeypatch):
-    assert main(["random", "--seed", "0", "--count", "1000"]) == 0
-    lines = capsys.readouterr().out.splitlines()[:40]
-    digest = hashlib.sha256()
-    for line in lines:
-        monkeypatch.setattr("sys.stdin", io.StringIO(line))
-        code = main(["oracle", "-", "--samples", "50", "--seed", "28368"])
-        digest.update(capsys.readouterr().out.encode())
-        digest.update(f"exit {code}\n".encode())
-    assert digest.hexdigest() == ORACLE_SAMPLES_DIGEST
 
 
 def test_wide_power_certificate_digest():

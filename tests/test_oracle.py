@@ -1,6 +1,6 @@
 """Oracle tests: the solved covariance search against a dense lattice and a
 50-digit reference, the lattice witness, the exact bracket and its
-optimality verdicts, root-sign verification, correlation sampling, and
+optimality verdicts, root-sign verification, channel sampling, and
 determinism."""
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disk_max_reference, no_nonneg_roots
+from conftest import disk_max_reference, no_nonneg_roots, upper_value
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
@@ -22,7 +22,6 @@ from secrecy221 import (
     capacity_certificate,
     classify,
     coupling_gain_matrix,
-    min_over_a,
     optimal_beam,
     optimize_alpha,
     sample_general_channels,
@@ -30,9 +29,9 @@ from secrecy221 import (
 )
 from secrecy221 import matkit as mk
 from secrecy221 import oracle
-from secrecy221.errors import NoiseDegenerate, PreconditionFailed
+from secrecy221.errors import NoiseDegenerate
 from secrecy221.oracle import covariance_from_param
-from secrecy221.tolerances import EPS_GRID, EPS_GRID_EXCESS, EPS_RIM, EPS_TRACE
+from secrecy221.tolerances import EPS_GRID, EPS_GRID_EXCESS
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -248,11 +247,11 @@ class TestBruteForceGaussian:
 
 class TestBruteForceUpper:
     def test_example_a_at_tight_correlation(self, example_a):
-        value = oracle._upper_value(example_a, (0.5, 0.0))
+        value = upper_value(example_a, (0.5, 0.0))
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-15)
 
     def test_zero_correlation_is_looser(self, example_a):
-        value = oracle._upper_value(example_a, (0.0, 0.0))
+        value = upper_value(example_a, (0.0, 0.0))
         assert value >= 0.5 * math.log(2.0) + 1e-3
 
     def test_unit_rank_at_tight_correlation(self, suite1000):
@@ -270,11 +269,39 @@ class TestBruteForceUpper:
     def test_degenerate_correlation_rejected(self, example_a):
         for a in ((0.8, 0.6), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
-                oracle._upper_value(example_a, a)
+                upper_value(example_a, a)
         # Outside the unit disk A(a) would be I or indefinite, not a bound.
         for a in ((2.0, 0.0), (0.0, 1.5), (math.nan, 0.0)):
             with pytest.raises(NoiseDegenerate):
                 coupling_gain_matrix(example_a, a)
+
+    def test_beam_bounds_each_search_from_below(self):
+        # The genie bound at the feasible beams S = P q q^T / ||q||^2, q in
+        # {q_a, q_perp}, never exceeds the solved maximum by more than
+        # EPS_GRID_EXCESS, from P = 1e-10 to 1e14.  The bound is route 1 of
+        # _upper_value_detail, the 3x3 determinant with N^{-1}, evaluated to
+        # 50 digits (in floats that route cancels from P ~ 1e6 on); with
+        # m = [H; g^T] q it is
+        # det(I + N^{-1} m m^T P / ||q||^2) = 1 + (P / ||q||^2) m^T N^{-1} m.
+        channels, _ = sample_general_channels(19, 200)
+        rng = random.Random(19)
+        for _ in range(2000):
+            ch = rng.choice(channels).with_power(10.0 ** rng.uniform(-10.0, 14.0))
+            r = math.sqrt(rng.random()) * (1.0 - 1e-6)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            a = (r * math.cos(ang), r * math.sin(ang))
+            q_a = optimal_beam(ch).q_a
+            solved = upper_value(ch, a)
+            with mpmath.workdps(50):
+                n_inv = mpmath.inverse(mpmath.matrix(mk.noise_cov3(a)))
+                rows = mpmath.matrix([ch.H[0], ch.H[1], ch.g])
+                for q in (q_a, mk.orth_perp(q_a)):
+                    qv = mpmath.matrix(q)
+                    m = rows * qv
+                    scale = ch.P / (qv.T * qv)[0]
+                    det_1 = 1 + scale * (m.T * n_inv * m)[0]
+                    den = 1 + scale * m[2] ** 2
+                    assert (mpmath.log(det_1) - mpmath.log(den)) / 2 <= solved + EPS_GRID_EXCESS
 
 
 # Dense reference lattices, from the smallest (m = 1) to the Degraded
@@ -301,7 +328,7 @@ class TestSolvedSearch:
             for a in ((0.0, 0.0), (0.3, -0.6)):
                 d = coupling_gain_matrix(ch, a)
                 value, param = check_against_dense(d, ch.g, ch.P, *grid, reference=True)
-                bound = oracle._upper_value(ch, a)
+                bound = upper_value(ch, a)
                 assert bound == 0.5 * math.log(value)
                 assert oracle._solved_rate(d, ch.g, ch.P) == (bound, param)
 
@@ -314,11 +341,9 @@ class TestSolvedSearch:
         assert dense_grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == (1.0, (0.0, 0.0, 0.0))
         assert oracle._grid_max_ratio(zero, (0.0, 0.0), 1.0, *grid) == 1.0
 
-    def test_value_searches_build_no_covariance(self, example_a, monkeypatch):
-        # Only the values of the bounds and of the Degraded rate are read,
-        # so none of min_over_a's 33 searches, the bound at a* included,
-        # builds its maximizing covariance, and a Degraded certificate
-        # builds none.
+    def test_value_searches_build_no_covariance(self, monkeypatch):
+        # Only the value of the Degraded rate is read, so a Degraded
+        # certificate builds no maximizing covariance.
         calls = []
         real = oracle.covariance_from_param
 
@@ -327,8 +352,6 @@ class TestSolvedSearch:
             return real(*args)
 
         monkeypatch.setattr(oracle, "covariance_from_param", counted)
-        min_over_a(example_a, optimal_beam(example_a), 32, 0)
-        assert calls == []
         cert = capacity_certificate(WiretapChannel(I2, (0.5, 0.0), 1.0))
         assert cert.kind is ChannelKind.DEGRADED
         assert calls == []
@@ -397,20 +420,16 @@ class TestSolvedSearch:
 
     def test_traced_memory_stays_small(self, example_a):
         # The lattice engines peaked at 6.26 MB (dense, one 512^2 grid) down
-        # to 0.56 MB (the candidates and the solved face), and min_over_a at
-        # 256^2 at 1.71 down to 0.26 MB.  The solved search stores no array
-        # (0.65 kB; min_over_a 2.2 kB), and a Degraded certificate's 512^2
+        # to 0.56 MB (the candidates and the solved face).  The solved search
+        # stores no array (0.65 kB), and a Degraded certificate's 512^2
         # witness lattice only its candidates (0.56 MB).  The caps add at
         # least 25% to those peaks.
-        beam = optimal_beam(example_a)
         degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
-        # One-time lazy set-up, numpy.random's included, stays untraced.
+        # One-time lazy set-up stays untraced.
         capacity_certificate(degraded)
-        min_over_a(example_a, beam, 1, 0)
         peaks = []
         for run in (
             lambda: brute_force_gaussian(example_a),
-            lambda: min_over_a(example_a, beam, 32, 0),
             lambda: capacity_certificate(degraded),
         ):
             tracemalloc.start()
@@ -420,8 +439,7 @@ class TestSolvedSearch:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 1e3
-        assert peaks[1] <= 3e3
-        assert peaks[2] <= 0.70e6
+        assert peaks[1] <= 0.70e6
 
 
 def _gain_matrix(kind, scale, u, g):
@@ -579,7 +597,7 @@ class TestExactBracket:
         for _ in range(1500):
             h = ((rng.gauss(0, 1), rng.gauss(0, 1)), (rng.gauss(0, 1), rng.gauss(0, 1)))
             ch = WiretapChannel(h, (rng.gauss(0, 1), rng.gauss(0, 1)), 10.0 ** rng.uniform(-8, 12))
-            r, t = math.sqrt(rng.random()) * (1.0 - EPS_RIM), rng.uniform(0.0, 2.0 * math.pi)
+            r, t = math.sqrt(rng.random()) * (1.0 - 1e-6), rng.uniform(0.0, 2.0 * math.pi)
             a = (r * math.cos(t), r * math.sin(t))
             ref, branch = _excess_reference(ch, a)
             branches[branch] += 1
@@ -650,143 +668,6 @@ class TestNoNonnegRoots:
             g = mk.scale2(math.sqrt(target / base), g_dir)
             lam = abs(rng.gauss(0, 1)) + 1e-3
             assert no_nonneg_roots(d, g, lam)
-
-
-class TestMinOverA:
-    def test_example_a(self, example_a):
-        a_best, value, _, _ = min_over_a(example_a, optimal_beam(example_a), 200, seed=3)
-        lower = 0.5 * math.log(2.0)
-        assert value >= lower - 1e-3
-        assert value <= lower + 0.05
-        # minimizer approaches the tight correlation (1/2, 0)
-        assert mk.norm2(mk.sub2(a_best, (0.5, 0.0))) <= 0.25
-
-    def test_zero_sample_is_valid_bound(self, example_a):
-        value = oracle._upper_value(example_a, (0.0, 0.0))
-        assert value >= 0.5 * math.log(2.0) - 1e-9
-
-    def test_dominance_on_random_channels(self, suite1000):
-        for ch in suite1000[:3]:
-            # Every sample upper-bounds the achievable rate, and the
-            # optimized correlation is never beaten by more than the tolerance.
-            _, min_value, _, star_value = min_over_a(ch, optimal_beam(ch), 25, seed=8)
-            lower = optimal_beam(ch).rate
-            assert min_value >= lower - EPS_GRID * max(1.0, abs(lower))
-            assert star_value <= min_value + EPS_GRID * max(1.0, abs(min_value))
-
-    def test_returns_optimized_correlation_and_its_bound(self, suite1000):
-        for ch in suite1000[:2]:
-            a_best, value, tc, star_value = min_over_a(ch, optimal_beam(ch), 4, seed=5)
-            assert tc == optimize_alpha(ch, mk.orth_perp(optimal_beam(ch).q_a))
-            d = coupling_gain_matrix(ch, tc.a_star)
-            bound, param = oracle._solved_rate(d, ch.g, ch.P)
-            assert star_value == bound
-            assert value == oracle._upper_value(ch, a_best)
-            s_star = validate_covariance(covariance_from_param(*param), ch.P)
-            assert s_star.S[0][0] + s_star.S[1][1] <= ch.P + EPS_TRACE * max(1.0, ch.P)
-
-    def test_requires_general(self, monkeypatch):
-        # The precondition fails before any bound is searched.
-        calls = []
-        real_value = oracle._upper_value
-
-        def counted_value(*args):
-            calls.append(args)
-            return real_value(*args)
-
-        monkeypatch.setattr(oracle, "_upper_value", counted_value)
-        degraded = WiretapChannel(I2, (0.5, 0.0), 1.0)
-        with pytest.raises(PreconditionFailed):
-            min_over_a(degraded, optimal_beam(degraded), 10, seed=0)
-        assert calls == []
-
-
-    @pytest.mark.parametrize("seed", [0, 28368])
-    def test_samples_follow_the_per_pair_stream(self, example_a, monkeypatch, seed):
-        # Seed 28368 rejects its 15th pair of 32 (u at the rim): the next
-        # sample is pair 16's, and the 32nd needs a 33rd pair.
-        searched = []
-
-        def recorded_value(ch, a):
-            searched.append(a)
-            return 1e300
-
-        monkeypatch.setattr(oracle, "_upper_value", recorded_value)
-        min_over_a(example_a, optimal_beam(example_a), 32, seed)
-        rng = np.random.default_rng(seed)
-        expected = []
-        while len(expected) < 32:
-            u, v = rng.random(2)
-            r = math.sqrt(u)
-            if r < 1.0 - EPS_RIM:
-                ang = 2.0 * math.pi * v
-                expected.append((r * math.cos(ang), r * math.sin(ang)))
-        assert searched[:-1] == expected
-
-    @staticmethod
-    def _sample_stream(seed, samples):
-        """The correlations ``min_over_a`` samples, replayed pair by pair."""
-        rng = np.random.default_rng(seed)
-        stream = []
-        while len(stream) < samples:
-            u, v = rng.random(2)
-            r = math.sqrt(u)
-            if r < 1.0 - EPS_RIM:
-                ang = 2.0 * math.pi * v
-                stream.append((r * math.cos(ang), r * math.sin(ang)))
-        return stream
-
-    def test_skipped_samples_keep_the_exhaustive_minimum(self):
-        channels, _ = sample_general_channels(11, 60)
-        streams = {key: self._sample_stream(*key) for key in ((0, 32), (28368, 50))}
-        for power in (1e-10, 1e-6, 1.0, 1e8, 1e14):
-            for ch in channels:
-                ch = ch.with_power(power)
-                beam = optimal_beam(ch)
-                for (seed, samples), stream in streams.items():
-                    values = [oracle._upper_value(ch, a) for a in stream]
-                    value = min(values)
-                    a_best = stream[values.index(value)]
-                    assert min_over_a(ch, beam, samples, seed)[:2] == (a_best, value)
-
-    def test_beam_bounds_each_search_from_below(self):
-        # The premise of the skip: the genie bound at the feasible beam
-        # S = P q q^T / ||q||^2 never exceeds the solved maximum by more than
-        # EPS_GRID_EXCESS.  The bound is route 1 of _upper_value_detail, the
-        # 3x3 determinant with N^{-1}, evaluated to 50 digits (in floats that
-        # route cancels from P ~ 1e6 on); with m = [H; g^T] q it is
-        # det(I + N^{-1} m m^T P / ||q||^2) = 1 + (P / ||q||^2) m^T N^{-1} m.
-        channels, _ = sample_general_channels(19, 200)
-        rng = random.Random(19)
-        for _ in range(2000):
-            ch = rng.choice(channels).with_power(10.0 ** rng.uniform(-10.0, 14.0))
-            r = math.sqrt(rng.random()) * (1.0 - EPS_RIM)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            a = (r * math.cos(ang), r * math.sin(ang))
-            q_a = optimal_beam(ch).q_a
-            solved = oracle._upper_value(ch, a)
-            with mpmath.workdps(50):
-                n_inv = mpmath.inverse(mpmath.matrix(mk.noise_cov3(a)))
-                rows = mpmath.matrix([ch.H[0], ch.H[1], ch.g])
-                for q in (q_a, mk.orth_perp(q_a)):
-                    qv = mpmath.matrix(q)
-                    m = rows * qv
-                    scale = ch.P / (qv.T * qv)[0]
-                    det_1 = 1 + scale * (m.T * n_inv * m)[0]
-                    den = 1 + scale * m[2] ** 2
-                    assert (mpmath.log(det_1) - mpmath.log(den)) / 2 <= solved + EPS_GRID_EXCESS
-
-    def test_samples_that_cannot_win_are_not_searched(self, example_a, monkeypatch):
-        searched = []
-        real_value = oracle._upper_value
-
-        def counted_value(ch, a):
-            searched.append(a)
-            return real_value(ch, a)
-
-        monkeypatch.setattr(oracle, "_upper_value", counted_value)
-        min_over_a(example_a, optimal_beam(example_a), 32, 0)
-        assert len(searched) < 32
 
 
 class TestSampling:

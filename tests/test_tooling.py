@@ -59,10 +59,13 @@ def test_importing_the_cli_leaves_numpy_unloaded(tmp_path):
     # dataclasses, which pulls in inspect, ast and dis.  `site` may preload
     # modules, so only what the import and the calls add to a bare
     # interpreter counts.  (A Degraded certificate still loads numpy through
-    # its witness lattice.)  A General sweep takes the same path per row.
+    # its witness lattice.)  A General sweep takes the same path per row,
+    # and an `oracle` report, whose searches are solved in pure Python and
+    # which samples nothing, calls numpy on no class of channel.
     specs = {
         "general.json": '{"H": [[1, 0], [0, 1]], "g": [2, 0], "P": 1}',
         "reduced_rank.json": '{"H": [[1, 0], [0, 0.99e-8]], "g": [0.1, 0], "P": 1e12}',
+        "degraded.json": '{"H": [[1, 0.3], [-0.2, 0.8]], "g": [0.4, 0.3], "P": 2}',
     }
     for name, spec in specs.items():
         (tmp_path / name).write_text(spec)
@@ -70,6 +73,8 @@ def test_importing_the_cli_leaves_numpy_unloaded(tmp_path):
         ["capacity", "general.json"],
         ["capacity", "reduced_rank.json"],
         ["sweep", "general.json", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "13"],
+        ["oracle", "general.json"],
+        ["oracle", "degraded.json"],
     ]
     env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
     code = """
@@ -81,7 +86,7 @@ for argv in json.loads(sys.argv[1]):
     out, sys.stdout = sys.stdout, io.StringIO()
     code = cli.main(argv)
     text, sys.stdout = sys.stdout.getvalue(), out
-    runs.append((code, json.loads(text)["class"] if argv[0] == "capacity" else text.count("\\n")))
+    runs.append((code, text.count("\\n") if argv[0] == "sweep" else json.loads(text)["class"]))
 print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - before)))
 """
     proc = subprocess.run(
@@ -92,7 +97,9 @@ print(runs, sorted({"numpy", "dataclasses", "inspect"} & (set(sys.modules) - bef
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[(0, 'General'), (0, 'ReducedRank'), (0, 14)] []\n"
+    assert proc.stdout == (
+        "[(0, 'General'), (0, 'ReducedRank'), (0, 14), (0, 'General'), (0, 'Degraded')] []\n"
+    )
 
 
 # Runs each [argv, stdin] of the JSON file named by argv[1] through the CLI
@@ -112,10 +119,11 @@ for argv, spec in calls:
 
 
 def test_numpy_free_outputs_match_across_interpreters(tmp_path):
-    # Certificates are closed-form float arithmetic, so each supported
-    # CPython must print the same bytes.  General and ReducedRank
-    # certificates and sweeps import no numpy, which the other interpreters
-    # may lack, so the channels are drawn here with random.
+    # Certificates and oracle reports are float and integer arithmetic in
+    # pure Python, so each supported CPython must print the same bytes.
+    # General and ReducedRank certificates, sweeps and oracle reports import
+    # no numpy, which the other interpreters may lack, so the channels are
+    # drawn here with random.
     from secrecy221 import ChannelKind, WiretapChannel, classify
     from secrecy221.errors import BoundaryAmbiguous
 
@@ -136,6 +144,11 @@ def test_numpy_free_outputs_match_across_interpreters(tmp_path):
         for spec in specs
         for power in (1e-8, 1e-2, 1.0, 3.7, 1e4, 1e9)
     ]
+    calls += [
+        [["oracle", "-"], json.dumps({**spec, "P": power})]
+        for spec in found[ChannelKind.GENERAL]
+        for power in (1.0, 1e4)
+    ]
     general = json.dumps({**found[ChannelKind.GENERAL][0], "P": 1.0})
     sweep = ["sweep", "-", "--pmin", "1e-3", "--pmax", "1e9", "--steps", "25", "--log-spacing"]
     calls.append([sweep, general])
@@ -152,7 +165,7 @@ def test_numpy_free_outputs_match_across_interpreters(tmp_path):
         return proc.stdout
 
     expected = outputs(sys.executable)
-    # Every call prints a certificate or a sweep: Tight, Inapplicable or NotTight.
+    # Every call prints a certificate, a sweep or an oracle report: exit 0 or 2.
     assert expected.count(b"exit 0\n") + expected.count(b"exit 2\n") == len(calls)
     compared = []
     for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
