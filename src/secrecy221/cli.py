@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -202,31 +203,28 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ChannelSpecError("sweep requires steps >= 2")
     ch = read_channel(args.channel)
-    n = args.steps - 1
-    if args.log_spacing:
-        lo, hi = math.log(args.pmin), math.log(args.pmax)
-        inner = [math.exp(lo + (hi - lo) * i / n) for i in range(1, n)]
-    else:
-        inner = [args.pmin + (args.pmax - args.pmin) * i / n for i in range(1, n)]
-    # The ends exactly as asked: exp(log(p)) and pmin + (pmax - pmin) need not
-    # round back to p and pmax.  Nor may a rounded inner power pass an end (as
-    # exp(log(p)) does for pmin == pmax); min and max test that without a loop.
-    powers = [args.pmin, *inner, args.pmax]
-    if min(powers) < args.pmin or max(powers) > args.pmax:
-        powers = [min(max(p, args.pmin), args.pmax) for p in powers]
-
+    pmin, pmax = args.pmin, args.pmax
+    # The power check is monotone in P, so --pmax passes exactly when every
+    # power of the sweep does: the whole range is refused before the header.
     try:
-        for power in powers:
-            _check_power(ch.H, ch.g, power)
+        _check_power(ch.H, ch.g, pmax)
     except ValueError as exc:
         raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
     # The class depends on H and g alone: refuse a boundary channel before
     # the header, and leave the P-free members cached for the first row.
     classify(ch)
 
+    # Rows are evenly spaced in log P or in P, and each power is made as its
+    # row is printed, so neither the first row's wait nor memory grows with
+    # --steps.  The ends exactly as asked: exp(log(p)) and pmin + (pmax - pmin)
+    # need not round back to p and pmax.  Nor may a rounded inner power pass
+    # an end (as exp(log(p)) does for pmin == pmax), so each is clamped.
+    axis, back = (math.log, math.exp) if args.log_spacing else (float, float)
+    lo, hi, n = axis(pmin), axis(pmax), args.steps - 1
+    inner = (min(max(back(lo + (hi - lo) * i / n), pmin), pmax) for i in range(1, n))
     sys.stdout.write("P,capacity_nats,capacity_bits,lambda1,verdict\n")
     previous = -math.inf
-    for power in powers:
+    for power in itertools.chain([pmin], inner, [pmax]):
         ch = ch.with_power(power)
         cert = capacity_certificate(ch)
         cap = max(0.0, cert.capacity_nats)

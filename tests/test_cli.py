@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,52 @@ class TestSweep:
         for lo, hi in zip(caps, caps[1:]):
             assert hi >= lo - 1e-12
 
+    def test_capacity_decrease_warns_on_stderr(self, capsys, monkeypatch, example_a_path):
+        argv = ["sweep", example_a_path, "--pmin", "1", "--pmax", "4", "--steps", "4"]
+        code, rows, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        real = cli.capacity_certificate
+
+        def dropped_at_3(ch):
+            cert = real(ch)
+            return cert._replace(capacity_nats=0.25) if ch.P == 3.0 else cert
+
+        monkeypatch.setattr(cli, "capacity_certificate", dropped_at_3)
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        lines, expected = out.splitlines(), rows.splitlines()
+        previous = expected[2].split(",")[1]
+        assert err == f"warning: capacity decreased at P=3 (0.25 < {previous})\n"
+        assert lines[:3] + lines[4:] == expected[:3] + expected[4:]
+        fields = (3.0, 0.25, 0.25 / LOG2, 4.0)
+        assert lines[3] == ",".join([*map(cli._fmt_float, fields), "Tight"])
+
+    def test_setup_does_not_grow_with_steps(self, capsys, monkeypatch, example_a_path):
+        # The header is the first write; the stub stops the sweep at its
+        # first row, so tracemalloc's peak covers the set-up and one row.
+        class FirstRow(Exception):
+            pass
+
+        class Stdout:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise FirstRow(text)
+
+        argv = ["sweep", example_a_path, "--pmin", "1", "--pmax", "1e6", "--steps", "1000000"]
+        for spacing in ([], ["--log-spacing"]):
+            monkeypatch.setattr("sys.stdout", Stdout())
+            tracemalloc.start()
+            try:
+                code = main([*argv, *spacing])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, json.loads(capsys.readouterr().err)["error"]["type"]) == (1, "FirstRow")
+            assert peak < 1_000_000
+
     def test_degraded_channel_rows(self, capsys, tmp_path):
         path = tmp_path / "degraded.json"
         path.write_text('{"H": [[1, 0], [0, 1]], "g": [0.5, 0.0], "P": 1.0}')
@@ -337,6 +384,17 @@ class TestSweep:
         error = json.loads(err)["error"]
         assert error["type"] == "ChannelSpecError"
         assert "invalid sweep power" in error["message"]
+        assert repr(1e40) in error["message"]
+
+    def test_range_refused_at_pmax(self, capsys, example_a_path):
+        # The power check is monotone in P: --pmax alone decides the range,
+        # and the refusal names it rather than the first inner power past it.
+        argv = ["sweep", example_a_path, "--pmin", "1", "--pmax", "1e40"]
+        code, out, err = run(capsys, [*argv, "--steps", "121", "--log-spacing"])
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ChannelSpecError"
+        assert f"at P = {1e40!r} exceeds" in error["message"]
 
     def test_rows_equal_fresh_certificates(self, capsys, tmp_path):
         # Each row's channel is derived from the previous row's, so a

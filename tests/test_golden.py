@@ -43,7 +43,10 @@ correlations (the `samples`, `seed` and `min_over_a` fields, and the verb's
 byte-identical, and every exit code held.  `sweep_example_a.out` was
 re-recorded once when a sweep's first and last rows were put at exactly
 --pmin and --pmax (they had been exp(log(p)), here 0.010000000000000004 and
-10000000000.000004); no other row changed.
+10000000000.000004); no other row changed.  `sweep_example_a_linear.out`
+(whose last power, 0.3 + (0.9 - 0.3), rounds to 0.9000000000000001) and
+`sweep_example_a_linear_wide.out` pin linear spacing; they were recorded
+before each sweep power was computed as its row is printed.
 """
 
 import hashlib
@@ -120,6 +123,16 @@ CASES = [
         "sweep_example_a",
         EXAMPLE_A,
         ["sweep", "--pmin", "1e-2", "--pmax", "1e10", "--steps", "121", "--log-spacing"],
+    ),
+    (
+        "sweep_example_a_linear",
+        EXAMPLE_A,
+        ["sweep", "--pmin", "0.3", "--pmax", "0.9", "--steps", "3"],
+    ),
+    (
+        "sweep_example_a_linear_wide",
+        EXAMPLE_A,
+        ["sweep", "--pmin", "1e-3", "--pmax", "1e3", "--steps", "41"],
     ),
     ("oracle_example_a", EXAMPLE_A, ["oracle"]),
 ]
