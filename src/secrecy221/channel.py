@@ -50,7 +50,8 @@ def _check_power(H: Mat2, g: Vec2, P: float) -> None:
 _ChannelFields = NamedTuple("_ChannelFields", [("H", Mat2), ("g", Vec2), ("P", float)])
 
 # The cached members that depend on H and g alone, which with_power carries
-# from one power to the next; the beam pencil and its eigenpairs depend on P.
+# from one power to the next; the beam pencil, its B^{-1/2} factor and its
+# eigenpairs depend on P.
 _P_FREE_MEMBERS = ("_gram", "_sv_ratio", "_rank_deficient", "_ht_inv", "_w", "_resolvent_inv")
 
 
@@ -91,7 +92,7 @@ class WiretapChannel(_ChannelFields):
         small Gram eigenvalue bottoms out near 1e-8 sigma_max on an exactly
         rank-one H, just above EPS_RANK.
         """
-        l1 = mk.sym_eig2(self._gram)[0][0]
+        l1 = mk.sym_eigvals2(self._gram)[0]
         return abs(mk.det2(self.H)) / l1 if l1 > 0.0 else 0.0
 
     @cached_property
@@ -123,10 +124,16 @@ class WiretapChannel(_ChannelFields):
         )
 
     @cached_property
+    def _beam_factor(self) -> tuple[Mat2, float]:
+        """(B^{-1/2}, det B) for B = I + P g g^T, the second matrix of the beam
+        pencil and of the genie bound's pencil."""
+        return mk.rank1_inv_sqrt(self.P, self.g)
+
+    @cached_property
     def _beam_eig(self) -> tuple[tuple[float, float], Vec2]:
         """The beam pencil's eigenvalues and top eigenvector (the optimal
         beam); B = I + P g g^T is rank-one."""
-        return mk.gen_eig2_rank1(self._beam_pencil[0], self.P, self.g)
+        return mk.gen_eig2_rank1(self._beam_pencil[0], self._beam_factor)
 
     def with_power(self, power: float) -> "WiretapChannel":
         """The channel (H, g, power), carrying the P-free members computed so far.

@@ -50,13 +50,68 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _dict_layout(keys, value_types, indent, compact) -> str:
+    """A %-format string for a non-empty dict with these keys and value types.
+
+    It holds the quoted keys, the separators and the indentation, with a
+    ``%.17g`` slot for each exact-float value and a ``%s`` slot for the
+    rendering of any other value.
+    """
+    slots = ["%.17g" if t is float else "%s" for t in value_types]
+    names = [_quote(str(k)).replace("%", "%%") for k in keys]
+    if compact:
+        return "{" + ", ".join([f"{k}: {v}" for k, v in zip(names, slots)]) + "}"
+    pad = " " * indent
+    items = [f"{pad}  {k}: {v}" for k, v in zip(names, slots)]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+# Key types whose equal values print alike.  Equal floats need not (0.0 and
+# -0.0), nor equal tuples ((1,) and (1.0,)), so their layouts are not cached.
+_LAYOUT_KEY_TYPES = frozenset((str, int, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=256)  # a handful of dict shapes per verb
+def _cached_dict_layout(keys, key_types, value_types, indent, compact) -> str | None:
+    """``_dict_layout``, built once per shape; None where the key types forbid it."""
+    if not _LAYOUT_KEY_TYPES.issuperset(key_types):
+        return None
+    return _dict_layout(keys, value_types, indent, compact)
+
+
 def dumps(obj, indent: int = 0, compact: bool = False) -> str:
     """JSON with 17-significant-digit floats and stable key order.
 
     ``compact`` renders everything on one line (used for line-oriented
     output such as random channel specs).  Strings are escaped by the C
     encoder behind ``json.dumps`` (ASCII output), so the bytes match it.
+
+    A non-empty dict is rendered by filling its layout (``_dict_layout``)
+    with one ``%``, so C code formats its finite exact-float values.  Layouts
+    are cached, keyed on the key tuple, the key types, the value types,
+    indent and compact.  The key types are part of the key because 1, 1.0
+    and True are equal as dict keys but print as "1", "1.0" and "True"; a
+    dict with a key of another type, whose equal values may print
+    differently (0.0 and -0.0), gets a fresh layout on every call.
     """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys, values = tuple(obj), tuple(obj.values())
+        value_types = tuple(map(type, values))
+        layout = _cached_dict_layout(
+            keys, tuple(map(type, keys)), value_types, indent, compact
+        ) or _dict_layout(keys, value_types, indent, compact)
+        inner = 0 if compact else indent + 2
+        return layout % tuple([
+            v if type(v) is float and math.isfinite(v) else dumps(v, inner, compact)
+            for v in values
+        ])
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([
+            "%.17g" % v if type(v) is float and math.isfinite(v) else dumps(v, indent, compact)
+            for v in obj
+        ]) + "]"
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
@@ -67,17 +122,6 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if compact:
-            items = [f"{_quote(str(k))}: {dumps(v, compact=True)}" for k, v in obj.items()]
-            return "{" + ", ".join(items) + "}"
-        pad = " " * indent
-        items = [f"{pad}  {_quote(str(k))}: {dumps(v, indent + 2)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([dumps(v, indent, compact) for v in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -157,7 +201,7 @@ def certificate_to_dict(cert: CapacityCertificate) -> dict:
         "eigenvalues_of_bound": (
             list(cert.eigenvalues_of_bound) if cert.eigenvalues_of_bound else None
         ),
-        "residuals": dict(cert.residuals),
+        "residuals": cert.residuals,
     }
     if cert.beam is not None:
         out["beam"] = {
@@ -268,7 +312,7 @@ def cmd_oracle(args) -> int:
 
     beam = optimal_beam(ch)
     s_best, grid_rate = oracle.brute_force_gaussian(ch)
-    (se1, se2), _ = mk.sym_eig2(s_best.S)
+    se1, se2 = mk.sym_eigvals2(s_best.S)
     gap = beam.rate - grid_rate
     doc["closed_form"] = {"lambda1": beam.lambda1, "rate_nats": beam.rate}
     doc["grid_search"] = {

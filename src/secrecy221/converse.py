@@ -215,11 +215,13 @@ def _upper_value_detail(
     _require_positive("genie bound", den=den)  # before route 3 divides by it
 
     # Route 1: 3x3 determinant.
-    rows = (ch.H[0], ch.H[1], ch.g)
-    srows = [mk.matvec2(s, r) for r in rows]
-    hsh3: Mat3 = tuple(
-        tuple(mk.dot2(rows[i], srows[j]) for j in range(3)) for i in range(3)
-    )  # type: ignore[assignment]
+    (h0, h1), g = ch.H, ch.g
+    s0, s1, s2 = mk.matvec2(s, h0), mk.matvec2(s, h1), mk.matvec2(s, g)
+    hsh3: Mat3 = (
+        (mk.dot2(h0, s0), mk.dot2(h0, s1), mk.dot2(h0, s2)),
+        (mk.dot2(h1, s0), mk.dot2(h1, s1), mk.dot2(h1, s2)),
+        (mk.dot2(g, s0), mk.dot2(g, s1), mk.dot2(g, s2)),
+    )
     det_1 = mk.det3(mk.matadd3(mk.eye3(), mk.matmul3(ninv, hsh3)))
 
     # Route 2: 2x2 determinant with the collapsed gain matrix.
@@ -253,7 +255,7 @@ def _upper_bound_max_detail(
     abar = mk.matadd2(
         a_rayleigh, mk.matscale2(ch.P * tc.theta_star, mk.outer2(tc.q_perp, tc.q_perp))
     )
-    (lmax, lmin), _ = mk.gen_eig2_rank1(abar, ch.P, ch.g)
+    lmax, lmin = mk.gen_eigvals2_rank1(abar, ch._beam_factor)
     (lam1, _), _ = ch._beam_eig
 
     # The second eigenvector: q_1 = -theta* (H^T H - g g^T)^{-1} q_perp,
@@ -282,8 +284,10 @@ def _upper_bound_max_detail(
 
 
 def _certificate_verdict(residuals: dict[str, float], eps_cert: float) -> str:
-    gates = {**RESIDUAL_TOLERANCES, "bound_gap_rel": eps_cert}
-    return "Tight" if all(residuals[n] <= tol for n, tol in gates.items()) else "NotTight"
+    tight = residuals["bound_gap_rel"] <= eps_cert and all(
+        residuals[n] <= tol for n, tol in RESIDUAL_TOLERANCES.items()
+    )
+    return "Tight" if tight else "NotTight"
 
 
 def _inapplicable(

@@ -141,50 +141,79 @@ def inv2(m: Mat2) -> Mat2:
 # symmetric and generalized eigenproblems
 # --------------------------------------------------------------------------
 
-def sym_eig2(m: Mat2) -> tuple[tuple[float, float], Vec2]:
-    """Eigenvalues and top eigenvector of a symmetric 2x2 matrix, closed form.
+def sym_eigvals2(m: Mat2) -> tuple[float, float]:
+    """Eigenvalues of a symmetric 2x2 matrix in descending order, closed form.
 
-    Returns the eigenvalues in descending order and a unit eigenvector of
-    the larger one, oriented so its first nonzero component is positive;
-    for diagonal input it is an axis, (1, 0) on an exact tie.  The
-    off-diagonal is read as the mean of m[0][1] and m[1][0], so a product
-    such as B^{-1/2} A B^{-1/2}, symmetric only up to rounding, may be
-    passed as it is.
+    The off-diagonal is read as the mean of m[0][1] and m[1][0], so a product
+    such as B^{-1/2} A B^{-1/2}, symmetric only up to rounding, may be passed
+    as it is.
     """
     a = m[0][0]
     d = m[1][1]
     b = 0.5 * (m[0][1] + m[1][0])
     if b == 0.0:
-        return ((a, d), (1.0, 0.0)) if a >= d else ((d, a), (0.0, 1.0))
+        return (a, d) if a >= d else (d, a)
     s = math.hypot(a - d, 2.0 * b)
-    l1 = 0.5 * ((a + d) + s)
-    l2 = 0.5 * ((a + d) - s)
+    return 0.5 * ((a + d) + s), 0.5 * ((a + d) - s)
+
+
+def sym_eig2(m: Mat2) -> tuple[tuple[float, float], Vec2]:
+    """Eigenvalues (``sym_eigvals2``) and top eigenvector of a symmetric 2x2.
+
+    The eigenvector is a unit eigenvector of the larger eigenvalue, oriented
+    so its first nonzero component is positive; for diagonal input it is an
+    axis, (1, 0) on an exact tie.
+    """
+    l1, l2 = sym_eigvals2(m)
+    a = m[0][0]
+    d = m[1][1]
+    b = 0.5 * (m[0][1] + m[1][0])
+    if b == 0.0:
+        return (l1, l2), ((1.0, 0.0) if a >= d else (0.0, 1.0))
     u: Vec2 = (b, l1 - a)
     w: Vec2 = (l1 - d, b)
     v1 = unit2(u if u[0] * u[0] + u[1] * u[1] >= w[0] * w[0] + w[1] * w[1] else w)
     return (l1, l2), _sign_fix(v1)
 
 
-def gen_eig2_rank1(a: Mat2, c: float, v: Vec2) -> tuple[tuple[float, float], Vec2]:
-    """Eigenvalues and top eigenvector of the pencil (A, B), B = I + c v v^T.
+def rank1_inv_sqrt(c: float, v: Vec2) -> tuple[Mat2, float]:
+    """(B^{-1/2}, det B) for B = I + c v v^T with c >= 0.
 
-    A is symmetric and c >= 0 (every caller passes the channel's checked
-    power).  Returns the generalized eigenvalues in descending order and
-    the unit eigenvector of the larger one, oriented like ``sym_eig2``'s.
-    Exploits the rank-one structure: B's eigenvalues are exactly
-    {1 + c ||v||^2, 1}, so B^{-1/2} and det B are computed without the
-    cancellation a generic route suffers when c ||v||^2 is huge, and the
-    smaller generalized eigenvalue comes from the product identity
-    l1 l2 = det(A) / det(B) instead of a catastrophic subtraction.
+    B's eigenvalues are exactly {1 + c ||v||^2, 1}, so both are formed
+    without the cancellation a generic route suffers when c ||v||^2 is huge.
+    This pair is the ``factor`` the rank-one pencil solvers take.
     """
     n2 = v[0] * v[0] + v[1] * v[1]
     det_b = 1.0 + c * n2
     if c == 0.0 or n2 == 0.0:
-        bih = eye2()
-    else:
-        r = (1.0 / math.sqrt(det_b) - 1.0) / n2
-        bih = ((1.0 + r * v[0] * v[0], r * v[0] * v[1]),
-               (r * v[0] * v[1], 1.0 + r * v[1] * v[1]))
+        return eye2(), det_b
+    r = (1.0 / math.sqrt(det_b) - 1.0) / n2
+    return ((1.0 + r * v[0] * v[0], r * v[0] * v[1]),
+            (r * v[0] * v[1], 1.0 + r * v[1] * v[1])), det_b
+
+
+def gen_eigvals2_rank1(a: Mat2, factor: tuple[Mat2, float]) -> tuple[float, float]:
+    """Eigenvalues of the pencil (A, B), B = I + c v v^T, in descending order.
+
+    A is symmetric and ``factor`` is ``rank1_inv_sqrt(c, v)``.  The larger
+    eigenvalue is that of B^{-1/2} A B^{-1/2}; the smaller comes from the
+    product identity l1 l2 = det(A) / det(B) instead of a catastrophic
+    subtraction.
+    """
+    bih, det_b = factor
+    l1, l2 = sym_eigvals2(matmul2(matmul2(bih, a), bih))
+    if l1 != 0.0:
+        l2 = det2(a) / (det_b * l1)
+    return l1, l2
+
+
+def gen_eig2_rank1(a: Mat2, factor: tuple[Mat2, float]) -> tuple[tuple[float, float], Vec2]:
+    """``gen_eigvals2_rank1``'s eigenvalues and the pencil's top eigenvector.
+
+    The eigenvector is the unit eigenvector of the larger eigenvalue,
+    oriented like ``sym_eig2``'s.
+    """
+    bih, det_b = factor
     (l1, l2), w1 = sym_eig2(matmul2(matmul2(bih, a), bih))
     if l1 != 0.0:
         l2 = det2(a) / (det_b * l1)

@@ -359,17 +359,17 @@ class TestSymmetricByConstruction:
         return [(kind, ch) for kind, chs in found.items() for ch in chs]
 
     def test_every_built_matrix_is_bitwise_symmetric(self, monkeypatch):
-        # The rank-one pencil solver is handed the beam pencil's A and, in a
-        # General certificate, the bound matrix I + P H^T H + P theta* q_perp
-        # q_perp^T, which the library builds and never returns.
+        # In a General certificate the rank-one pencil's eigenvalue solver is
+        # handed the bound matrix I + P H^T H + P theta* q_perp q_perp^T,
+        # which the library builds and never returns.
         pencils = []
-        real = mk.gen_eig2_rank1
+        real = mk.gen_eigvals2_rank1
 
-        def recorded(a, c, v):
+        def recorded(a, factor):
             pencils.append(a)
-            return real(a, c, v)
+            return real(a, factor)
 
-        monkeypatch.setattr(mk, "gen_eig2_rank1", recorded)
+        monkeypatch.setattr(mk, "gen_eigvals2_rank1", recorded)
         rng = random.Random(22)
         checked = dict.fromkeys(
             ("gram", "w", "resolvent_inv", "pencil", "A_star", "bound", "coupling",
@@ -407,7 +407,7 @@ class TestSymmetricByConstruction:
                         else:
                             check(tc.A_star, "A_star")
                             check(beam_covariance(beam.q_a, power).S, "beam_covariance")
-                            del pencils[:]  # the beam pencil is cached by now
+                            del pencils[:]  # only this certificate's bound matrix
                             capacity_certificate(ch)
                             for m in pencils:
                                 check(m, "bound")

@@ -762,3 +762,73 @@ class TestDumps:
     def test_unsupported_type_refused(self, value):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps({"x": value})
+
+    # Dict layouts are cached by shape; each test below renders a shape
+    # after a look-alike one, and checks the bytes recorded from the
+    # uncached serializer.
+
+    def test_equal_keys_of_different_types(self):
+        # 1 == 1.0 == True as dict keys, so the cache must tell them apart.
+        assert [dumps({k: 0.5}) for k in (1, 1.0, True)] == [
+            '{\n  "1": 0.5\n}', '{\n  "1.0": 0.5\n}', '{\n  "True": 0.5\n}'
+        ]
+
+    def test_equal_keys_with_each_value_type(self):
+        # value, its compact bytes, its indented bytes
+        values = [
+            (0.5, "0.5", "0.5"),
+            ("s", '"s"', '"s"'),
+            ({"k": 0.25}, '{"k": 0.25}', '{\n    "k": 0.25\n  }'),
+            (None, "null", "null"),
+            (False, "false", "false"),
+        ]
+        keys = [(1, "1"), (1.0, "1.0"), (True, "True")]
+        for k, name in keys:
+            for v, compact, indented in values:
+                assert dumps({k: v}) == f'{{\n  "{name}": {indented}\n}}'
+                assert dumps({k: v}, compact=True) == f'{{"{name}": {compact}}}'
+
+    def test_equal_keys_that_print_differently(self):
+        assert [dumps({k: [1.5]}) for k in (0.0, -0.0, (1,), (1.0,))] == [
+            '{\n  "0.0": [1.5]\n}',
+            '{\n  "-0.0": [1.5]\n}',
+            '{\n  "(1,)": [1.5]\n}',
+            '{\n  "(1.0,)": [1.5]\n}',
+        ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_refused_in_a_rendered_shape(self, value):
+        assert dumps({"x": 1.0, "y": 2.0}) == '{\n  "x": 1,\n  "y": 2\n}'
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"x": value, "y": 2.0})
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"x": 1.0, "y": 2.0, "z": [1.0, value]})
+
+    def test_percent_in_keys_and_strings(self):
+        doc = {"%s%%": "%d%", "a%": 1.5, "%(x)s": [2.5, "%"]}
+        assert dumps(doc) == '{\n  "%s%%": "%d%",\n  "a%": 1.5,\n  "%(x)s": [2.5, "%"]\n}'
+        assert dumps(doc, compact=True) == '{"%s%%": "%d%", "a%": 1.5, "%(x)s": [2.5, "%"]}'
+
+    def test_numpy_float_in_a_float_shape(self):
+        assert [dumps({"x": x, "y": [x, 2.0]}) for x in (
+            0.1, np.float64(0.1), np.float64(-2.5e300)
+        )] == [
+            '{\n  "x": 0.10000000000000001,\n  "y": [0.10000000000000001, 2]\n}',
+            '{\n  "x": 0.10000000000000001,\n  "y": [0.10000000000000001, 2]\n}',
+            '{\n  "x": -2.5000000000000001e+300,\n  "y": [-2.5000000000000001e+300, 2]\n}',
+        ]
+
+    def test_list_of_dicts(self):
+        docs = [{"a": 1.0, "b": [{"c": 0.5, "d": None}, {"c": 2.0, "d": "e"}]},
+                {"a": 3.0, "b": []}, {}]
+        assert dumps(docs) == (
+            '[{\n  "a": 1,\n  "b": [{\n    "c": 0.5,\n    "d": null\n  }, {\n'
+            '    "c": 2,\n    "d": "e"\n  }]\n}, {\n  "a": 3,\n  "b": []\n}, {}]'
+        )
+        assert dumps(docs, compact=True) == (
+            '[{"a": 1, "b": [{"c": 0.5, "d": null}, {"c": 2, "d": "e"}]}, {"a": 3, "b": []}, {}]'
+        )
+        assert dumps(docs, indent=2) == (
+            '[{\n    "a": 1,\n    "b": [{\n      "c": 0.5,\n      "d": null\n    }, {\n'
+            '      "c": 2,\n      "d": "e"\n    }]\n  }, {\n    "a": 3,\n    "b": []\n  }, {}]'
+        )

@@ -125,12 +125,14 @@ class TestGenRayleighMax:
 
     def test_diagonal_case(self):
         # B = diag(5, 1) = I + 4 e1 e1^T
-        (lam, _), q = mk.gen_eig2_rank1(((2.0, 0.0), (0.0, 2.0)), 4.0, (1.0, 0.0))
+        (lam, _), q = mk.gen_eig2_rank1(
+            ((2.0, 0.0), (0.0, 2.0)), mk.rank1_inv_sqrt(4.0, (1.0, 0.0))
+        )
         assert lam == 2.0
         assert q == (0.0, 1.0)
 
     def test_identity_pair(self):
-        (lam, _), q = mk.gen_eig2_rank1(I2, 0.0, (1.0, 0.0))
+        (lam, _), q = mk.gen_eig2_rank1(I2, mk.rank1_inv_sqrt(0.0, (1.0, 0.0)))
         assert lam == 1.0
         assert q == (1.0, 0.0)
 
@@ -141,7 +143,7 @@ class TestGenRayleighMax:
             a = rand_spd2(rng)
             c, v = rand_rank1_weight(rng)
             b = rank1_pencil(c, v)
-            (lam, _), q = mk.gen_eig2_rank1(a, c, v)
+            (lam, _), q = mk.gen_eig2_rank1(a, mk.rank1_inv_sqrt(c, v))
             c2 = mk.det2(b)
             c1 = -(a[0][0] * b[1][1] + a[1][1] * b[0][0] - 2.0 * a[0][1] * b[0][1])
             c0 = mk.det2(a)
@@ -160,7 +162,7 @@ class TestGenRayleighMax:
             a = rand_spd2(rng)
             c, v = rand_rank1_weight(rng)
             b = rank1_pencil(c, v)
-            (lam, _), _ = mk.gen_eig2_rank1(a, c, v)
+            (lam, _), _ = mk.gen_eig2_rank1(a, mk.rank1_inv_sqrt(c, v))
             for _ in range(100):
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 q = (math.cos(ang), math.sin(ang))
@@ -176,7 +178,7 @@ class TestGenEig2Rank1:
             a = rand_spd2(rng)
             c, v = rand_rank1_weight(rng)
             b = rank1_pencil(c, v)
-            (l1, l2), q1 = mk.gen_eig2_rank1(a, c, v)
+            (l1, l2), q1 = mk.gen_eig2_rank1(a, mk.rank1_inv_sqrt(c, v))
             m = np.linalg.solve(np.array(b), np.array(a))
             w, vecs = np.linalg.eig(m)
             order = np.argsort(w.real)[::-1]
@@ -191,7 +193,7 @@ class TestGenEig2Rank1:
         # B's small eigenvalue is exactly 1; the structured route must keep
         # the generalized spectrum accurate when c ||v||^2 is enormous.
         a = ((1.0 + 1e9 * 2.0, 0.0), (0.0, 1.0 + 1e9 * 0.5))
-        (l1, l2), q1 = mk.gen_eig2_rank1(a, 1e9, (1.0, 0.0))
+        (l1, l2), q1 = mk.gen_eig2_rank1(a, mk.rank1_inv_sqrt(1e9, (1.0, 0.0)))
         # pencil diag(1 + 2e9, 1 + 5e8) vs diag(1 + 1e9, 1)
         assert math.isclose(l1, 1.0 + 1e9 * 0.5, rel_tol=1e-12)
         assert math.isclose(l2, (1.0 + 2e9) / (1.0 + 1e9), rel_tol=1e-12)
@@ -199,11 +201,99 @@ class TestGenEig2Rank1:
 
     def test_zero_weight_reduces_to_symmetric(self):
         a = ((2.0, 1.0), (1.0, 2.0))
-        (l1, l2), v1 = mk.gen_eig2_rank1(a, 0.0, (0.3, 0.4))
+        (l1, l2), v1 = mk.gen_eig2_rank1(a, mk.rank1_inv_sqrt(0.0, (0.3, 0.4)))
         assert math.isclose(l1, 3.0, rel_tol=1e-14)
         assert math.isclose(l2, 1.0, rel_tol=1e-14)
         assert math.isclose(v1[0], 1.0 / math.sqrt(2), rel_tol=1e-14)
 
+
+
+def _bits(xs) -> list[str]:
+    """Floats as hex, so -0.0 and 0.0 differ and equality is bitwise."""
+    return [float(x).hex() for x in xs]
+
+
+def _reference_sym_eig2(m):
+    """The symmetric 2x2 eigen-solve as one function, formula for formula."""
+    a, d, b = m[0][0], m[1][1], 0.5 * (m[0][1] + m[1][0])
+    if b == 0.0:
+        return ((a, d), (1.0, 0.0)) if a >= d else ((d, a), (0.0, 1.0))
+    s = math.hypot(a - d, 2.0 * b)
+    l1, l2 = 0.5 * ((a + d) + s), 0.5 * ((a + d) - s)
+    u, w = (b, l1 - a), (l1 - d, b)
+    v1 = mk.unit2(u if u[0] * u[0] + u[1] * u[1] >= w[0] * w[0] + w[1] * w[1] else w)
+    return (l1, l2), mk._sign_fix(v1)
+
+
+def _reference_pencil(a, c, v):
+    """The rank-one pencil solve with B^{-1/2} and det B formed inline."""
+    n2 = v[0] * v[0] + v[1] * v[1]
+    det_b = 1.0 + c * n2
+    if c == 0.0 or n2 == 0.0:
+        bih = I2
+    else:
+        r = (1.0 / math.sqrt(det_b) - 1.0) / n2
+        bih = ((1.0 + r * v[0] * v[0], r * v[0] * v[1]),
+               (r * v[0] * v[1], 1.0 + r * v[1] * v[1]))
+    (l1, l2), w1 = _reference_sym_eig2(mk.matmul2(mk.matmul2(bih, a), bih))
+    if l1 != 0.0:
+        l2 = mk.det2(a) / (det_b * l1)
+    return (l1, l2), mk._sign_fix(mk.unit2(mk.matvec2(bih, w1)))
+
+
+def _eigen_battery(rng):
+    """Symmetric 2x2s: random across 1e-150..1e150, b == 0, ties, near rank
+    one, and products whose off-diagonals differ by rounding."""
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        a, b, d = (rng.gauss(0, 1) * scale for _ in range(3))
+        yield ((a, b), (b, d))
+        yield ((a, 0.0), (0.0, d))
+        yield ((d, 0.0), (0.0, a))
+        yield ((a, 0.0), (0.0, a))
+        yield ((a, b), (b, a))
+        u = (rng.gauss(0, 1), rng.gauss(0, 1))
+        eps = 10.0 ** rng.uniform(-17.0, -8.0)
+        yield mk.matadd2(mk.matscale2(scale, mk.outer2(u, u)), ((eps * scale, 0.0), (0.0, 0.0)))
+        m = rand_mat2(rng)
+        yield mk.matmul2(mk.matmul2(mk.transpose2(m), ((a, b), (b, d))), m)
+        yield ((10.0 ** rng.uniform(-150.0, 150.0), b), (b, 10.0 ** rng.uniform(-150.0, 150.0)))
+    yield ((0.0, 0.0), (0.0, 0.0))
+    yield ((-0.0, 0.0), (0.0, 0.0))
+
+
+class TestEigenvaluesOnly:
+    """The eigenvalue-only solvers return, bit for bit, the eigenvalues of
+    the solvers that also return an eigenvector."""
+
+    def test_sym_eigvals2_is_sym_eig2s_eigenvalues(self):
+        for m in _eigen_battery(random.Random(2501)):
+            pair, vec = mk.sym_eig2(m)
+            assert _bits(mk.sym_eigvals2(m)) == _bits(pair), m
+            ref_pair, ref_vec = _reference_sym_eig2(m)
+            assert _bits(pair + vec) == _bits(ref_pair + ref_vec), m
+
+    def test_pencil_solvers_on_the_shared_factor(self):
+        rng = random.Random(2502)
+        gains = [10.0 ** e for e in range(-60, 61, 6)]
+        powers = [10.0 ** e for e in range(-18, 29, 2)]
+        for gain in gains:
+            for power in powers:
+                h = mk.scale2(gain, (rng.gauss(0, 1), rng.gauss(0, 1)))
+                h2 = mk.scale2(gain, (rng.gauss(0, 1), rng.gauss(0, 1)))
+                g = mk.scale2(gain, (rng.gauss(0, 1), rng.gauss(0, 1)))
+                gram = mk.matmul2(mk.transpose2((h, h2)), (h, h2))
+                beam = mk.matadd2(I2, mk.matscale2(power, gram))
+                q = mk.unit2((rng.gauss(0, 1), rng.gauss(0, 1)))
+                theta = abs(rng.gauss(0, 1)) * gain * gain
+                bound = mk.matadd2(beam, mk.matscale2(power * theta, mk.outer2(q, q)))
+                for c, v in ((power, g), (0.0, g), (power, (0.0, 0.0))):
+                    factor = mk.rank1_inv_sqrt(c, v)
+                    for a in (beam, bound):
+                        ref_pair, ref_vec = _reference_pencil(a, c, v)
+                        pair, vec = mk.gen_eig2_rank1(a, factor)
+                        assert _bits(pair + vec) == _bits(ref_pair + ref_vec)
+                        assert _bits(mk.gen_eigvals2_rank1(a, factor)) == _bits(ref_pair)
 
 class TestInvN:
     def test_zero_correlation(self):
