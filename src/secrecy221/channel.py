@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from . import matkit as mk
@@ -47,12 +46,28 @@ def _check_power(H: Mat2, g: Vec2, P: float) -> None:
         )
 
 
+class _member:
+    """A member computed on first read and kept in the instance __dict__,
+    which answers every later read; one that raised is not kept.  Unlike
+    the cached properties of CPython before 3.12, it takes no lock."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 _ChannelFields = NamedTuple("_ChannelFields", [("H", Mat2), ("g", Vec2), ("P", float)])
 
 # The cached members that depend on H and g alone, which with_power carries
 # from one power to the next; the beam pencil, its B^{-1/2} factor and its
 # eigenpairs depend on P.
-_P_FREE_MEMBERS = ("_gram", "_sv_ratio", "_rank_deficient", "_ht_inv", "_w", "_resolvent_inv")
+_P_FREE_MEMBERS = ("_gram", "_sv_ratio", "_rank_deficient", "_ht_inv", "_w", "_resolvent_inv",
+                   "_class")
 
 
 class WiretapChannel(_ChannelFields):
@@ -62,7 +77,9 @@ class WiretapChannel(_ChannelFields):
     derived once, on first use, in the instance __dict__ (so no __slots__).
     Only _ht_inv, which cannot fail once the rank test passed, is on
     classify's path; _w and _resolvent_inv raise SingularMatrix when H^T H
-    or H^T H - g g^T is numerically singular.
+    or H^T H - g g^T is numerically singular.  Members take no lock: threads
+    that first read one at once may each compute it, and all computations
+    give the same value, as a member reads only (H, g, P) and other members.
     """
 
     def __new__(cls, H: Mat2, g: Vec2, P: float):
@@ -80,11 +97,11 @@ class WiretapChannel(_ChannelFields):
         """H^T H."""
         return mk.matmul2(mk.transpose2(self.H), self.H)
 
-    @cached_property
+    @_member
     def _gram(self) -> Mat2:
         return self.gram()
 
-    @cached_property
+    @_member
     def _sv_ratio(self) -> float:
         """sigma_min / sigma_max of H, 0 for H = 0.
 
@@ -95,26 +112,26 @@ class WiretapChannel(_ChannelFields):
         l1 = mk.sym_eigvals2(self._gram)[0]
         return abs(mk.det2(self.H)) / l1 if l1 > 0.0 else 0.0
 
-    @cached_property
+    @_member
     def _rank_deficient(self) -> bool:
         return self._sv_ratio <= EPS_RANK
 
-    @cached_property
+    @_member
     def _ht_inv(self) -> Mat2:
         """H^{-T}."""
         return mk.inv2(mk.transpose2(self.H))
 
-    @cached_property
+    @_member
     def _w(self) -> Mat2:
         """W = (H^T H)^{-1}."""
         return mk.inv2(self._gram)
 
-    @cached_property
+    @_member
     def _resolvent_inv(self) -> Mat2:
         """(H^T H - g g^T)^{-1}."""
         return mk.inv2(mk.matadd2(self._gram, mk.matscale2(-1.0, mk.outer2(self.g, self.g))))
 
-    @cached_property
+    @_member
     def _beam_pencil(self) -> tuple[Mat2, Mat2]:
         """(I + P H^T H, I + P g g^T)."""
         eye = mk.eye2()
@@ -123,17 +140,31 @@ class WiretapChannel(_ChannelFields):
             mk.matadd2(eye, mk.matscale2(self.P, mk.outer2(self.g, self.g))),
         )
 
-    @cached_property
+    @_member
     def _beam_factor(self) -> tuple[Mat2, float]:
         """(B^{-1/2}, det B) for B = I + P g g^T, the second matrix of the beam
         pencil and of the genie bound's pencil."""
         return mk.rank1_inv_sqrt(self.P, self.g)
 
-    @cached_property
+    @_member
     def _beam_eig(self) -> tuple[tuple[float, float], Vec2]:
         """The beam pencil's eigenvalues and top eigenvector (the optimal
         beam); B = I + P g g^T is rank-one."""
         return mk.gen_eig2_rank1(self._beam_pencil[0], self._beam_factor)
+
+    @_member
+    def _class(self) -> "ChannelClass":
+        """The classification that classify returns."""
+        if self._rank_deficient:
+            return ChannelClass(ChannelKind.REDUCED_RANK, None, self._sv_ratio)
+        eve_norm = mk.norm2(mk.matvec2(self._ht_inv, self.g))
+        if abs(eve_norm - 1.0) < EPS_CLASS:
+            raise BoundaryAmbiguous(
+                f"||H^-T g|| = {eve_norm!r} is within {EPS_CLASS} of 1; "
+                "choose the degraded or non-degraded branch explicitly"
+            )
+        kind = ChannelKind.GENERAL if eve_norm > 1.0 else ChannelKind.DEGRADED
+        return ChannelClass(kind, eve_norm, self._sv_ratio)
 
     def with_power(self, power: float) -> "WiretapChannel":
         """The channel (H, g, power), carrying the P-free members computed so far.
@@ -181,18 +212,10 @@ def classify(ch: WiretapChannel) -> ChannelClass:
 
     Raises BoundaryAmbiguous when ||H^{-T} g|| is within EPS_CLASS of 1:
     the two regimes use different machinery and neither covers the boundary,
-    so the caller has to pick a branch explicitly.
+    so the caller has to pick a branch explicitly.  The class is a P-free
+    member; a refusal is not kept, so it raises on every call.
     """
-    if ch._rank_deficient:
-        return ChannelClass(ChannelKind.REDUCED_RANK, None, ch._sv_ratio)
-    eve_norm = mk.norm2(mk.matvec2(ch._ht_inv, ch.g))
-    if abs(eve_norm - 1.0) < EPS_CLASS:
-        raise BoundaryAmbiguous(
-            f"||H^-T g|| = {eve_norm!r} is within {EPS_CLASS} of 1; "
-            "choose the degraded or non-degraded branch explicitly"
-        )
-    kind = ChannelKind.GENERAL if eve_norm > 1.0 else ChannelKind.DEGRADED
-    return ChannelClass(kind, eve_norm, ch._sv_ratio)
+    return ch._class
 
 
 def validate_covariance(s, power: float) -> CovMat:
@@ -231,12 +254,13 @@ def _require_positive(route: str, **log_args: float) -> None:
             raise InvariantViolated(f"{route}: {name} = {x!r} is not positive")
 
 
-def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float]:
+def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float, Mat2]:
     """Secrecy rate of a Gaussian input with covariance S (nats, unclamped).
 
     Evaluates (1/2) log det(I + H S H^T) - (1/2) log(1 + g^T S g) and the
     algebraically equal form with det(I + H^T H S) (Sylvester).  Returns
-    (rate, relative disagreement); the certificate gates the disagreement.
+    (rate, relative disagreement, H S H^T); the certificate gates the
+    disagreement and hands H S H^T on to the genie bound's route 3.
     """
     s = cov.S
     eye = mk.eye2()
@@ -248,4 +272,4 @@ def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float
     rate_a = 0.5 * math.log(num_a / den)
     rate_b = 0.5 * math.log(num_b / den)
     residual = abs(rate_a - rate_b) / max(1.0, abs(rate_a))
-    return rate_a, residual
+    return rate_a, residual, hsh

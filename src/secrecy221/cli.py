@@ -50,68 +50,8 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dict_layout(keys, value_types, indent, compact) -> str:
-    """A %-format string for a non-empty dict with these keys and value types.
-
-    It holds the quoted keys, the separators and the indentation, with a
-    ``%.17g`` slot for each exact-float value and a ``%s`` slot for the
-    rendering of any other value.
-    """
-    slots = ["%.17g" if t is float else "%s" for t in value_types]
-    names = [_quote(str(k)).replace("%", "%%") for k in keys]
-    if compact:
-        return "{" + ", ".join([f"{k}: {v}" for k, v in zip(names, slots)]) + "}"
-    pad = " " * indent
-    items = [f"{pad}  {k}: {v}" for k, v in zip(names, slots)]
-    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-
-
-# Key types whose equal values print alike.  Equal floats need not (0.0 and
-# -0.0), nor equal tuples ((1,) and (1.0,)), so their layouts are not cached.
-_LAYOUT_KEY_TYPES = frozenset((str, int, bool, type(None)))
-
-
-@functools.lru_cache(maxsize=256)  # a handful of dict shapes per verb
-def _cached_dict_layout(keys, key_types, value_types, indent, compact) -> str | None:
-    """``_dict_layout``, built once per shape; None where the key types forbid it."""
-    if not _LAYOUT_KEY_TYPES.issuperset(key_types):
-        return None
-    return _dict_layout(keys, value_types, indent, compact)
-
-
-def dumps(obj, indent: int = 0, compact: bool = False) -> str:
-    """JSON with 17-significant-digit floats and stable key order.
-
-    ``compact`` renders everything on one line (used for line-oriented
-    output such as random channel specs).  Strings are escaped by the C
-    encoder behind ``json.dumps`` (ASCII output), so the bytes match it.
-
-    A non-empty dict is rendered by filling its layout (``_dict_layout``)
-    with one ``%``, so C code formats its finite exact-float values.  Layouts
-    are cached, keyed on the key tuple, the key types, the value types,
-    indent and compact.  The key types are part of the key because 1, 1.0
-    and True are equal as dict keys but print as "1", "1.0" and "True"; a
-    dict with a key of another type, whose equal values may print
-    differently (0.0 and -0.0), gets a fresh layout on every call.
-    """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys, values = tuple(obj), tuple(obj.values())
-        value_types = tuple(map(type, values))
-        layout = _cached_dict_layout(
-            keys, tuple(map(type, keys)), value_types, indent, compact
-        ) or _dict_layout(keys, value_types, indent, compact)
-        inner = 0 if compact else indent + 2
-        return layout % tuple([
-            v if type(v) is float and math.isfinite(v) else dumps(v, inner, compact)
-            for v in values
-        ])
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([
-            "%.17g" % v if type(v) is float and math.isfinite(v) else dumps(v, indent, compact)
-            for v in obj
-        ]) + "]"
+def _scalar(obj) -> str:
+    """The JSON text of a number, string, None or bool."""
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
@@ -123,6 +63,83 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
     if isinstance(obj, int):
         return str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# Key types whose equal values print alike; 0.0 and -0.0, or (1,) and (1.0,), do not.
+_LAYOUT_KEY_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def _walk(obj, shape: list, leaves: list) -> None:
+    """Append a container's shape tokens to ``shape`` and its slot values to ``leaves``.
+
+    In document order: "{}" or "[]" if empty; else a dict is ``(keys, key
+    types)`` (1, 1.0 and True are equal keys that print differently), or
+    ``(printed keys,)`` if a key type is not in _LAYOUT_KEY_TYPES, then its
+    values, and a list or tuple its length, then its items.  ``float`` is an
+    exact finite float's ``%.17g`` slot, ``str`` any other scalar's ``%s`` slot.
+    """
+    if isinstance(obj, dict):
+        keys = tuple(obj)
+        key_types = tuple(map(type, keys))
+        if _LAYOUT_KEY_TYPES.issuperset(key_types):
+            shape.append((keys, key_types) if keys else "{}")
+        else:
+            shape.append((tuple([_quote(str(k)) for k in keys]),))
+        items = obj.values()
+    else:
+        shape.append(len(obj) or "[]")
+        items = obj
+    for v in items:
+        if type(v) is float and v - v == 0.0:  # finite: inf - inf and nan are nan
+            shape.append(float)
+            leaves.append(v)
+        elif isinstance(v, (dict, list, tuple)):
+            _walk(v, shape, leaves)
+        else:
+            shape.append(str)
+            leaves.append(_scalar(v))
+
+
+@functools.lru_cache(maxsize=256)  # a handful of document shapes per verb
+def _layout(shape: tuple, indent: int, compact: bool) -> str:
+    """The %-format string of a document of this shape (see _walk)."""
+    tokens = iter(shape)
+
+    def build(indent: int) -> str:
+        token = next(tokens)
+        if type(token) is tuple:
+            if len(token) == 2:
+                token = ([_quote(str(k)) for k in token[0]],)
+            names = [k.replace("%", "%%") for k in token[0]]
+            if compact:
+                return "{" + ", ".join([f"{k}: {build(0)}" for k in names]) + "}"
+            pad = " " * indent
+            items = [f"{pad}  {k}: {build(indent + 2)}" for k in names]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if type(token) is int:
+            return "[" + ", ".join([build(indent) for _ in range(token)]) + "]"
+        return {float: "%.17g", str: "%s"}.get(token, token)
+
+    return build(indent)
+
+
+def dumps(obj, indent: int = 0, compact: bool = False) -> str:
+    """JSON with 17-significant-digit floats and stable key order.
+
+    ``compact`` renders everything on one line (used for line-oriented
+    output such as random channel specs).  Strings are escaped by the C
+    encoder behind ``json.dumps`` (ASCII output), so the bytes match it.
+
+    A dict, list or tuple is rendered with one ``%``: one walk (``_walk``)
+    collects the document's shape and leaf values, and the shape, indent and
+    compact select a cached format string (``_layout``) of the quoted keys,
+    separators, indentation and a slot per leaf, so C formats the floats.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    shape, leaves = [], []
+    _walk(obj, shape, leaves)
+    return _layout(tuple(shape), indent, compact) % tuple(leaves)
 
 
 def _error_exit(kind: str, message: str) -> int:
@@ -198,14 +215,12 @@ def certificate_to_dict(cert: CapacityCertificate) -> dict:
         "lower_nats": cert.lower,
         "upper_nats": cert.upper,
         "lambda1": cert.lambda1,
-        "eigenvalues_of_bound": (
-            list(cert.eigenvalues_of_bound) if cert.eigenvalues_of_bound else None
-        ),
+        "eigenvalues_of_bound": cert.eigenvalues_of_bound or None,
         "residuals": cert.residuals,
     }
     if cert.beam is not None:
         out["beam"] = {
-            "q_a": list(cert.beam.q_a),
+            "q_a": cert.beam.q_a,
             "rate_nats": cert.beam.rate,
             "degenerate": cert.beam.degenerate,
         }
@@ -213,10 +228,10 @@ def certificate_to_dict(cert: CapacityCertificate) -> dict:
         out["correlation"] = {
             "alpha_star": cert.correlation.alpha_star,
             "theta_star": cert.correlation.theta_star,
-            "a_star": list(cert.correlation.a_star),
-            "A_star": [list(r) for r in cert.correlation.A_star],
+            "a_star": cert.correlation.a_star,
+            "A_star": cert.correlation.A_star,
         }
-    out["flags"] = dict(cert.flags)
+    out["flags"] = cert.flags
     return out
 
 
@@ -231,12 +246,8 @@ def cmd_capacity(args) -> int:
     cert = capacity_certificate(ch, eps_cert=args.tol)
     doc = {"channel": ch._asdict(), "tolerance": args.tol}
     doc.update(certificate_to_dict(cert))
-    if args.bits:
-        doc["capacity"] = doc["capacity_bits"]
-        doc["units"] = "bits"
-    else:
-        doc["capacity"] = doc["capacity_nats"]
-        doc["units"] = "nats"
+    units = "bits" if args.bits else "nats"
+    doc["capacity"], doc["units"] = doc["capacity_" + units], units
     sys.stdout.write(dumps(doc) + "\n")
     return EXIT_CHECK_FAILED if cert.verdict == "NotTight" else EXIT_OK
 
@@ -255,7 +266,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
     # The class depends on H and g alone: refuse a boundary channel before
-    # the header, and leave the P-free members cached for the first row.
+    # the header.  It is a P-free member, so every row reuses it.
     classify(ch)
 
     # Rows are evenly spaced in log P or in P, and each power is made as its
@@ -278,19 +289,8 @@ def cmd_sweep(args) -> int:
                 f"({_fmt_float(cap)} < {_fmt_float(previous)})\n"
             )
         previous = cap
-        lam = cert.lambda1
-        sys.stdout.write(
-            ",".join(
-                (
-                    _fmt_float(power),
-                    _fmt_float(cap),
-                    _fmt_float(cap / LOG2),
-                    _fmt_float(lam),
-                    cert.verdict,
-                )
-            )
-            + "\n"
-        )
+        row = map(_fmt_float, (power, cap, cap / LOG2, cert.lambda1))
+        sys.stdout.write(",".join((*row, cert.verdict)) + "\n")
     return EXIT_OK
 
 

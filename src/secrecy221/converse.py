@@ -157,13 +157,7 @@ def optimize_alpha(ch: WiretapChannel, q_perp: Vec2) -> TightCorrelation:
 
     theta = alpha_star * alpha_star / (1.0 - mk.dot2(a_star, a_star))
     a_mat = mk.matadd2(ch._gram, mk.matscale2(theta, mk.outer2(q_perp, q_perp)))
-    return TightCorrelation(
-        alpha_star=alpha_star,
-        theta_star=theta,
-        a_star=a_star,
-        A_star=a_mat,
-        q_perp=q_perp,
-    )
+    return TightCorrelation(alpha_star, theta, a_star, a_mat, q_perp)
 
 
 def a_zero_witness(ch: WiretapChannel, q_a: Vec2) -> tuple[Vec2, float]:
@@ -198,15 +192,16 @@ def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
 
 
 def _upper_value_detail(
-    ch: WiretapChannel, cov: CovMat, a: Vec2
+    ch: WiretapChannel, cov: CovMat, a: Vec2, hsh: Mat2
 ) -> tuple[float, float]:
     """The genie bound value by three independent evaluation routes.
 
     Route 1 is the defining 3x3 determinant with N^{-1}; route 2 the 2x2
     determinant with A(a); route 3 the estimation-theoretic form: the log
     determinant of the error covariance of the best linear estimate of the
-    receiver's signal from the eavesdropper's, normalized by det N.  Returns
-    (route-1 value, worst pairwise relative disagreement).
+    receiver's signal from the eavesdropper's, normalized by det N.  ``hsh``
+    is H S H^T, as _gaussian_rate_detail returns it.  Returns (route-1
+    value, worst pairwise relative disagreement).
     """
     s = cov.S
     gain = coupling_gain_matrix(ch, a)  # the unit-disk gate, ahead of inv_N
@@ -229,11 +224,7 @@ def _upper_value_detail(
 
     # Route 3: linear-estimation error covariance over det N.
     hsg = mk.add2(mk.matvec2(ch.H, mk.matvec2(s, ch.g)), a)
-    hsh2 = mk.matmul2(mk.matmul2(ch.H, s), mk.transpose2(ch.H))
-    err = mk.matadd2(
-        mk.matadd2(mk.eye2(), hsh2),
-        mk.matscale2(-1.0 / den, mk.outer2(hsg, hsg)),
-    )
+    err = mk.matadd2(mk.matadd2(mk.eye2(), hsh), mk.matscale2(-1.0 / den, mk.outer2(hsg, hsg)))
     det_3 = mk.det2(err)
     det_n = mk.det3(mk.noise_cov3(a))
     _require_positive("genie bound", route_1=det_1, route_2=det_2, route_3=det_3, det_N=det_n)
@@ -361,8 +352,8 @@ def capacity_certificate(
         upper, eigs, eig_resid = _upper_bound_max_detail(ch, tc)
 
         s_beam = beam_covariance(beam.q_a, ch.P)
-        _, sylvester = _gaussian_rate_detail(ch, s_beam)
-        _, three_path = _upper_value_detail(ch, s_beam, tc.a_star)
+        _, sylvester, hsh = _gaussian_rate_detail(ch, s_beam)
+        _, three_path = _upper_value_detail(ch, s_beam, tc.a_star, hsh)
 
         # The regularized gain matrix A* is well conditioned even when
         # H^T H is nearly singular, so invert it directly for the coupling

@@ -2,7 +2,8 @@
 
 import math
 import random
-from functools import cached_property
+import sys
+import threading
 
 import pytest
 
@@ -18,7 +19,7 @@ from secrecy221 import (
     validate_covariance,
 )
 from secrecy221 import matkit as mk
-from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail
+from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail, _member
 from secrecy221.errors import (
     BoundaryAmbiguous,
     InvalidCovariance,
@@ -44,7 +45,7 @@ def rand_channel(rng, power=1.0) -> WiretapChannel:
 
 def gaussian_rate(ch: WiretapChannel, s) -> float:
     """Secrecy rate of the covariance s, its Sylvester residual within EPS_ID."""
-    rate, residual = _gaussian_rate_detail(ch, validate_covariance(s, ch.P))
+    rate, residual, _ = _gaussian_rate_detail(ch, validate_covariance(s, ch.P))
     assert residual <= EPS_ID
     return rate
 
@@ -161,7 +162,7 @@ class TestWiretapChannel:
         members = {
             name
             for name, attr in vars(WiretapChannel).items()
-            if isinstance(attr, cached_property)
+            if isinstance(attr, _member)
         }
         assert set(_P_FREE_MEMBERS) <= members
         h, g = ((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9)
@@ -176,6 +177,80 @@ class TestWiretapChannel:
         assert "_beam_eig" in vars(ch)
         assert ch == fresh
         assert hash(ch) == hash(fresh)
+
+
+def _count_computations(monkeypatch):
+    """Wrap every cached member of WiretapChannel; returns name -> computations."""
+    counts = {}
+    for name, attr in vars(WiretapChannel).items():
+        if isinstance(attr, _member):
+            counts[name] = 0
+
+            def counted(ch, func=attr.func, name=name):
+                counts[name] += 1
+                return func(ch)
+
+            monkeypatch.setattr(attr, "func", counted)
+    return counts
+
+
+class TestMemberContract:
+    H, G = ((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9)
+
+    def test_a_certificate_computes_each_member_at_most_once(self, monkeypatch):
+        counts = _count_computations(monkeypatch)
+        cert = capacity_certificate(WiretapChannel(self.H, self.G, 2.0))
+        assert cert.kind is ChannelKind.GENERAL and cert.verdict == "Tight"
+        assert max(counts.values()) == 1
+        assert {name for name, n in counts.items() if n} == set(counts)
+
+    def test_a_power_chain_computes_each_p_free_member_once(self, monkeypatch):
+        counts = _count_computations(monkeypatch)
+        ch = WiretapChannel(self.H, self.G, 1e-2)
+        steps = 121
+        for i in range(steps):
+            ch = ch.with_power(10.0 ** (-2 + 12 * i / (steps - 1)))
+            capacity_certificate(ch)
+            classify(ch)
+        for name, n in counts.items():
+            assert n == (1 if name in _P_FREE_MEMBERS else steps), name
+
+    def test_boundary_channel_raises_on_every_call(self):
+        ch = WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0)
+        for _ in range(2):
+            with pytest.raises(BoundaryAmbiguous):
+                classify(ch)
+            assert "_class" not in vars(ch)
+        with pytest.raises(BoundaryAmbiguous):
+            classify(ch.with_power(2.0))
+
+    def test_threads_first_reading_one_channel_see_the_same_values(self):
+        names = sorted(n for n, a in vars(WiretapChannel).items() if isinstance(a, _member))
+        reference = WiretapChannel(self.H, self.G, 2.0)
+        expected = [getattr(reference, name) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for trial in range(20):
+                ch = WiretapChannel(self.H, self.G, 2.0)
+                barrier = threading.Barrier(8)
+                seen = [None] * 8
+
+                def read(k):
+                    order = names[k % len(names):] + names[:k % len(names)]
+                    barrier.wait()
+                    values = {name: getattr(ch, name) for name in order}
+                    seen[k] = [values[name] for name in names]
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert seen == [expected] * 8, trial
+                assert [vars(ch)[name] for name in names] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _records(ch):

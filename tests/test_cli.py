@@ -5,10 +5,13 @@ import json
 import math
 import random
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy221 import (
     ChannelKind,
@@ -832,3 +835,106 @@ class TestDumps:
             '[{\n    "a": 1,\n    "b": [{\n      "c": 0.5,\n      "d": null\n    }, {\n'
             '      "c": 2,\n      "d": "e"\n    }]\n  }, {\n    "a": 3,\n    "b": []\n  }, {}]'
         )
+
+
+def reference_dumps(obj, indent=0, compact=False):
+    """The serializer as a plain recursion over the document, one call per value."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite number {obj!r}")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        names = [encode_basestring_ascii(str(k)) for k in obj]
+        if compact:
+            items = [f"{k}: {reference_dumps(v, compact=True)}" for k, v in zip(names, obj.values())]
+            return "{" + ", ".join(items) + "}"
+        pad = " " * indent
+        items = [f"{pad}  {k}: {reference_dumps(v, indent + 2)}" for k, v in zip(names, obj.values())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([reference_dumps(v, indent, compact) for v in obj]) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _outcome(render, *args, **kwargs):
+    try:
+        return render(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_TEXT = st.text(alphabet=st.sampled_from('ab%s()"\\\n\u00e9\U0001d11e'), max_size=5)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.none(),
+    _FINITE,
+    _FINITE.map(np.float64),
+)
+# Refused leaves, drawn rarely so that most documents render.
+_REFUSED = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64("nan"), np.int64(3), frozenset(), object()]
+)
+_KEYS = st.one_of(
+    _TEXT,
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, "%", "%%", (1,), (1.0,)]),
+    st.integers(min_value=-5, max_value=5),
+)
+_DOCUMENTS = st.recursive(
+    st.one_of(_LEAVES, _LEAVES, _LEAVES, _LEAVES, _LEAVES, _LEAVES, _LEAVES, _REFUSED),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _twin_key(k):
+    """A key equal to k that prints differently, where _KEYS has one."""
+    if type(k) is float and k == 0.0:
+        return -k
+    if type(k) is tuple:
+        return (float(k[0]),) if type(k[0]) is int else (int(k[0]),)
+    return {bool: 1, int: 1.0, float: True}[type(k)] if k == 1 else k
+
+
+def _twin(doc):
+    """doc with every dict key replaced by its twin: equal, but printed differently."""
+    if isinstance(doc, dict):
+        return {_twin_key(k): _twin(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_twin, doc))
+    return doc
+
+
+class TestDumpsMatchesTheRecursion:
+    """Every document renders, or is refused, exactly as the plain recursion does."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.one_of(st.dictionaries(_KEYS, _DOCUMENTS, max_size=6), st.lists(_DOCUMENTS, max_size=6)),
+        st.sampled_from([0, 2, 5]),
+    )
+    def test_documents(self, doc, indent):
+        # The twin first: its shape compares equal to the document's, so a
+        # cache that ignored how keys print would hand the document its layout.
+        for compact in (False, True):
+            for d in (_twin(doc), doc, doc):
+                assert _outcome(dumps, d, indent, compact) == _outcome(
+                    reference_dumps, d, indent, compact
+                )
+

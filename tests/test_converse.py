@@ -24,6 +24,7 @@ from secrecy221 import (
 )
 from secrecy221 import matkit as mk
 from secrecy221 import converse, oracle
+from secrecy221.channel import _gaussian_rate_detail
 from secrecy221.cli import main
 from secrecy221.converse import (
     RESIDUAL_TOLERANCES,
@@ -71,9 +72,14 @@ def theta_of_alpha(ch, q_perp, alpha):
     return alpha * alpha / s
 
 
+def upper_value_detail(ch, cov, a):
+    """_upper_value_detail with H S H^T formed as the certificate forms it."""
+    return _upper_value_detail(ch, cov, a, _gaussian_rate_detail(ch, cov)[2])
+
+
 def upper_value(ch, s, a):
     """U(S, a) for the covariance s, its three evaluation routes within EPS_ID."""
-    value, residual = _upper_value_detail(ch, validate_covariance(s, ch.P), a)
+    value, residual = upper_value_detail(ch, validate_covariance(s, ch.P), a)
     assert residual <= EPS_ID
     return value
 
@@ -253,7 +259,7 @@ class TestUpperValue:
             with pytest.raises(NoiseDegenerate):
                 coupling_gain_matrix(example_a, a)
             with pytest.raises(NoiseDegenerate):
-                _upper_value_detail(example_a, cov, a)
+                upper_value_detail(example_a, cov, a)
 
 
 class TestUpperBoundMax:
