@@ -254,13 +254,12 @@ def _require_positive(route: str, **log_args: float) -> None:
             raise InvariantViolated(f"{route}: {name} = {x!r} is not positive")
 
 
-def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float, Mat2]:
+def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float]:
     """Secrecy rate of a Gaussian input with covariance S (nats, unclamped).
 
     Evaluates (1/2) log det(I + H S H^T) - (1/2) log(1 + g^T S g) and the
     algebraically equal form with det(I + H^T H S) (Sylvester).  Returns
-    (rate, relative disagreement, H S H^T); the certificate gates the
-    disagreement and hands H S H^T on to the genie bound's route 3.
+    (rate, relative disagreement); the certificate gates the disagreement.
     """
     s = cov.S
     eye = mk.eye2()
@@ -272,4 +271,4 @@ def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float
     rate_a = 0.5 * math.log(num_a / den)
     rate_b = 0.5 * math.log(num_b / den)
     residual = abs(rate_a - rate_b) / max(1.0, abs(rate_a))
-    return rate_a, residual, hsh
+    return rate_a, residual

@@ -25,7 +25,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import matkit as mk
-from .channel import ChannelKind, WiretapChannel, _check_power, classify
+from .channel import ChannelKind, WiretapChannel, classify
 from .converse import LOG2, CapacityCertificate, capacity_certificate
 from .errors import ChannelSpecError
 from .tolerances import (
@@ -262,7 +262,7 @@ def cmd_sweep(args) -> int:
     # The power check is monotone in P, so --pmax passes exactly when every
     # power of the sweep does: the whole range is refused before the header.
     try:
-        _check_power(ch.H, ch.g, pmax)
+        ch.with_power(pmax)
     except ValueError as exc:
         raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
     # The class depends on H and g alone: refuse a boundary channel before
@@ -310,11 +310,15 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(dumps(doc) + "\n")
         return EXIT_OK
 
-    beam = optimal_beam(ch)
+    # Only a General channel's bracket needs the beam's direction; a Degraded
+    # report takes lambda_1 from the beam pencil, as its certificate does.
+    beam = optimal_beam(ch) if cls.kind is ChannelKind.GENERAL else None
+    lam = ch._beam_eig[0][0] if beam is None else beam.lambda1
+    rate = 0.5 * math.log(lam) if beam is None else beam.rate
     s_best, grid_rate = oracle.brute_force_gaussian(ch)
     se1, se2 = mk.sym_eigvals2(s_best.S)
-    gap = beam.rate - grid_rate
-    doc["closed_form"] = {"lambda1": beam.lambda1, "rate_nats": beam.rate}
+    gap = rate - grid_rate
+    doc["closed_form"] = {"lambda1": lam, "rate_nats": rate}
     doc["grid_search"] = {
         "rate_nats": grid_rate,
         "gap_nats": gap,
@@ -323,7 +327,7 @@ def cmd_oracle(args) -> int:
     }
 
     if cls.kind is ChannelKind.GENERAL:
-        checks.append(-EPS_GRID_EXCESS <= gap <= EPS_GRID * max(1.0, abs(beam.rate)))
+        checks.append(-EPS_GRID_EXCESS <= gap <= EPS_GRID * max(1.0, abs(rate)))
         checks.append(se2 <= EPS_GRID * ch.P)
 
         # The beam's exact excess, widened by EPS_GRID, brackets the capacity
@@ -345,7 +349,7 @@ def cmd_oracle(args) -> int:
         checks.extend((certified, below))
     else:
         # Degraded: the grid may legitimately beat the best unit-rank beam.
-        checks.append(grid_rate >= beam.rate - EPS_GRID)
+        checks.append(grid_rate >= rate - EPS_GRID)
 
     doc["passes"] = all(checks)
     sys.stdout.write(dumps(doc) + "\n")

@@ -105,6 +105,7 @@ class CapacityCertificate(NamedTuple):
 
 # Residual names -> pass thresholds: the only gates on the identities the
 # certificate records.  The bound gap takes the certificate tolerance.
+# three_path_u_rel compares the genie bound's two routes, N^{-1} and A(a).
 RESIDUAL_TOLERANCES: dict[str, float] = {
     "a_star_norm": 1.0 - EPS_NORM,
     "unit_coupling": UNIT_COUPLING_TOL,
@@ -191,23 +192,16 @@ def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
     return mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v)))
 
 
-def _upper_value_detail(
-    ch: WiretapChannel, cov: CovMat, a: Vec2, hsh: Mat2
-) -> tuple[float, float]:
-    """The genie bound value by three independent evaluation routes.
+def _upper_value_detail(ch: WiretapChannel, cov: CovMat, a: Vec2) -> tuple[float, float]:
+    """The genie bound value by two independent evaluation routes.
 
     Route 1 is the defining 3x3 determinant with N^{-1}; route 2 the 2x2
-    determinant with A(a); route 3 the estimation-theoretic form: the log
-    determinant of the error covariance of the best linear estimate of the
-    receiver's signal from the eavesdropper's, normalized by det N.  ``hsh``
-    is H S H^T, as _gaussian_rate_detail returns it.  Returns (route-1
-    value, worst pairwise relative disagreement).
+    determinant with the collapsed gain matrix A(a), the form the oracle's
+    exact bracket decides.  Returns (route-1 value, relative disagreement).
     """
     s = cov.S
     gain = coupling_gain_matrix(ch, a)  # the unit-disk gate, ahead of inv_N
     ninv = mk.inv_N(a)
-    den = 1.0 + mk.quad2(s, ch.g)
-    _require_positive("genie bound", den=den)  # before route 3 divides by it
 
     # Route 1: 3x3 determinant.
     (h0, h1), g = ch.H, ch.g
@@ -222,18 +216,11 @@ def _upper_value_detail(
     # Route 2: 2x2 determinant with the collapsed gain matrix.
     det_2 = mk.det2(mk.matadd2(mk.eye2(), mk.matmul2(gain, s)))
 
-    # Route 3: linear-estimation error covariance over det N.
-    hsg = mk.add2(mk.matvec2(ch.H, mk.matvec2(s, ch.g)), a)
-    err = mk.matadd2(mk.matadd2(mk.eye2(), hsh), mk.matscale2(-1.0 / den, mk.outer2(hsg, hsg)))
-    det_3 = mk.det2(err)
-    det_n = mk.det3(mk.noise_cov3(a))
-    _require_positive("genie bound", route_1=det_1, route_2=det_2, route_3=det_3, det_N=det_n)
+    den = 1.0 + mk.quad2(s, ch.g)
+    _require_positive("genie bound", den=den, route_1=det_1, route_2=det_2)
     u1 = 0.5 * (math.log(det_1) - math.log(den))
     u2 = 0.5 * (math.log(det_2) - math.log(den))
-    u3 = 0.5 * (math.log(det_3) - math.log(det_n))
-
-    worst = max(abs(u1 - u2), abs(u1 - u3), abs(u2 - u3)) / max(1.0, abs(u1))
-    return u1, worst
+    return u1, abs(u1 - u2) / max(1.0, abs(u1))
 
 
 def _upper_bound_max_detail(
@@ -314,14 +301,16 @@ def capacity_certificate(
     correlation, closed-form bound maximum, and the full battery of identity
     residuals; the verdict is Tight only if upper and lower agree to
     eps_cert (relative) and every residual passes.  Degraded channels report
-    the best Gaussian rate, solved by the oracle (``degraded_formula:
-    solved``) and witnessed by the ``flags.grid`` lattice: InvariantViolated
-    if a lattice point beats it by more than EPS_GRID_EXCESS.  Rank-deficient
+    their secrecy capacity, the best Gaussian rate over every covariance,
+    with no beam direction solved for: the oracle's solved search
+    (``degraded_formula: solved``), at least (1/2) log lambda_1 of the beam
+    pencil (I + P H^T H, I + P g g^T), witnessed by the ``flags.grid``
+    lattice: InvariantViolated if a lattice point beats it by more than
+    EPS_GRID_EXCESS.  Rank-deficient
     channels report the best beam of H itself, (1/2) log lambda_1 of the
-    channel's cached beam pencil (I + P H^T H, I + P g g^T): an achievable
-    rate, and the capacity when H is exactly rank one.  Both alternatives
-    carry verdict Inapplicable and no upper bound since the tight
-    construction does not apply.
+    same pencil: an achievable rate, and the capacity when H is exactly rank
+    one.  Both alternatives carry verdict Inapplicable and no upper bound
+    since the tight construction does not apply.
     """
     cls = classify(ch)
 
@@ -329,22 +318,18 @@ def capacity_certificate(
         lam = ch._beam_eig[0][0]
         return _inapplicable(cls.kind, 0.5 * math.log(lam), lam, None, {"reduced_rank": True})
 
-    beam = optimal_beam(ch)
-
     if cls.kind is ChannelKind.DEGRADED:
         from .oracle import _grid_max_ratio, _solved_rate
 
+        lam = ch._beam_eig[0][0]
         rate, _ = _solved_rate(ch._gram, ch.g, ch.P)
         lattice = 0.5 * math.log(_grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
         if lattice > rate + EPS_GRID_EXCESS:
             raise InvariantViolated(f"lattice rate {lattice!r} beats the solved {rate!r}")
-        flags = {
-            "degraded_formula": "solved",
-            "grid": list(_DEGRADED_GRID),
-            "no_eavesdropper": beam.no_eavesdropper,
-        }
-        value = max(beam.rate, rate)
-        return _inapplicable(cls.kind, value, beam.lambda1, beam, flags)
+        flags = {"degraded_formula": "solved", "grid": list(_DEGRADED_GRID)}
+        return _inapplicable(cls.kind, max(0.5 * math.log(lam), rate), lam, None, flags)
+
+    beam = optimal_beam(ch)
 
     try:
         q_perp = mk.orth_perp(beam.q_a)
@@ -352,8 +337,8 @@ def capacity_certificate(
         upper, eigs, eig_resid = _upper_bound_max_detail(ch, tc)
 
         s_beam = beam_covariance(beam.q_a, ch.P)
-        _, sylvester, hsh = _gaussian_rate_detail(ch, s_beam)
-        _, three_path = _upper_value_detail(ch, s_beam, tc.a_star, hsh)
+        _, sylvester = _gaussian_rate_detail(ch, s_beam)
+        _, three_path = _upper_value_detail(ch, s_beam, tc.a_star)
 
         # The regularized gain matrix A* is well conditioned even when
         # H^T H is nearly singular, so invert it directly for the coupling

@@ -3,7 +3,8 @@
 Everything here is exact-formula arithmetic on plain tuples: determinants,
 inverses, the symmetric eigenproblem, the generalized eigenproblem for a
 pencil whose second matrix is a rank-one update of the identity, and the
-block inverse of the bordered noise covariance.
+3x3 kit of the genie bound's defining route: the block inverse N^{-1} of
+the bordered noise covariance, a product, a sum and a determinant.
 No iterative solver is used anywhere, so there is no convergence ambiguity
 and results are bit-reproducible.
 
@@ -230,7 +231,7 @@ def orth_perp(v: Vec2) -> Vec2:
 
 
 # --------------------------------------------------------------------------
-# 3x3 helpers and the bordered noise covariance
+# 3x3 helpers and the inverse noise covariance
 # --------------------------------------------------------------------------
 
 def eye3() -> Mat3:
@@ -268,21 +269,12 @@ def matadd3(a: Mat3, b: Mat3) -> Mat3:
     )
 
 
-def noise_cov3(a: Vec2) -> Mat3:
-    """Joint covariance of the receiver/eavesdropper noises with cross term a."""
-    return (
-        (1.0, 0.0, a[0]),
-        (0.0, 1.0, a[1]),
-        (a[0], a[1], 1.0),
-    )
-
-
 def inv_N(a: Vec2) -> Mat3:
     """Block inverse of the bordered noise covariance.
 
     With k = 1 - ||a||^2 the inverse is
     [[I + a a^T / k, -a / k], [-a^T / k, 1 / k]].  It feeds route 1 of the
-    genie bound, so the certificate's three-route comparison judges it.
+    genie bound, so the certificate's two-route comparison judges it.
     The caller gates a strictly inside the unit disk
     (``converse.coupling_gain_matrix`` raises NoiseDegenerate otherwise).
     """

@@ -45,7 +45,7 @@ def rand_channel(rng, power=1.0) -> WiretapChannel:
 
 def gaussian_rate(ch: WiretapChannel, s) -> float:
     """Secrecy rate of the covariance s, its Sylvester residual within EPS_ID."""
-    rate, residual, _ = _gaussian_rate_detail(ch, validate_covariance(s, ch.P))
+    rate, residual = _gaussian_rate_detail(ch, validate_covariance(s, ch.P))
     assert residual <= EPS_ID
     return rate
 

@@ -31,6 +31,15 @@ EXAMPLE_A = '{"H": [[1.0, 0.0], [0.0, 1.0]], "g": [2.0, 0.0], "P": 1.0}'
 SWEEP_SEED = 2021
 
 
+# Degraded, rejection-sampled with numpy seed 5 (standard_normal(6), g scaled
+# by 0.3), at a power inside the supported range.
+DEGRADED_HUGE_P = (
+    '{"H": [[-1.091328901695709, -1.3552087462047395], '
+    '[0.22478573245989314, -1.109349937891366]], '
+    '"g": [0.351088830353488, 0.21497629676215083], "P": 1e26}'
+)
+
+
 @pytest.fixture
 def example_a_path(tmp_path):
     path = tmp_path / "example_a.json"
@@ -69,6 +78,22 @@ class TestCapacity:
         assert doc["verdict"] == "Inapplicable"
         assert doc["flags"]["degraded_formula"] == "solved"
         assert doc["capacity_nats"] > 0.0
+
+    def test_degraded_without_a_beam_resolves_at_huge_power(self, capsys, tmp_path):
+        # The float beam of this Degraded channel fails its own rate check at
+        # P = 1e26; the certificate and the oracle report read lambda_1 from
+        # the beam pencil and never solve for the beam.
+        path = tmp_path / "degraded_1e26.json"
+        path.write_text(DEGRADED_HUGE_P)
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["class"], doc["verdict"]) == ("Degraded", "Inapplicable")
+        assert doc["capacity_nats"] == 31.23673338748711
+        assert "beam" not in doc and "no_eavesdropper" not in doc["flags"]
+        code, out, _ = run(capsys, ["oracle", str(path)])
+        assert code == 0
+        assert json.loads(out)["passes"] is True
 
     def test_singular_gram_falls_back_with_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "near_singular.json"

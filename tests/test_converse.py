@@ -20,11 +20,11 @@ from secrecy221 import (
     coupling_gain_matrix,
     optimal_beam,
     optimize_alpha,
+    sample_general_channels,
     validate_covariance,
 )
 from secrecy221 import matkit as mk
 from secrecy221 import converse, oracle
-from secrecy221.channel import _gaussian_rate_detail
 from secrecy221.cli import main
 from secrecy221.converse import (
     RESIDUAL_TOLERANCES,
@@ -72,14 +72,9 @@ def theta_of_alpha(ch, q_perp, alpha):
     return alpha * alpha / s
 
 
-def upper_value_detail(ch, cov, a):
-    """_upper_value_detail with H S H^T formed as the certificate forms it."""
-    return _upper_value_detail(ch, cov, a, _gaussian_rate_detail(ch, cov)[2])
-
-
 def upper_value(ch, s, a):
-    """U(S, a) for the covariance s, its three evaluation routes within EPS_ID."""
-    value, residual = upper_value_detail(ch, validate_covariance(s, ch.P), a)
+    """U(S, a) for the covariance s, its two evaluation routes within EPS_ID."""
+    value, residual = _upper_value_detail(ch, validate_covariance(s, ch.P), a)
     assert residual <= EPS_ID
     return value
 
@@ -226,7 +221,7 @@ class TestUpperValue:
         value = upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (0.5, 0.0))
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-13)
 
-    def test_three_route_agreement_random(self, suite1000):
+    def test_two_route_agreement_random(self, suite1000):
         rng = random.Random(4)
         for ch in suite1000[:100]:
             for _ in range(10):
@@ -242,7 +237,7 @@ class TestUpperValue:
                 r = math.sqrt(rng.uniform(0, 0.96))
                 phi = rng.uniform(0, 2 * math.pi)
                 a = (r * math.cos(phi), r * math.sin(phi))
-                upper_value(ch, s, a)  # asserts the three routes agree
+                upper_value(ch, s, a)  # asserts the two routes agree
 
     def test_degenerate_noise_rejected(self, example_a):
         with pytest.raises(NoiseDegenerate):
@@ -259,7 +254,7 @@ class TestUpperValue:
             with pytest.raises(NoiseDegenerate):
                 coupling_gain_matrix(example_a, a)
             with pytest.raises(NoiseDegenerate):
-                upper_value_detail(example_a, cov, a)
+                _upper_value_detail(example_a, cov, a)
 
 
 class TestUpperBoundMax:
@@ -366,19 +361,34 @@ class TestCapacityCertificate:
 
         monkeypatch.setattr(mk, "inv_N", perturbed)
 
+    @staticmethod
+    def _perturb_gain(monkeypatch):
+        # All of A(a), not one entry: a change d in entry (i, j) reaches
+        # det(I + A S) for S = P q q^T only through d q_i q_j, which vanishes
+        # for beams near an axis (a 1e-6 change to any one entry leaves 1 to
+        # 4 of these 200 channels within the gate).
+        real = converse.coupling_gain_matrix
+
+        def perturbed(ch, a):
+            return mk.matscale2(1.0 + 1e-6, real(ch, a))
+
+        monkeypatch.setattr(converse, "coupling_gain_matrix", perturbed)
+
     @pytest.mark.parametrize(
         "perturb,judged_by,only",
         [
             ("_perturb_theta", "unit_coupling", False),
             ("_perturb_inv_n", "three_path_u_rel", True),
+            ("_perturb_gain", "three_path_u_rel", True),
         ],
-        ids=["theta_star", "inv_N"],
+        ids=["theta_star", "inv_N", "coupling_gain"],
     )
     def test_stage_error_is_judged_by_the_table(
         self, monkeypatch, suite1000, perturb, judged_by, only
     ):
-        # theta* and N^{-1} are not re-checked by the stages that produce
-        # them; the residual table alone must turn their errors into NotTight.
+        # theta*, N^{-1} (route 1 of the genie bound) and A(a) (route 2) are
+        # not re-checked by the stages that produce them; the residual table
+        # alone must turn their errors into NotTight.
         getattr(self, perturb)(monkeypatch)
         gates = {**RESIDUAL_TOLERANCES, "bound_gap_rel": EPS_CERT}
         for ch in suite1000[:200]:
@@ -388,6 +398,21 @@ class TestCapacityCertificate:
             assert judged_by in failing
             if only:
                 assert failing == {judged_by}
+
+    @pytest.mark.parametrize("power", [1e5, 1e8, 1e9, 1e16, 1e19])
+    def test_every_tight_verdict_is_bracket_certified(self, power):
+        # Where the float cross-checks move verdicts, a Tight certificate
+        # must also pass the exact bracket: the genie bound at a* stays at
+        # most the beam's exact excess widened by EPS_GRID.
+        channels, _ = sample_general_channels(0, 100)
+        tight = 0
+        for ch in (c.with_power(power) for c in channels):
+            cert = capacity_certificate(ch)
+            if cert.verdict == "Tight":
+                tight += 1
+                rho = oracle._beam_excess(ch, cert.beam.q_a)
+                assert oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
+        assert tight > 0
 
     def test_classify_runs_once(self, monkeypatch, capsys, tmp_path):
         # classify runs once per certificate and per oracle report, and
@@ -429,9 +454,11 @@ class TestCapacityCertificate:
         assert cert.flags["degraded_formula"] == "solved"
         assert cert.flags["grid"] == [512, 512]
         assert "seed" not in cert.flags
-        # The full covariance search must do at least as well as beamforming,
-        # and here it is the interior optimum diag(s*, 1 - s*) exactly.
-        assert cert.capacity_nats >= cert.beam.rate - 1e-12
+        # No beam direction is computed; the value is the full covariance
+        # search, at least the best beam's (1/2) log lambda_1, and here it is
+        # the interior optimum diag(s*, 1 - s*) exactly.
+        assert cert.beam is None and "no_eavesdropper" not in cert.flags
+        assert cert.capacity_nats >= 0.5 * math.log(cert.lambda1)
         s_star = math.sqrt(18.0) - 4.0
         exact = 0.5 * math.log((1 + s_star) * (2 - s_star) / (1 + s_star / 4))
         assert math.isclose(cert.capacity_nats, exact, rel_tol=1e-15)

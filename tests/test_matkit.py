@@ -314,7 +314,7 @@ class TestInvN:
         for _ in range(300):
             ang = rng.uniform(0, 2 * math.pi)
             a = (radius * math.cos(ang), radius * math.sin(ang))
-            n = mk.noise_cov3(a)
+            n = ((1.0, 0.0, a[0]), (0.0, 1.0, a[1]), (a[0], a[1], 1.0))
             ninv = mk.inv_N(a)
             prod = mk.matmul3(n, ninv)
             eye = mk.eye3()

@@ -293,7 +293,9 @@ class TestBruteForceUpper:
             q_a = optimal_beam(ch).q_a
             solved = upper_value(ch, a)
             with mpmath.workdps(50):
-                n_inv = mpmath.inverse(mpmath.matrix(mk.noise_cov3(a)))
+                n_inv = mpmath.inverse(
+                    mpmath.matrix([[1, 0, a[0]], [0, 1, a[1]], [a[0], a[1], 1]])
+                )
                 rows = mpmath.matrix([ch.H[0], ch.H[1], ch.g])
                 for q in (q_a, mk.orth_perp(q_a)):
                     qv = mpmath.matrix(q)
