@@ -310,11 +310,11 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(dumps(doc) + "\n")
         return EXIT_OK
 
-    # Only a General channel's bracket needs the beam's direction; a Degraded
-    # report takes lambda_1 from the beam pencil, as its certificate does.
+    # lambda_1 comes from the beam pencil, as in the certificate; only a
+    # General channel's bracket needs the beam's direction.
     beam = optimal_beam(ch) if cls.kind is ChannelKind.GENERAL else None
-    lam = ch._beam_eig[0][0] if beam is None else beam.lambda1
-    rate = 0.5 * math.log(lam) if beam is None else beam.rate
+    lam = ch._beam_eig[0][0]
+    rate = 0.5 * math.log(lam)
     s_best, grid_rate = oracle.brute_force_gaussian(ch)
     se1, se2 = mk.sym_eigvals2(s_best.S)
     gap = rate - grid_rate

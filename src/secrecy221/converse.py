@@ -304,13 +304,12 @@ def capacity_certificate(
     their secrecy capacity, the best Gaussian rate over every covariance,
     with no beam direction solved for: the oracle's solved search
     (``degraded_formula: solved``), at least (1/2) log lambda_1 of the beam
-    pencil (I + P H^T H, I + P g g^T), witnessed by the ``flags.grid``
-    lattice: InvariantViolated if a lattice point beats it by more than
-    EPS_GRID_EXCESS.  Rank-deficient
-    channels report the best beam of H itself, (1/2) log lambda_1 of the
-    same pencil: an achievable rate, and the capacity when H is exactly rank
-    one.  Both alternatives carry verdict Inapplicable and no upper bound
-    since the tight construction does not apply.
+    pencil (I + P H^T H, I + P g g^T); InvariantViolated if that beam rate or
+    a ``flags.grid`` lattice point beats the search by over EPS_GRID_EXCESS.
+    Rank-deficient channels report the best beam of H itself, (1/2) log
+    lambda_1 of the same pencil: an achievable rate, and the capacity when H
+    is exactly rank one.  Both alternatives carry verdict Inapplicable and
+    no upper bound since the tight construction does not apply.
     """
     cls = classify(ch)
 
@@ -324,8 +323,9 @@ def capacity_certificate(
         lam = ch._beam_eig[0][0]
         rate, _ = _solved_rate(ch._gram, ch.g, ch.P)
         lattice = 0.5 * math.log(_grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
-        if lattice > rate + EPS_GRID_EXCESS:
-            raise InvariantViolated(f"lattice rate {lattice!r} beats the solved {rate!r}")
+        for name, witness in (("lattice", lattice), ("beam", 0.5 * math.log(lam))):
+            if witness > rate + EPS_GRID_EXCESS:
+                raise InvariantViolated(f"{name} rate {witness!r} beats the solved {rate!r}")
         flags = {"degraded_formula": "solved", "grid": list(_DEGRADED_GRID)}
         return _inapplicable(cls.kind, max(0.5 * math.log(lam), rate), lam, None, flags)
 

@@ -87,6 +87,15 @@ def disk_max_reference(d_mat: mk.Mat2, g: mk.Vec2, power: float) -> float:
         raise AssertionError("the reference iteration did not converge")
 
 
+def gaussian_rate_reference(ch: WiretapChannel) -> float:
+    """The best Gaussian secrecy rate over every covariance (nats), with
+    D = H^T H formed in 50 digits so the Gram matrix's rounding is covered."""
+    with mpmath.workdps(50):
+        h = [[mpmath.mpf(x) for x in row] for row in ch.H]
+        gram = [[h[0][i] * h[0][j] + h[1][i] * h[1][j] for j in range(2)] for i in range(2)]
+        return float(mpmath.log(disk_max_reference(gram, ch.g, ch.P)) / 2)
+
+
 @pytest.fixture
 def example_a() -> WiretapChannel:
     """Identity main channel, eavesdropper gain (2, 0), unit power."""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gaussian_rate_reference
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
@@ -90,6 +91,8 @@ class TestCapacity:
         doc = json.loads(out)
         assert (doc["class"], doc["verdict"]) == ("Degraded", "Inapplicable")
         assert doc["capacity_nats"] == 31.23673338748711
+        exact = gaussian_rate_reference(cli.channel_from_dict(json.loads(DEGRADED_HUGE_P)))
+        assert abs(doc["capacity_nats"] - exact) <= 1e-14 * exact
         assert "beam" not in doc and "no_eavesdropper" not in doc["flags"]
         code, out, _ = run(capsys, ["oracle", str(path)])
         assert code == 0
@@ -506,8 +509,9 @@ class TestOracleCommand:
         assert "grid" not in doc  # every search is solved; no grid to report
 
     def test_wrong_beam_fails(self, capsys, monkeypatch, example_a_path):
-        # A closed form off by 0.05 rad, reporting its own beam's rate: the
-        # solved face must find the better beam, not share the mistake.
+        # A closed form off by 0.05 rad, reporting its own beam's rate through
+        # the pencil's lambda_1: the solved face must find the better beam,
+        # not share the mistake.
         from secrecy221 import achievable
         from secrecy221.tolerances import EPS_GRID_EXCESS
 
@@ -517,7 +521,9 @@ class TestOracleCommand:
             beam = real(ch)
             c, s = math.cos(0.05), math.sin(0.05)
             q = (c * beam.q_a[0] - s * beam.q_a[1], s * beam.q_a[0] + c * beam.q_a[1])
-            return beam._replace(q_a=q, rate=achievable.beam_rate(ch, q))
+            (_, l2), _ = ch._beam_eig
+            ch.__dict__["_beam_eig"] = ((math.exp(2.0 * achievable.beam_rate(ch, q)), l2), q)
+            return beam._replace(q_a=q)
 
         monkeypatch.setattr(achievable, "optimal_beam", rotated)
         code, out, _ = run(capsys, ["oracle", example_a_path])
@@ -529,13 +535,16 @@ class TestOracleCommand:
     def test_overstated_rate_fails(self, capsys, monkeypatch, example_a_path):
         # A closed-form rate overstated by one part in a million, with the
         # right beam: the solved search misses it by far more than EPS_GRID.
+        # The beam is solved first, so its own rate check sees the true pencil.
         from secrecy221 import achievable
 
         real = achievable.optimal_beam
 
         def overstated(ch):
             beam = real(ch)
-            return beam._replace(rate=beam.rate * (1.0 + 1e-6))
+            (l1, l2), q = ch._beam_eig
+            ch.__dict__["_beam_eig"] = ((l1 ** (1.0 + 1e-6), l2), q)
+            return beam
 
         monkeypatch.setattr(achievable, "optimal_beam", overstated)
         code, out, _ = run(capsys, ["oracle", example_a_path])

@@ -476,6 +476,17 @@ class TestCapacityCertificate:
         with pytest.raises(InvariantViolated, match="lattice"):
             capacity_certificate(WiretapChannel(I2, (0.5, 0.0), 1.0))
 
+    def test_degraded_refuses_a_beam_above_the_solver(self):
+        # A pencil eigenvalue whose rate is 0.05% above the solved search:
+        # the search covers every beam, so the certificate refuses rather
+        # than report the overstated beam.
+        ch = WiretapChannel(I2, (0.5, 0.0), 1.0)
+        rate = capacity_certificate(ch).capacity_nats
+        (_, l2), q = ch._beam_eig
+        ch.__dict__["_beam_eig"] = ((1.001 * math.exp(2.0 * rate), l2), q)
+        with pytest.raises(InvariantViolated, match="beam rate"):
+            capacity_certificate(ch)
+
     def test_reduced_rank_inapplicable(self):
         ch = WiretapChannel(((1.0, 1.0), (1.0, 1.0)), (1.0, 0.0), 1.0)
         cert = capacity_certificate(ch)

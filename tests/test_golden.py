@@ -66,10 +66,9 @@ import math
 import random
 from pathlib import Path
 
-import mpmath
 import pytest
 
-from conftest import disk_max_reference
+from conftest import gaussian_rate_reference
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
@@ -164,10 +163,7 @@ def test_degraded_golden_matches_the_50_digit_reference():
     ch = channel_from_dict(json.loads(EXAMPLE_DEGRADED))
     cert = capacity_certificate(ch)
     assert cert.kind is ChannelKind.DEGRADED
-    with mpmath.workdps(50):
-        h = [[mpmath.mpf(x) for x in row] for row in ch.H]
-        gram = [[h[0][i] * h[0][j] + h[1][i] * h[1][j] for j in range(2)] for i in range(2)]
-        exact = float(mpmath.log(disk_max_reference(gram, ch.g, ch.P)) / 2)
+    exact = gaussian_rate_reference(ch)
     assert abs(cert.capacity_nats - exact) <= 1e-14 * exact
     assert cert.capacity_nats > 0.5 * math.log(cert.lambda1) + 0.05  # full rank beats every beam
 
