@@ -6,7 +6,10 @@ eavesdropper noises are unit-variance Gaussians.  The classifier decides
 whether the eavesdropper is degraded (``||H^{-T} g|| <= 1``), the channel is
 the interesting non-degraded full-rank case, or the main channel is rank
 deficient (ReducedRank), where the certificate reports the best beam of H
-itself, read from the cached beam pencil, with no upper bound.
+itself, read from the cached beam pencil, with no upper bound.  On both
+sides of the degradedness boundary the capacity is the Gaussian maximum over
+every covariance, so a full-rank channel is classified by the sign of
+``||H^{-T} g|| - 1`` alone.
 """
 
 from __future__ import annotations
@@ -16,15 +19,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import matkit as mk
-from .errors import (
-    BoundaryAmbiguous,
-    InvalidCovariance,
-    InvariantViolated,
-    NotPSD,
-    PowerExceeded,
-)
+from .errors import InvalidCovariance, InvariantViolated, NotPSD, PowerExceeded
 from .matkit import Mat2, Vec2
-from .tolerances import EPS_CLASS, EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
+from .tolerances import EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
 
 
 def _check_finite(values, what: str) -> None:
@@ -154,15 +151,11 @@ class WiretapChannel(_ChannelFields):
 
     @_member
     def _class(self) -> "ChannelClass":
-        """The classification that classify returns."""
+        """The classification that classify returns: General exactly when
+        ||H^{-T} g|| > 1, so the boundary itself counts as Degraded."""
         if self._rank_deficient:
             return ChannelClass(ChannelKind.REDUCED_RANK, None, self._sv_ratio)
         eve_norm = mk.norm2(mk.matvec2(self._ht_inv, self.g))
-        if abs(eve_norm - 1.0) < EPS_CLASS:
-            raise BoundaryAmbiguous(
-                f"||H^-T g|| = {eve_norm!r} is within {EPS_CLASS} of 1; "
-                "choose the degraded or non-degraded branch explicitly"
-            )
         kind = ChannelKind.GENERAL if eve_norm > 1.0 else ChannelKind.DEGRADED
         return ChannelClass(kind, eve_norm, self._sv_ratio)
 
@@ -210,10 +203,9 @@ class CovMat(NamedTuple):
 def classify(ch: WiretapChannel) -> ChannelClass:
     """Classify the channel as General, Degraded, or ReducedRank.
 
-    Raises BoundaryAmbiguous when ||H^{-T} g|| is within EPS_CLASS of 1:
-    the two regimes use different machinery and neither covers the boundary,
-    so the caller has to pick a branch explicitly.  The class is a P-free
-    member; a refusal is not kept, so it raises on every call.
+    A full-rank channel is General when ||H^{-T} g|| > 1 and Degraded
+    otherwise; it never raises.  The class is a P-free member, so a power
+    sweep computes it once.
     """
     return ch._class
 

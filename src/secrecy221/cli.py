@@ -265,10 +265,6 @@ def cmd_sweep(args) -> int:
         ch.with_power(pmax)
     except ValueError as exc:
         raise ChannelSpecError(f"invalid sweep power: {exc}") from exc
-    # The class depends on H and g alone: refuse a boundary channel before
-    # the header.  It is a P-free member, so every row reuses it.
-    classify(ch)
-
     # Rows are evenly spaced in log P or in P, and each power is made as its
     # row is printed, so neither the first row's wait nor memory grows with
     # --steps.  The ends exactly as asked: exp(log(p)) and pmin + (pmax - pmin)

@@ -24,15 +24,10 @@ class NoiseDegenerate(MatrixError):
     """Noise cross-correlation has norm at (or beyond) one."""
 
 
-# --- channel validation and classification ----------------------------------
+# --- channel validation and rank --------------------------------------------
 
 class ChannelError(SecrecyError):
     """Base class for channel-level failures."""
-
-
-class BoundaryAmbiguous(ChannelError):
-    """The channel sits on the degraded/non-degraded boundary; the caller
-    must choose a branch explicitly."""
 
 
 class RankDeficient(ChannelError):

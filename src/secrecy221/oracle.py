@@ -40,7 +40,6 @@ from .channel import (
     classify,
     validate_covariance,
 )
-from .errors import BoundaryAmbiguous
 from .matkit import Mat2, Vec2
 
 
@@ -257,7 +256,8 @@ def sample_general_channels(
     seed: int, count: int, power: float = 1.0
 ) -> tuple[list[WiretapChannel], int]:
     """Rejection-sample channels with i.i.d. standard normal gains until
-    ``count`` of them classify as General.  Returns (channels, attempts)."""
+    ``count`` of them classify as General (full rank and ||H^{-T} g|| > 1).
+    Returns (channels, attempts)."""
     import numpy as np
 
     if count < 1:
@@ -273,10 +273,6 @@ def sample_general_channels(
             (float(v[4]), float(v[5])),
             power,
         )
-        try:
-            cls = classify(ch)
-        except BoundaryAmbiguous:
-            continue
-        if cls.kind is ChannelKind.GENERAL:
+        if classify(ch).kind is ChannelKind.GENERAL:
             out.append(ch)
     return out, attempts

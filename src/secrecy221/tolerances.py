@@ -2,7 +2,9 @@
 
 The underlying results are exact-arithmetic statements; these constants are
 the floating-point substitutes.  They are deliberately centralized so tests
-and documentation reference one source of truth.
+and documentation reference one source of truth.  The degradedness
+classification needs none: the capacity is the same Gaussian maximum on
+both sides of ||H^{-T} g|| = 1, so the plain sign decides.
 """
 
 # Identity-product / eigen-residual checks (relative).
@@ -18,9 +20,6 @@ EPS_NORM = 1e-9
 
 # Full-rank decision on the singular-value ratio of the main channel.
 EPS_RANK = 1e-8
-
-# Half-width of the refused band around the degradedness boundary.
-EPS_CLASS = 1e-9
 
 # Relative tightness threshold for the capacity certificate verdict.
 EPS_CERT = 1e-9

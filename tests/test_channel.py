@@ -21,7 +21,6 @@ from secrecy221 import (
 from secrecy221 import matkit as mk
 from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail, _member
 from secrecy221.errors import (
-    BoundaryAmbiguous,
     InvalidCovariance,
     NoiseDegenerate,
     NotPSD,
@@ -215,14 +214,19 @@ class TestMemberContract:
         for name, n in counts.items():
             assert n == (1 if name in _P_FREE_MEMBERS else steps), name
 
-    def test_boundary_channel_raises_on_every_call(self):
-        ch = WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0)
-        for _ in range(2):
-            with pytest.raises(BoundaryAmbiguous):
-                classify(ch)
-            assert "_class" not in vars(ch)
-        with pytest.raises(BoundaryAmbiguous):
-            classify(ch.with_power(2.0))
+    def test_a_member_that_raised_raises_on_every_read(self):
+        # Full rank by EPS_RANK, but H^T H and H^T H - g g^T are singular
+        # by EPS_SING: the tight path falls back, and neither inverse is kept.
+        ch = WiretapChannel(((1.0, 0.0), (0.0, 1e-7)), (2.0, 0.0), 1.0)
+        for channel in (ch, ch.with_power(2.0)):
+            for name in ("_w", "_resolvent_inv"):
+                for _ in range(2):
+                    with pytest.raises(SingularMatrix):
+                        getattr(channel, name)
+                    assert name not in vars(channel)
+        cert = capacity_certificate(ch)
+        assert (cert.kind, cert.verdict) == (ChannelKind.GENERAL, "Inapplicable")
+        assert cert.flags["tight_path_error"] == "SingularMatrix"
 
     def test_threads_first_reading_one_channel_see_the_same_values(self):
         names = sorted(n for n, a in vars(WiretapChannel).items() if isinstance(a, _member))
@@ -303,18 +307,18 @@ class TestClassify:
             assert cls.kind is ChannelKind.REDUCED_RANK
             assert cls.sv_ratio < 1e-12
 
-    def test_boundary_refused(self):
-        with pytest.raises(BoundaryAmbiguous):
-            classify(WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0))
+    def test_classified_by_the_sign_of_eve_norm_minus_one(self):
+        # The exact boundary counts as Degraded.
+        for g1, kind in ((1.0, ChannelKind.DEGRADED), (1.0 + 2e-10, ChannelKind.GENERAL),
+                         (1.0 - 2e-10, ChannelKind.DEGRADED)):
+            cls = classify(WiretapChannel(I2, (g1, 0.0), 1.0))
+            assert (cls.kind, cls.eve_norm) == (kind, g1)
 
     def test_receiver_rotation_invariance(self):
         rng = random.Random(31)
         for _ in range(300):
             ch = rand_channel(rng)
-            try:
-                cls = classify(ch)
-            except BoundaryAmbiguous:
-                continue
+            cls = classify(ch)
             q = rotation(rng.uniform(0, 2 * math.pi), reflect=rng.random() < 0.5)
             rotated = WiretapChannel(mk.matmul2(q, ch.H), ch.g, ch.P)
             cls_rot = classify(rotated)
@@ -425,10 +429,7 @@ class TestSymmetricByConstruction:
             rank_one = rng.random() < 0.3
             h = ((a * c, a * d), (b * c, b * d)) if rank_one else ((a, b), (c, d))
             ch = WiretapChannel(h, (rng.gauss(0, 1), rng.gauss(0, 1)), 1.0)
-            try:
-                kind = classify(ch).kind
-            except BoundaryAmbiguous:
-                continue
+            kind = classify(ch).kind
             if len(found[kind]) < 4:
                 found[kind].append(ch)
         return [(kind, ch) for kind, chs in found.items() for ch in chs]

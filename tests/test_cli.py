@@ -402,14 +402,13 @@ class TestSweep:
         assert all(row[4] == "Inapplicable" for row in rows)
         assert float(rows[1][1]) >= float(rows[0][1]) - 1e-12
 
-    def test_boundary_channel_refused_before_the_header(self, capsys, tmp_path):
+    def test_boundary_channel_rows_and_refused_range(self, capsys, tmp_path):
         path = tmp_path / "boundary.json"
         path.write_text('{"H": [[1, 0], [0, 1]], "g": [1, 0], "P": 1}')
         argv = ["sweep", str(path), "--pmin", "1", "--pmax", "2", "--steps", "3"]
         code, out, err = run(capsys, argv)
-        assert (code, out) == (1, "")
-        assert json.loads(err)["error"]["type"] == "BoundaryAmbiguous"
-        # A refused power wins over the class.
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 4
         code, out, err = run(capsys, [*argv[:5], "1e40", *argv[6:]])
         assert (code, out) == (1, "")
         error = json.loads(err)["error"]

@@ -8,7 +8,7 @@ import random
 import mpmath
 import pytest
 
-from conftest import disk_max_reference, upper_value as solved_upper_value
+from conftest import disk_max_reference, gaussian_rate_reference, upper_value as solved_upper_value
 from secrecy221 import (
     ChannelKind,
     TightCorrelation,
@@ -33,7 +33,6 @@ from secrecy221.converse import (
     _upper_value_detail,
 )
 from secrecy221.errors import (
-    BoundaryAmbiguous,
     DegenerateDirection,
     InvariantViolated,
     NoiseDegenerate,
@@ -574,9 +573,10 @@ class TestCapacityCertificate:
         assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
         assert cert.lower > 11.0
 
-    def test_boundary_propagates(self):
-        with pytest.raises(BoundaryAmbiguous):
-            capacity_certificate(WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0))
+    def test_boundary_channel_is_certified(self):
+        ch = WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0)
+        cert = capacity_certificate(ch)
+        assert abs(cert.capacity_nats - gaussian_rate_reference(ch)) <= 1e-14
 
     def test_upper_bound_valid_for_sampled_correlations(self, suite1000):
         # Every admissible correlation upper-bounds the capacity.
@@ -661,3 +661,48 @@ class TestReducedRankCertificate:
                         ref = best_beam_reference(h, g, power)
                         err = abs(cert.capacity_nats - ref)
                         assert err <= 1e-9 * max(1.0, abs(ref)), (h, g, power)
+
+
+class TestBoundaryBand:
+    """Channels with ||H^{-T} g|| within 1e-9 of 1 get certificates: on both
+    sides of the boundary the capacity is the Gaussian maximum over every
+    covariance, which the General and Degraded branches both report."""
+
+    DELTAS = (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10, 1e-8, -1e-8)
+    POWERS = (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e16)
+
+    def test_battery_matches_the_50_digit_gaussian_maximum(self):
+        channels, _ = sample_general_channels(3, 10)
+        tight = 0
+        for base in channels:
+            eve_norm = mk.norm2(mk.matvec2(mk.inv2(mk.transpose2(base.H)), base.g))
+            for delta in self.DELTAS:
+                scale = (1.0 + delta) / eve_norm
+                g = (base.g[0] * scale, base.g[1] * scale)
+                for power in self.POWERS:
+                    ch = WiretapChannel(base.H, g, power)
+                    cert = capacity_certificate(ch)
+                    ref = gaussian_rate_reference(ch)
+                    err = abs(cert.capacity_nats - ref)
+                    assert err <= 1e-14 * max(1.0, abs(ref)), (ch, cert.verdict)
+                    if cert.verdict == "Tight":
+                        tight += 1
+                        rho = oracle._beam_excess(ch, cert.beam.q_a)
+                        a_star = cert.correlation.a_star
+                        assert oracle._bound_at_most(ch, a_star, rho * (1.0 + EPS_GRID))
+        assert tight > 0
+
+    @pytest.mark.parametrize(
+        "g1,code,error", [(1.0, 0, None), (1.0 + 2e-10, 1, "InvariantViolated")]
+    )
+    def test_oracle_exit(self, capsys, tmp_path, g1, code, error):
+        # On the General side optimize_alpha finds no a* inside the unit disk:
+        # the verb names the stage's error rather than a traceback.
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"H": [[1, 0], [0, 1]], "g": [g1, 0], "P": 1}))
+        assert main(["oracle", str(path)]) == code
+        out, err = capsys.readouterr()
+        if error is None:
+            assert json.loads(out)["passes"] and err == ""
+        else:
+            assert out == "" and json.loads(err)["error"]["type"] == error
