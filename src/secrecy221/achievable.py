@@ -27,15 +27,13 @@ class BeamSolution(NamedTuple):
     """Optimal beam direction, its generalized eigenvalue, and the rate (nats).
 
     ``degenerate`` flags a (numerically) tied eigenvalue pair, in which case
-    the direction is not unique.  ``no_eavesdropper`` flags g = 0, where the
-    solution is simply the strongest direction of the main channel.
+    the direction is not unique.
     """
 
     q_a: Vec2
     lambda1: float
     rate: float
     degenerate: bool
-    no_eavesdropper: bool = False
 
 
 def beam_rate(ch: WiretapChannel, q: Vec2) -> float:
@@ -82,10 +80,4 @@ def optimal_beam(ch: WiretapChannel) -> BeamSolution:
         )
 
     degenerate = (l1 - l2) <= EPS_EIG * max(1.0, abs(l1))
-    return BeamSolution(
-        q_a=q1,
-        lambda1=l1,
-        rate=rate,
-        degenerate=degenerate,
-        no_eavesdropper=mk.norm2(ch.g) == 0.0,
-    )
+    return BeamSolution(q_a=q1, lambda1=l1, rate=rate, degenerate=degenerate)

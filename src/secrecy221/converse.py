@@ -8,6 +8,8 @@ two noises, through
     U(S, a) = (1/2) log [ det(I_3 + N^{-1} Hbar S Hbar^T) / (1 + g^T S g) ],
 
 where N is the joint noise covariance and Hbar stacks H on top of g^T.
+At a unit-rank S = P q q^T both determinants are scalars (the matrix
+determinant lemma), which is how the certificate evaluates it.
 Restricting a to the family H^{-T}(alpha q_perp + g) collapses the bound's
 gain matrix to H^T H + theta(alpha) q_perp q_perp^T with
 theta(alpha) = alpha^2 / (1 - ||a||^2).  The reciprocal 1/theta is a concave
@@ -27,7 +29,6 @@ from . import matkit as mk
 from .achievable import BeamSolution, optimal_beam
 from .channel import (
     ChannelKind,
-    CovMat,
     WiretapChannel,
     beam_covariance,
     classify,
@@ -43,7 +44,7 @@ from .errors import (
     PreconditionFailed,
     RankDeficient,
 )
-from .matkit import Mat2, Mat3, Vec2
+from .matkit import Mat2, Vec2
 from .tolerances import (
     EIGEN_ONE_TOL,
     EPS_CERT,
@@ -105,7 +106,9 @@ class CapacityCertificate(NamedTuple):
 
 # Residual names -> pass thresholds: the only gates on the identities the
 # certificate records.  The bound gap takes the certificate tolerance.
-# three_path_u_rel compares the genie bound's two routes, N^{-1} and A(a).
+# three_path_u_rel compares the genie bound's two rank-one routes at the
+# beam, N^{-1} and A(a): both are sums of non-negative terms, so it measures
+# whether the formulas agree, not how much a determinant cancelled.
 RESIDUAL_TOLERANCES: dict[str, float] = {
     "a_star_norm": 1.0 - EPS_NORM,
     "unit_coupling": UNIT_COUPLING_TOL,
@@ -192,34 +195,28 @@ def coupling_gain_matrix(ch: WiretapChannel, a: Vec2) -> Mat2:
     return mk.matadd2(ch._gram, mk.matscale2(1.0 / k, mk.outer2(v, v)))
 
 
-def _upper_value_detail(ch: WiretapChannel, cov: CovMat, a: Vec2) -> tuple[float, float]:
-    """The genie bound value by two independent evaluation routes.
+def _upper_value_detail(ch: WiretapChannel, q: Vec2, a: Vec2) -> tuple[float, float]:
+    """The genie bound at S = P q q^T (the full-power beam for a unit q) by
+    two routes, each a scalar by the matrix determinant lemma.
 
-    Route 1 is the defining 3x3 determinant with N^{-1}; route 2 the 2x2
-    determinant with the collapsed gain matrix A(a), the form the oracle's
-    exact bracket decides.  Returns (route-1 value, relative disagreement).
+    Route 1, the defining N^{-1} form, is det(I_3 + N^{-1} Hbar S Hbar^T) =
+    1 + P (||H q||^2 + t^2 / k) with t = a^T H q - g^T q and
+    k = 1 - ||a||^2; route 2, with the collapsed gain matrix the oracle's
+    exact bracket decides, is det(I + A(a) S) = 1 + P q^T A(a) q.  Returns
+    (route-1 value, relative disagreement).
     """
-    s = cov.S
-    gain = coupling_gain_matrix(ch, a)  # the unit-disk gate, ahead of inv_N
-    ninv = mk.inv_N(a)
-
-    # Route 1: 3x3 determinant.
-    (h0, h1), g = ch.H, ch.g
-    s0, s1, s2 = mk.matvec2(s, h0), mk.matvec2(s, h1), mk.matvec2(s, g)
-    hsh3: Mat3 = (
-        (mk.dot2(h0, s0), mk.dot2(h0, s1), mk.dot2(h0, s2)),
-        (mk.dot2(h1, s0), mk.dot2(h1, s1), mk.dot2(h1, s2)),
-        (mk.dot2(g, s0), mk.dot2(g, s1), mk.dot2(g, s2)),
-    )
-    det_1 = mk.det3(mk.matadd3(mk.eye3(), mk.matmul3(ninv, hsh3)))
-
-    # Route 2: 2x2 determinant with the collapsed gain matrix.
-    det_2 = mk.det2(mk.matadd2(mk.eye2(), mk.matmul2(gain, s)))
-
-    den = 1.0 + mk.quad2(s, ch.g)
-    _require_positive("genie bound", den=den, route_1=det_1, route_2=det_2)
-    u1 = 0.5 * (math.log(det_1) - math.log(den))
-    u2 = 0.5 * (math.log(det_2) - math.log(den))
+    gain = coupling_gain_matrix(ch, a)  # the unit-disk gate: k > 0 below
+    hq = mk.matvec2(ch.H, q)
+    gq = mk.dot2(ch.g, q)
+    t = mk.dot2(a, hq) - gq
+    num_1 = 1.0 + ch.P * (mk.dot2(hq, hq) + t * t / (1.0 - mk.dot2(a, a)))
+    num_2 = 1.0 + ch.P * mk.quad2(gain, q)
+    den = 1.0 + ch.P * gq * gq
+    # Route 1 and den are sums of non-negative terms; a float quadratic form
+    # of the PSD A(a) is not provably >= 0.
+    _require_positive("genie bound", route_2=num_2)
+    u1 = 0.5 * (math.log(num_1) - math.log(den))
+    u2 = 0.5 * (math.log(num_2) - math.log(den))
     return u1, abs(u1 - u2) / max(1.0, abs(u1))
 
 
@@ -336,9 +333,8 @@ def capacity_certificate(
         tc = optimize_alpha(ch, q_perp)
         upper, eigs, eig_resid = _upper_bound_max_detail(ch, tc)
 
-        s_beam = beam_covariance(beam.q_a, ch.P)
-        _, sylvester = _gaussian_rate_detail(ch, s_beam)
-        _, three_path = _upper_value_detail(ch, s_beam, tc.a_star)
+        _, sylvester = _gaussian_rate_detail(ch, beam_covariance(beam.q_a, ch.P))
+        _, three_path = _upper_value_detail(ch, beam.q_a, tc.a_star)
 
         # The regularized gain matrix A* is well conditioned even when
         # H^T H is nearly singular, so invert it directly for the coupling
@@ -373,7 +369,7 @@ def capacity_certificate(
             capacity_bits=beam.rate / LOG2,
             beam=beam,
             correlation=tc,
-            flags={"degenerate": beam.degenerate, "no_eavesdropper": beam.no_eavesdropper},
+            flags={"degenerate": beam.degenerate},
         )
     except (ConverseError, InvariantViolated, MatrixError, PreconditionFailed) as exc:
         # The tight construction failed (degenerate direction, ||a*|| off

@@ -1,10 +1,8 @@
-"""Closed-form dense linear algebra for 2x2 and 3x3 real matrices.
+"""Closed-form dense linear algebra for 2x2 real matrices.
 
 Everything here is exact-formula arithmetic on plain tuples: determinants,
-inverses, the symmetric eigenproblem, the generalized eigenproblem for a
-pencil whose second matrix is a rank-one update of the identity, and the
-3x3 kit of the genie bound's defining route: the block inverse N^{-1} of
-the bordered noise covariance, a product, a sum and a determinant.
+inverses, the symmetric eigenproblem, and the generalized eigenproblem for
+a pencil whose second matrix is a rank-one update of the identity.
 No iterative solver is used anywhere, so there is no convergence ambiguity
 and results are bit-reproducible.
 
@@ -21,8 +19,6 @@ from .tolerances import EPS_SING
 
 Vec2 = tuple[float, float]
 Mat2 = tuple[Vec2, Vec2]
-Vec3 = tuple[float, float, float]
-Mat3 = tuple[Vec3, Vec3, Vec3]
 
 
 # --------------------------------------------------------------------------
@@ -228,60 +224,3 @@ def gen_eig2_rank1(a: Mat2, factor: tuple[Mat2, float]) -> tuple[tuple[float, fl
 def orth_perp(v: Vec2) -> Vec2:
     """90-degree counterclockwise rotation (-y, x) of a unit vector."""
     return (-v[1], v[0])
-
-
-# --------------------------------------------------------------------------
-# 3x3 helpers and the inverse noise covariance
-# --------------------------------------------------------------------------
-
-def eye3() -> Mat3:
-    return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def det3(m: Mat3) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def matmul3(a: Mat3, b: Mat3) -> Mat3:
-    """a b with each entry summed left to right, as sum() did before 3.12."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return (
-        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
-         a00 * b02 + a01 * b12 + a02 * b22),
-        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
-         a10 * b02 + a11 * b12 + a12 * b22),
-        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
-         a20 * b02 + a21 * b12 + a22 * b22),
-    )
-
-
-def matadd3(a: Mat3, b: Mat3) -> Mat3:
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return (
-        (a0[0] + b0[0], a0[1] + b0[1], a0[2] + b0[2]),
-        (a1[0] + b1[0], a1[1] + b1[1], a1[2] + b1[2]),
-        (a2[0] + b2[0], a2[1] + b2[1], a2[2] + b2[2]),
-    )
-
-
-def inv_N(a: Vec2) -> Mat3:
-    """Block inverse of the bordered noise covariance.
-
-    With k = 1 - ||a||^2 the inverse is
-    [[I + a a^T / k, -a / k], [-a^T / k, 1 / k]].  It feeds route 1 of the
-    genie bound, so the certificate's two-route comparison judges it.
-    The caller gates a strictly inside the unit disk
-    (``converse.coupling_gain_matrix`` raises NoiseDegenerate otherwise).
-    """
-    n2 = a[0] * a[0] + a[1] * a[1]
-    r = 1.0 / (1.0 - n2)
-    return (
-        (1.0 + r * a[0] * a[0], r * a[0] * a[1], -r * a[0]),
-        (r * a[0] * a[1], 1.0 + r * a[1] * a[1], -r * a[1]),
-        (-r * a[0], -r * a[1], r),
-    )

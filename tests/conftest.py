@@ -1,9 +1,10 @@
 """Fixtures shared by the test modules, and the reference code of the facts
 that more than one module checks but the library does not compute: the
 null-beam rate, the root-sign lemma of the full-rank stationarity
-quadratic, and the 50-digit maximum of the Gaussian rate ratio over the
-covariances, and the genie bound maximized over the covariances.  Import the
-helpers with ``from conftest import ...``."""
+quadratic, the 50-digit maximum of the Gaussian rate ratio over the
+covariances, the genie bound maximized over the covariances, and the genie
+bound at a beam from its 3x3 definition in 50 digits.  Import the helpers
+with ``from conftest import ...``."""
 
 import math
 
@@ -49,6 +50,27 @@ def upper_value(ch: WiretapChannel, a: mk.Vec2) -> float:
     """The genie upper bound at a, maximized over covariances exactly (nats);
     an a not strictly inside the unit disk raises NoiseDegenerate."""
     return _solved_rate(coupling_gain_matrix(ch, a), ch.g, ch.P)[0]
+
+
+def genie_bound_reference(ch: WiretapChannel, q: mk.Vec2, a: mk.Vec2) -> float:
+    """U(S, a) at the beam S = P q q^T / ||q||^2 from its definition, in
+    50-digit arithmetic from the float inputs (nats):
+
+        (1/2) log [ det(I_3 + N^{-1} Hbar S Hbar^T) / (1 + g^T S g) ],
+
+    with N^{-1} the literal inverse of the noise covariance [[I, a], [a^T, 1]]
+    and Hbar = [H; g^T].
+    """
+    with mpmath.workdps(50):
+        n_inv = mpmath.inverse(mpmath.matrix([[1, 0, a[0]], [0, 1, a[1]], [a[0], a[1], 1]]))
+        q1, q2 = mpmath.mpf(q[0]), mpmath.mpf(q[1])
+        m = [row[0] * q1 + row[1] * q2 for row in (ch.H[0], ch.H[1], ch.g)]  # Hbar q
+        scale = ch.P / (q1 * q1 + q2 * q2)
+        # I_3 + N^{-1} Hbar S Hbar^T, with Hbar S Hbar^T = scale m m^T.
+        nm = [sum(n_inv[i, k] * m[k] for k in range(3)) for i in range(3)]
+        rows = [[int(i == j) + scale * nm[i] * m[j] for j in range(3)] for i in range(3)]
+        num = mpmath.det(mpmath.matrix(rows))
+        return float((mpmath.log(num) - mpmath.log(1 + scale * m[2] ** 2)) / 2)
 
 
 def disk_max_reference(d_mat: mk.Mat2, g: mk.Vec2, power: float) -> float:

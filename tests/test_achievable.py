@@ -86,11 +86,10 @@ class TestOptimalBeam:
                 shrunk = WiretapChannel(ch.H, mk.scale2(c, ch.g), ch.P)
                 assert optimal_beam(shrunk).lambda1 >= lam_full - 1e-12
 
-    def test_no_eavesdropper_flag(self):
+    def test_without_eavesdropper_beams_the_strongest_direction(self):
+        # g = 0: the beam is the strongest main-channel direction.
         ch = WiretapChannel(((1.0, 0.2), (0.0, 2.0)), (0.0, 0.0), 1.0)
         sol = optimal_beam(ch)
-        assert sol.no_eavesdropper
-        # beam is the strongest main-channel direction
         (l1, _), v1 = mk.sym_eig2(ch.gram())
         assert math.isclose(abs(mk.dot2(sol.q_a, v1)), 1.0, abs_tol=1e-12)
         assert math.isclose(sol.rate, 0.5 * math.log(1.0 + ch.P * l1), rel_tol=1e-12)

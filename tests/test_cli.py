@@ -127,11 +127,8 @@ class TestCapacity:
             '{"H": [[1.3876555174965057, 1.1830863365109388], '
             '[0.3197712146866956, 0.18389087740931595]], '
             '"g": [123.5296812238942, 150.5091860907951], "P": 605833754515.1425}',
-            '{"H": [[1.1094968675107775, 1.11669000377543], '
-            '[-0.03938338001097003, 0.023625996982681623]], '
-            '"g": [-409.4379219575822, -281.8457096192032], "P": 185479192680.91147}',
         ],
-        ids=["sylvester_den", "genie_route_2"],
+        ids=["sylvester_den"],
     )
     def test_large_power_cancellation_falls_back_with_exit_zero(self, capsys, tmp_path, spec):
         path = tmp_path / "large_p.json"
@@ -143,6 +140,24 @@ class TestCapacity:
         assert doc["verdict"] == "Inapplicable"
         assert doc["upper_nats"] is None
         assert doc["flags"]["tight_path_error"] == "InvariantViolated"
+        assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 11.0
+
+    def test_large_power_genie_routes_agree_with_exit_two(self, capsys, tmp_path):
+        # A 2x2 genie-bound determinant cancels here in floats; the rank-one
+        # routes agree and only the Sylvester twin misses its gate.
+        path = tmp_path / "large_p.json"
+        path.write_text(
+            '{"H": [[1.1094968675107775, 1.11669000377543], '
+            '[-0.03938338001097003, 0.023625996982681623]], '
+            '"g": [-409.4379219575822, -281.8457096192032], "P": 185479192680.91147}'
+        )
+        code, out, _ = run(capsys, ["capacity", str(path)])
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["class"], doc["verdict"]) == ("General", "NotTight")
+        assert "tight_path_error" not in doc["flags"]
+        assert doc["residuals"]["sylvester_rel"] > 1e-10
+        assert doc["residuals"]["three_path_u_rel"] <= 1e-11
         assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 11.0
 
     def test_zero_channel_has_zero_capacity(self, capsys, tmp_path):

@@ -8,7 +8,12 @@ import random
 import mpmath
 import pytest
 
-from conftest import disk_max_reference, gaussian_rate_reference, upper_value as solved_upper_value
+from conftest import (
+    disk_max_reference,
+    gaussian_rate_reference,
+    genie_bound_reference,
+    upper_value as solved_upper_value,
+)
 from secrecy221 import (
     ChannelKind,
     TightCorrelation,
@@ -21,7 +26,6 @@ from secrecy221 import (
     optimal_beam,
     optimize_alpha,
     sample_general_channels,
-    validate_covariance,
 )
 from secrecy221 import matkit as mk
 from secrecy221 import converse, oracle
@@ -71,11 +75,22 @@ def theta_of_alpha(ch, q_perp, alpha):
     return alpha * alpha / s
 
 
-def upper_value(ch, s, a):
-    """U(S, a) for the covariance s, its two evaluation routes within EPS_ID."""
-    value, residual = _upper_value_detail(ch, validate_covariance(s, ch.P), a)
+def upper_value(ch, q, a):
+    """U(P q q^T, a), its two evaluation routes within EPS_ID."""
+    value, residual = _upper_value_detail(ch, q, a)
     assert residual <= EPS_ID
     return value
+
+
+def random_beam(rng):
+    ang = rng.uniform(0, 2 * math.pi)
+    return (math.cos(ang), math.sin(ang))
+
+
+def random_correlation(rng, r_max2=0.96):
+    r = math.sqrt(rng.uniform(0, r_max2))
+    phi = rng.uniform(0, 2 * math.pi)
+    return (r * math.cos(phi), r * math.sin(phi))
 
 
 class TestThetaOfAlpha:
@@ -203,57 +218,70 @@ class TestAZeroWitness:
 
 class TestUpperValue:
     def test_zero_covariance(self, example_a):
+        # q = 0 gives S = 0.
         for a in ((0.0, 0.0), (0.3, -0.2), (0.7, 0.1)):
-            assert upper_value(example_a, ((0.0, 0.0), (0.0, 0.0)), a) == 0.0
+            assert upper_value(example_a, (0.0, 0.0), a) == 0.0
 
     def test_zero_correlation_matches_augmented_gain(self, suite1000):
         # With a = 0 the bound's gain matrix is H^T H + g g^T.
+        rng = random.Random(3)
         for ch in suite1000[:50]:
-            s_raw = ((0.4, 0.1), (0.1, 0.3))
-            got = upper_value(ch, s_raw, (0.0, 0.0))
+            q = random_beam(rng)
+            got = upper_value(ch, q, (0.0, 0.0))
+            s = beam_covariance(q, ch.P).S
             gain = mk.matadd2(ch.gram(), mk.outer2(ch.g, ch.g))
-            num = mk.det2(mk.matadd2(I2, mk.matmul2(gain, s_raw)))
-            den = 1.0 + mk.quad2(s_raw, ch.g)
+            num = mk.det2(mk.matadd2(I2, mk.matmul2(gain, s)))
+            den = 1.0 + mk.quad2(s, ch.g)
             assert math.isclose(got, 0.5 * math.log(num / den), rel_tol=1e-12)
 
     def test_example_a_at_tight_point(self, example_a):
-        value = upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (0.5, 0.0))
+        value = upper_value(example_a, (0.0, 1.0), (0.5, 0.0))
         assert math.isclose(value, 0.5 * math.log(2.0), rel_tol=1e-13)
 
     def test_two_route_agreement_random(self, suite1000):
         rng = random.Random(4)
         for ch in suite1000[:100]:
             for _ in range(10):
-                ang = rng.uniform(0, math.pi)
-                p1 = rng.uniform(0, ch.P)
-                p2 = rng.uniform(0, ch.P - p1)
-                q1 = (math.cos(ang), math.sin(ang))
-                q2 = (-q1[1], q1[0])
-                s = mk.matadd2(
-                    mk.matscale2(p1, mk.outer2(q1, q1)),
-                    mk.matscale2(p2, mk.outer2(q2, q2)),
-                )
-                r = math.sqrt(rng.uniform(0, 0.96))
-                phi = rng.uniform(0, 2 * math.pi)
-                a = (r * math.cos(phi), r * math.sin(phi))
-                upper_value(ch, s, a)  # asserts the two routes agree
+                # upper_value asserts that the two routes agree.
+                upper_value(ch, random_beam(rng), random_correlation(rng))
+
+    @pytest.mark.parametrize("power", [1e-8, 1.0, 1e8, 1e16, 1e24])
+    def test_route_one_matches_the_literal_definition(self, suite1000, power):
+        # Route 1 against det(I_3 + N^{-1} Hbar S Hbar^T) with the literal
+        # inverse N^{-1}, in 50 digits; where a determinant would cancel in
+        # floats, the rank-one form keeps full accuracy.
+        rng = random.Random(29)
+        for ch in suite1000[:20]:
+            ch = ch.with_power(power)
+            for _ in range(5):
+                q, a = random_beam(rng), random_correlation(rng, 0.98)
+                value, _ = _upper_value_detail(ch, q, a)
+                ref = genie_bound_reference(ch, q, a)
+                assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))
 
     def test_degenerate_noise_rejected(self, example_a):
         with pytest.raises(NoiseDegenerate):
-            upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (1.0, 0.0))
+            upper_value(example_a, (0.0, 1.0), (1.0, 0.0))
 
     def test_nonfinite_correlation_rejected(self, example_a):
         with pytest.raises(NoiseDegenerate):
-            upper_value(example_a, ((0.0, 0.0), (0.0, 1.0)), (float("nan"), 0.0))
+            upper_value(example_a, (0.0, 1.0), (float("nan"), 0.0))
+
+    def test_route_two_below_zero_is_refused(self, monkeypatch, example_a):
+        # A float quadratic form of the PSD A(a) is not provably >= 0, so
+        # route 2 keeps its guard; route 1 and the denominator are >= 1.
+        negative = ((-2.0, 0.0), (0.0, -2.0))
+        monkeypatch.setattr(converse, "coupling_gain_matrix", lambda ch, a: negative)
+        with pytest.raises(InvariantViolated, match="^genie bound: route_2 = -1.0 is not"):
+            _upper_value_detail(example_a, (0.0, 1.0), (0.5, 0.0))
 
     def test_off_disk_correlation_is_gated(self, example_a):
-        # coupling_gain_matrix is the one unit-disk gate; inv_N has none.
-        cov = validate_covariance(((0.0, 0.0), (0.0, 1.0)), example_a.P)
+        # coupling_gain_matrix is the one unit-disk gate; route 1 has none.
         for a in ((1.0, 0.0), (0.8, 0.7)):
             with pytest.raises(NoiseDegenerate):
                 coupling_gain_matrix(example_a, a)
             with pytest.raises(NoiseDegenerate):
-                _upper_value_detail(example_a, cov, a)
+                _upper_value_detail(example_a, (0.0, 1.0), a)
 
 
 class TestUpperBoundMax:
@@ -351,19 +379,9 @@ class TestCapacityCertificate:
         monkeypatch.setattr(converse, "optimize_alpha", perturbed)
 
     @staticmethod
-    def _perturb_inv_n(monkeypatch):
-        real = mk.inv_N
-
-        def perturbed(a):
-            (n00, *row0), *rows = real(a)
-            return ((n00 * (1.0 + 1e-6), *row0), *rows)
-
-        monkeypatch.setattr(mk, "inv_N", perturbed)
-
-    @staticmethod
     def _perturb_gain(monkeypatch):
         # All of A(a), not one entry: a change d in entry (i, j) reaches
-        # det(I + A S) for S = P q q^T only through d q_i q_j, which vanishes
+        # route 2, 1 + P q^T A q, only through d q_i q_j, which vanishes
         # for beams near an axis (a 1e-6 change to any one entry leaves 1 to
         # 4 of these 200 channels within the gate).
         real = converse.coupling_gain_matrix
@@ -377,17 +395,16 @@ class TestCapacityCertificate:
         "perturb,judged_by,only",
         [
             ("_perturb_theta", "unit_coupling", False),
-            ("_perturb_inv_n", "three_path_u_rel", True),
             ("_perturb_gain", "three_path_u_rel", True),
         ],
-        ids=["theta_star", "inv_N", "coupling_gain"],
+        ids=["theta_star", "coupling_gain"],
     )
     def test_stage_error_is_judged_by_the_table(
         self, monkeypatch, suite1000, perturb, judged_by, only
     ):
-        # theta*, N^{-1} (route 1 of the genie bound) and A(a) (route 2) are
-        # not re-checked by the stages that produce them; the residual table
-        # alone must turn their errors into NotTight.
+        # theta* and A(a) (route 2 of the genie bound) are not re-checked by
+        # the stages that produce them; the residual table alone must turn
+        # their errors into NotTight.
         getattr(self, perturb)(monkeypatch)
         gates = {**RESIDUAL_TOLERANCES, "bound_gap_rel": EPS_CERT}
         for ch in suite1000[:200]:
@@ -398,7 +415,7 @@ class TestCapacityCertificate:
             if only:
                 assert failing == {judged_by}
 
-    @pytest.mark.parametrize("power", [1e5, 1e8, 1e9, 1e16, 1e19])
+    @pytest.mark.parametrize("power", [1e5, 1e8, 1e9, 1e16, 1e19, 1e21, 1e22])
     def test_every_tight_verdict_is_bracket_certified(self, power):
         # Where the float cross-checks move verdicts, a Tight certificate
         # must also pass the exact bracket: the genie bound at a* stays at
@@ -543,21 +560,15 @@ class TestCapacityCertificate:
         assert cert.flags["tight_path_error"] == "PreconditionFailed"
         assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
 
-    # General channels at huge P whose tight path cancels a log argument
-    # below zero: the beam is nearly orthogonal to g (1 + g^T S g < 0 in the
-    # Sylvester route), or det(I + A(a*) S) < 0 in the genie bound's route 2.
+    # A General channel at huge P whose tight path cancels a log argument
+    # below zero: the beam is nearly orthogonal to g, so 1 + g^T S g < 0 in
+    # the Sylvester route.
     LARGE_P_CANCELLING = [
         (
             ((1.3876555174965057, 1.1830863365109388), (0.3197712146866956, 0.18389087740931595)),
             (123.5296812238942, 150.5091860907951),
             605833754515.1425,
             "Gaussian rate",
-        ),
-        (
-            ((1.1094968675107775, 1.11669000377543), (-0.03938338001097003, 0.023625996982681623)),
-            (-409.4379219575822, -281.8457096192032),
-            185479192680.91147,
-            "genie bound",
         ),
     ]
 
@@ -572,6 +583,26 @@ class TestCapacityCertificate:
         assert cert.flags["tight_path_message"].startswith(route)
         assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
         assert cert.lower > 11.0
+
+    def test_genie_routes_agree_where_a_determinant_cancelled(self):
+        # At this P the 2x2 determinant det(I + A(a*) S) cancels below zero
+        # in floats.  The rank-one genie routes are sums of non-negative
+        # terms and agree; only the Sylvester twin fails its gate, and the
+        # exact bracket certifies the beam.
+        ch = WiretapChannel(
+            ((1.1094968675107775, 1.11669000377543), (-0.03938338001097003, 0.023625996982681623)),
+            (-409.4379219575822, -281.8457096192032),
+            185479192680.91147,
+        )
+        cert = capacity_certificate(ch)
+        assert cert.verdict == "NotTight"
+        gates = {**RESIDUAL_TOLERANCES, "bound_gap_rel": EPS_CERT}
+        failing = {n for n, tol in gates.items() if not cert.residuals[n] <= tol}
+        assert failing == {"sylvester_rel"}
+        assert cert.residuals["three_path_u_rel"] <= 1e-11
+        assert cert.lower == cert.beam.rate == optimal_beam(ch).rate > 11.0
+        rho = oracle._beam_excess(ch, cert.beam.q_a)
+        assert oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
 
     def test_boundary_channel_is_certified(self):
         ch = WiretapChannel(I2, (1.0 + 2e-10, 0.0), 1.0)

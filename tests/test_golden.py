@@ -4,7 +4,7 @@ The expected outputs in tests/golden/ were recorded before the refactors
 they guard (per-channel quantities cached on WiretapChannel; the oracle's
 grid and min-over-a entry points folded into one each; the certificate's
 residual table made the only gate on the identities it records; theta*
-computed once with no classify, re-derivation or inv_N self-check ahead of
+computed once with no classify, re-derivation or N^{-1} self-check ahead of
 that table, the min-over-a relations judged by the oracle verb, the
 oracle grid evaluated in row blocks over a per-report frame, and then only
 at each angle's origin and full-power candidates, with the grid fixed at
@@ -52,7 +52,18 @@ the genie bound lost its estimation-error route, leaving two: outside
 `residuals.three_path_u_rel` the bytes held, except on the 25 wide-battery
 certificates whose verdict moved (11 NotTight to Tight, each certified by
 the exact bracket, and 14 Inapplicable to NotTight, where that route's
-determinant had cancelled), and every exit code held.
+determinant had cancelled), and every exit code held.  They were
+re-recorded again, with `capacity_example_a.out`, `capacity_example_a_bits.out`,
+`capacity_example_diag.out` and `capacity_example_diag_bits.out`, when both
+genie routes were evaluated in rank-one form at the beam and General
+certificates lost `flags.no_eavesdropper` (always false there, since g != 0):
+the four files lost only that line and the comma before it.  In the digests
+no `capacity_nats`, `capacity_bits`, `lower_nats` or `lambda1` byte moved,
+and every raise held; outside `residuals.three_path_u_rel` and that flag the
+bytes held except on the 208 wide-battery certificates whose verdict moved:
+145 NotTight and 5 Inapplicable to Tight, each certified by the exact
+bracket, and 58 Inapplicable to NotTight, where a route-1 or route-2
+determinant had cancelled.  No Tight certificate was lost.
 `capacity_example_degraded.out` and `DEGRADED_WIDE_POWER_DIGEST` were
 re-recorded once when the Degraded certificate stopped solving the beam
 problem: each lost its `beam` section and `flags.no_eavesdropper`, and every
@@ -83,14 +94,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # SHA-256 over `capacity -` on every line of `random --seed 0 --count 1000`:
 # each line's stdout followed by "exit <code>\n".  Recorded on x86-64 Linux.
-RANDOM_SUITE_DIGEST = "4908a33f2a01a1e927acc1804418c232a053f0612a6ef13f6cff7437ff08d07f"
+RANDOM_SUITE_DIGEST = "5acbdd5819a9afa1689541382751f9b1a5c16bcf594dbaa3549464fc5a5f304e"
 
 # SHA-256 over the first 100 channels of `sample_general_channels(0, 100)` at
 # P = 10**k, k = -24..27 (5,200 certificates, the fallback, NotTight and
 # optimal_beam-refusal regions included): each certificate's JSON, or
 # "<ExcType>: <message>" when the call raises, followed by "\n".  Recorded on
 # x86-64 Linux.
-WIDE_POWER_DIGEST = "47b3c6b82c63bcd55fd40e11986088920cf599929c5f10f4b36f33afc4d5869b"
+WIDE_POWER_DIGEST = "0355318d8f7cd705e7455c4506ed33a2b895dd0fcffb278ab07e439a04758a19"
 
 # SHA-256 over `oracle -` on the first 20 lines of
 # `random --seed 0 --count 1000`: each report's stdout followed by

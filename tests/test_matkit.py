@@ -1,4 +1,4 @@
-"""Kernel tests: closed-form inverses, eigensolvers, and block inverses.
+"""Kernel tests: closed-form inverses and eigensolvers.
 
 Derived expectations come from independent routes: reconstruction products,
 the explicit characteristic polynomial of the generalized problem, direct
@@ -294,57 +294,6 @@ class TestEigenvaluesOnly:
                         pair, vec = mk.gen_eig2_rank1(a, factor)
                         assert _bits(pair + vec) == _bits(ref_pair + ref_vec)
                         assert _bits(mk.gen_eigvals2_rank1(a, factor)) == _bits(ref_pair)
-
-class TestInvN:
-    def test_zero_correlation(self):
-        assert mk.inv_N((0.0, 0.0)) == mk.eye3()
-
-    def test_closed_form_half(self):
-        ninv = mk.inv_N((0.5, 0.0))
-        k = 0.75
-        assert math.isclose(ninv[0][0], 1.0 + 0.25 / k, rel_tol=1e-15)
-        assert ninv[0][1] == 0.0
-        assert math.isclose(ninv[0][2], -0.5 / k, rel_tol=1e-15)
-        assert ninv[1][1] == 1.0
-        assert math.isclose(ninv[2][2], 1.0 / k, rel_tol=1e-15)
-
-    @pytest.mark.parametrize("radius", [0.9, 0.99])
-    def test_identity_product_on_circle(self, radius):
-        rng = random.Random(11)
-        for _ in range(300):
-            ang = rng.uniform(0, 2 * math.pi)
-            a = (radius * math.cos(ang), radius * math.sin(ang))
-            n = ((1.0, 0.0, a[0]), (0.0, 1.0, a[1]), (a[0], a[1], 1.0))
-            ninv = mk.inv_N(a)
-            prod = mk.matmul3(n, ninv)
-            eye = mk.eye3()
-            err = max(
-                abs(prod[i][j] - eye[i][j]) for i in range(3) for j in range(3)
-            )
-            assert err <= 1e-12
-
-
-class TestMat3:
-    def test_entries_sum_left_to_right(self):
-        # (1e16 + 1) - 1e16 is 0 left to right; sum() compensates from 3.12
-        # on and gives 1, so the certificate's digits followed the interpreter.
-        a = ((1e16, 1.0, -1e16),) * 3
-        ones = ((1.0, 1.0, 1.0),) * 3
-        assert mk.matmul3(a, ones) == ((0.0, 0.0, 0.0),) * 3
-
-    def test_matches_indexed_reference(self):
-        rng = random.Random(4)
-        for _ in range(200):
-            a, b = (tuple(tuple(rng.gauss(0, 1) for _ in range(3)) for _ in range(3))
-                    for _ in range(2))
-            prod = tuple(
-                tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                      for j in range(3))
-                for i in range(3)
-            )
-            total = tuple(tuple(a[i][j] + b[i][j] for j in range(3)) for i in range(3))
-            assert mk.matmul3(a, b) == prod
-            assert mk.matadd3(a, b) == total
 
 
 class TestOrthPerp:

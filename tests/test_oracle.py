@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disk_max_reference, no_nonneg_roots, upper_value
+from conftest import disk_max_reference, genie_bound_reference, no_nonneg_roots, upper_value
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
@@ -278,11 +278,8 @@ class TestBruteForceUpper:
     def test_beam_bounds_each_search_from_below(self):
         # The genie bound at the feasible beams S = P q q^T / ||q||^2, q in
         # {q_a, q_perp}, never exceeds the solved maximum by more than
-        # EPS_GRID_EXCESS, from P = 1e-10 to 1e14.  The bound is route 1 of
-        # _upper_value_detail, the 3x3 determinant with N^{-1}, evaluated to
-        # 50 digits (in floats that route cancels from P ~ 1e6 on); with
-        # m = [H; g^T] q it is
-        # det(I + N^{-1} m m^T P / ||q||^2) = 1 + (P / ||q||^2) m^T N^{-1} m.
+        # EPS_GRID_EXCESS, from P = 1e-10 to 1e14.  The bound is evaluated
+        # from its 3x3 definition in 50 digits.
         channels, _ = sample_general_channels(19, 200)
         rng = random.Random(19)
         for _ in range(2000):
@@ -292,18 +289,8 @@ class TestBruteForceUpper:
             a = (r * math.cos(ang), r * math.sin(ang))
             q_a = optimal_beam(ch).q_a
             solved = upper_value(ch, a)
-            with mpmath.workdps(50):
-                n_inv = mpmath.inverse(
-                    mpmath.matrix([[1, 0, a[0]], [0, 1, a[1]], [a[0], a[1], 1]])
-                )
-                rows = mpmath.matrix([ch.H[0], ch.H[1], ch.g])
-                for q in (q_a, mk.orth_perp(q_a)):
-                    qv = mpmath.matrix(q)
-                    m = rows * qv
-                    scale = ch.P / (qv.T * qv)[0]
-                    det_1 = 1 + scale * (m.T * n_inv * m)[0]
-                    den = 1 + scale * m[2] ** 2
-                    assert (mpmath.log(det_1) - mpmath.log(den)) / 2 <= solved + EPS_GRID_EXCESS
+            for q in (q_a, mk.orth_perp(q_a)):
+                assert genie_bound_reference(ch, q, a) <= solved + EPS_GRID_EXCESS
 
 
 # Dense reference lattices, from the smallest (m = 1) to the Degraded
