@@ -11,7 +11,6 @@ from .achievable import beam_rate, optimal_beam
 from .channel import (
     ChannelKind,
     WiretapChannel,
-    beam_covariance,
     classify,
     validate_covariance,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "TightCorrelation",
     "WiretapChannel",
     "a_zero_witness",
-    "beam_covariance",
     "beam_rate",
     "brute_force_gaussian",
     "capacity_certificate",

@@ -1,4 +1,4 @@
-"""Wiretap channel instances: validation, classification, and Gaussian rates.
+"""Wiretap channel instances: validation, classification, and covariances.
 
 A channel is the triple (H, g, P): a 2x2 main-channel gain, a length-2
 eavesdropper gain, and an average transmit power budget.  Receiver and
@@ -9,7 +9,9 @@ deficient (ReducedRank), where the certificate reports the best beam of H
 itself, read from the cached beam pencil, with no upper bound.  On both
 sides of the degradedness boundary the capacity is the Gaussian maximum over
 every covariance, so a full-rank channel is classified by the sign of
-``||H^{-T} g|| - 1`` alone.
+``||H^{-T} g|| - 1`` alone.  Gaussian rates are evaluated where they are
+judged: a beam's rate exactly in ``oracle._beam_excess``, a covariance
+search's in ``oracle._disk_max``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import matkit as mk
-from .errors import InvalidCovariance, InvariantViolated, NotPSD, PowerExceeded
+from .errors import InvalidCovariance, NotPSD, PowerExceeded
 from .matkit import Mat2, Vec2
 from .tolerances import EPS_PSD, EPS_RANK, EPS_TRACE, MAX_GAIN_SQ, MAX_SNR
 
@@ -232,35 +234,3 @@ def validate_covariance(s, power: float) -> CovMat:
     if l2 < 0.0:
         sym = mk.matscale2(max(l1, 0.0), mk.outer2(v1, v1))
     return CovMat(sym)
-
-
-def beam_covariance(q: Vec2, power: float) -> CovMat:
-    """Unit-rank covariance P q q^T for a unit beam direction q."""
-    return CovMat(mk.matscale2(power, mk.outer2(q, q)))
-
-
-def _require_positive(route: str, **log_args: float) -> None:
-    """Refuse log arguments (each >= 1 exactly) that cancelled to <= 0 at huge P."""
-    for name, x in log_args.items():
-        if not x > 0.0:
-            raise InvariantViolated(f"{route}: {name} = {x!r} is not positive")
-
-
-def _gaussian_rate_detail(ch: WiretapChannel, cov: CovMat) -> tuple[float, float]:
-    """Secrecy rate of a Gaussian input with covariance S (nats, unclamped).
-
-    Evaluates (1/2) log det(I + H S H^T) - (1/2) log(1 + g^T S g) and the
-    algebraically equal form with det(I + H^T H S) (Sylvester).  Returns
-    (rate, relative disagreement); the certificate gates the disagreement.
-    """
-    s = cov.S
-    eye = mk.eye2()
-    hsh = mk.matmul2(mk.matmul2(ch.H, s), mk.transpose2(ch.H))
-    num_a = mk.det2(mk.matadd2(eye, hsh))
-    num_b = mk.det2(mk.matadd2(eye, mk.matmul2(ch._gram, s)))
-    den = 1.0 + mk.quad2(s, ch.g)
-    _require_positive("Gaussian rate", num_a=num_a, num_b=num_b, den=den)
-    rate_a = 0.5 * math.log(num_a / den)
-    rate_b = 0.5 * math.log(num_b / den)
-    residual = abs(rate_a - rate_b) / max(1.0, abs(rate_a))
-    return rate_a, residual

@@ -26,15 +26,9 @@ import math
 from typing import Any, NamedTuple
 
 from . import matkit as mk
+from . import oracle
 from .achievable import BeamSolution, optimal_beam
-from .channel import (
-    ChannelKind,
-    WiretapChannel,
-    beam_covariance,
-    classify,
-    _gaussian_rate_detail,
-    _require_positive,
-)
+from .channel import ChannelKind, WiretapChannel, classify
 from .errors import (
     ConverseError,
     DegenerateDirection,
@@ -106,6 +100,9 @@ class CapacityCertificate(NamedTuple):
 
 # Residual names -> pass thresholds: the only gates on the identities the
 # certificate records.  The bound gap takes the certificate tolerance.
+# sylvester_rel measures the rate identity exactly: the beam's exact rate
+# against (1/2) log lambda_1.  It keeps the name of the Sylvester twin it
+# replaced, because the benchmark's NotTight attribution reads it.
 # three_path_u_rel compares the genie bound's two rank-one routes at the
 # beam, N^{-1} and A(a): both are sums of non-negative terms, so it measures
 # whether the formulas agree, not how much a determinant cancelled.
@@ -214,7 +211,8 @@ def _upper_value_detail(ch: WiretapChannel, q: Vec2, a: Vec2) -> tuple[float, fl
     den = 1.0 + ch.P * gq * gq
     # Route 1 and den are sums of non-negative terms; a float quadratic form
     # of the PSD A(a) is not provably >= 0.
-    _require_positive("genie bound", route_2=num_2)
+    if not num_2 > 0.0:
+        raise InvariantViolated(f"genie bound: route_2 = {num_2!r} is not positive")
     u1 = 0.5 * (math.log(num_1) - math.log(den))
     u2 = 0.5 * (math.log(num_2) - math.log(den))
     return u1, abs(u1 - u2) / max(1.0, abs(u1))
@@ -297,12 +295,16 @@ def capacity_certificate(
     General channels take the tight path: optimal beam, optimized
     correlation, closed-form bound maximum, and the full battery of identity
     residuals; the verdict is Tight only if upper and lower agree to
-    eps_cert (relative) and every residual passes.  Degraded channels report
-    their secrecy capacity, the best Gaussian rate over every covariance,
-    with no beam direction solved for: the oracle's solved search
-    (``degraded_formula: solved``), at least (1/2) log lambda_1 of the beam
-    pencil (I + P H^T H, I + P g g^T); InvariantViolated if that beam rate or
-    a ``flags.grid`` lattice point beats the search by over EPS_GRID_EXCESS.
+    eps_cert (relative) and every residual passes.  The value is
+    (1/2) log lambda_1, and its rate identity ``sylvester_rel`` compares it
+    with the printed beam's rate, (1/2) log1p of the beam's excess ratio
+    computed exactly from the float inputs (``oracle._beam_excess``).
+    Degraded channels report their secrecy capacity, the best Gaussian rate
+    over every covariance, with no beam direction solved for: the oracle's
+    solved search (``degraded_formula: solved``), at least (1/2) log
+    lambda_1 of the beam pencil (I + P H^T H, I + P g g^T); InvariantViolated
+    if that beam rate or a ``flags.grid`` lattice point beats the search by
+    over EPS_GRID_EXCESS.
     Rank-deficient channels report the best beam of H itself, (1/2) log
     lambda_1 of the same pencil: an achievable rate, and the capacity when H
     is exactly rank one.  Both alternatives carry verdict Inapplicable and
@@ -315,11 +317,9 @@ def capacity_certificate(
         return _inapplicable(cls.kind, 0.5 * math.log(lam), lam, None, {"reduced_rank": True})
 
     if cls.kind is ChannelKind.DEGRADED:
-        from .oracle import _grid_max_ratio, _solved_rate
-
         lam = ch._beam_eig[0][0]
-        rate, _ = _solved_rate(ch._gram, ch.g, ch.P)
-        lattice = 0.5 * math.log(_grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
+        rate, _ = oracle._solved_rate(ch._gram, ch.g, ch.P)
+        lattice = 0.5 * math.log(oracle._grid_max_ratio(ch._gram, ch.g, ch.P, *_DEGRADED_GRID))
         for name, witness in (("lattice", lattice), ("beam", 0.5 * math.log(lam))):
             if witness > rate + EPS_GRID_EXCESS:
                 raise InvariantViolated(f"{name} rate {witness!r} beats the solved {rate!r}")
@@ -333,7 +333,7 @@ def capacity_certificate(
         tc = optimize_alpha(ch, q_perp)
         upper, eigs, eig_resid = _upper_bound_max_detail(ch, tc)
 
-        _, sylvester = _gaussian_rate_detail(ch, beam_covariance(beam.q_a, ch.P))
+        exact_rate = 0.5 * math.log1p(oracle._beam_excess(ch, beam.q_a))
         _, three_path = _upper_value_detail(ch, beam.q_a, tc.a_star)
 
         # The regularized gain matrix A* is well conditioned even when
@@ -349,7 +349,7 @@ def capacity_certificate(
             "unit_coupling": coupling,
             "eigen_one_abs": eig_resid["eigen_one_abs"],
             "eigen_lambda1_rel": eig_resid["eigen_lambda1_rel"],
-            "sylvester_rel": sylvester,
+            "sylvester_rel": abs(beam.rate - exact_rate) / max(1.0, abs(beam.rate)),
             "three_path_u_rel": three_path,
             "q_one_coupling": eig_resid["q_one_coupling"],
             "q_one_fixed_point": eig_resid["q_one_fixed_point"],

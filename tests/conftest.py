@@ -2,9 +2,9 @@
 that more than one module checks but the library does not compute: the
 null-beam rate, the root-sign lemma of the full-rank stationarity
 quadratic, the 50-digit maximum of the Gaussian rate ratio over the
-covariances, the genie bound maximized over the covariances, and the genie
-bound at a beam from its 3x3 definition in 50 digits.  Import the helpers
-with ``from conftest import ...``."""
+covariances, the genie bound maximized over the covariances, the genie
+bound at a beam from its 3x3 definition in 50 digits, and the rotations of
+the invariance tests.  Import the helpers with ``from conftest import ...``."""
 
 import math
 
@@ -44,6 +44,16 @@ def no_nonneg_roots(d_mat: mk.Mat2, g: mk.Vec2, lam: float) -> bool:
     disc = lin * lin - 4.0 * const
     root_hi = 0.5 * (-lin + math.sqrt(disc)) if disc >= 0.0 else -math.inf
     return lin > 0.0 and const > 0.0 and root_hi < 0.0
+
+
+def rotation(theta: float, reflect: bool = False) -> mk.Mat2:
+    """The rotation by theta, followed by the reflection of the second axis
+    when reflect is set."""
+    c, s = math.cos(theta), math.sin(theta)
+    q = ((c, -s), (s, c))
+    if reflect:
+        q = mk.matmul2(q, ((1.0, 0.0), (0.0, -1.0)))
+    return q
 
 
 def upper_value(ch: WiretapChannel, a: mk.Vec2) -> float:

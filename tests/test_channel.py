@@ -1,4 +1,4 @@
-"""Channel validation, classification, and Gaussian rates."""
+"""Channel validation, classification, and covariances."""
 
 import math
 import random
@@ -7,10 +7,10 @@ import threading
 
 import pytest
 
+from conftest import rotation
 from secrecy221 import (
     ChannelKind,
     WiretapChannel,
-    beam_covariance,
     capacity_certificate,
     classify,
     coupling_gain_matrix,
@@ -19,7 +19,7 @@ from secrecy221 import (
     validate_covariance,
 )
 from secrecy221 import matkit as mk
-from secrecy221.channel import _P_FREE_MEMBERS, _gaussian_rate_detail, _member
+from secrecy221.channel import _P_FREE_MEMBERS, _member
 from secrecy221.errors import (
     InvalidCovariance,
     NoiseDegenerate,
@@ -29,7 +29,7 @@ from secrecy221.errors import (
     SingularMatrix,
 )
 from secrecy221.oracle import covariance_from_param
-from secrecy221.tolerances import EPS_ID, MAX_GAIN_SQ, MAX_SNR
+from secrecy221.tolerances import MAX_GAIN_SQ, MAX_SNR
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -40,21 +40,6 @@ def rand_channel(rng, power=1.0) -> WiretapChannel:
         (rng.gauss(0, 1), rng.gauss(0, 1)),
         power,
     )
-
-
-def gaussian_rate(ch: WiretapChannel, s) -> float:
-    """Secrecy rate of the covariance s, its Sylvester residual within EPS_ID."""
-    rate, residual = _gaussian_rate_detail(ch, validate_covariance(s, ch.P))
-    assert residual <= EPS_ID
-    return rate
-
-
-def rotation(theta: float, reflect: bool = False) -> mk.Mat2:
-    c, s = math.cos(theta), math.sin(theta)
-    q = ((c, -s), (s, c))
-    if reflect:
-        q = mk.matmul2(q, ((1.0, 0.0), (0.0, -1.0)))
-    return q
 
 
 class TestWiretapChannel:
@@ -260,10 +245,11 @@ class TestMemberContract:
 def _records(ch):
     """One instance of each record type the package returns, from channel ch."""
     cert = capacity_certificate(ch)
+    q = cert.beam.q_a
     return [
         ch,
         classify(ch),
-        beam_covariance(cert.beam.q_a, ch.P),
+        validate_covariance(mk.matscale2(ch.P, mk.outer2(q, q)), ch.P),
         cert.beam,
         cert.correlation,
         cert,
@@ -356,55 +342,6 @@ class TestValidateCovariance:
                 validate_covariance(((bad, 0.0), (0.0, 1.0)), 10.0)
 
 
-class TestGaussianRate:
-    def test_zero_covariance(self, example_a):
-        assert gaussian_rate(example_a, ((0.0, 0.0), (0.0, 0.0))) == 0.0
-
-    def test_beam_orthogonal_to_eavesdropper(self, example_a):
-        rate = gaussian_rate(example_a, ((0.0, 0.0), (0.0, 1.0)))
-        assert math.isclose(rate, 0.5 * math.log(2.0), rel_tol=1e-14)
-
-    def test_two_formula_cross_check_on_random(self):
-        rng = random.Random(77)
-        for _ in range(10_000):
-            ch = rand_channel(rng)
-            ang = rng.uniform(0, math.pi)
-            p1 = rng.uniform(0, 1)
-            p2 = rng.uniform(0, 1.0 - p1)
-            q1 = (math.cos(ang), math.sin(ang))
-            q2 = (-q1[1], q1[0])
-            s = mk.matadd2(
-                mk.matscale2(p1, mk.outer2(q1, q1)), mk.matscale2(p2, mk.outer2(q2, q2))
-            )
-            gaussian_rate(ch, s)  # asserts the Sylvester residual
-
-    def test_receiver_rotation_invariance(self):
-        rng = random.Random(13)
-        for _ in range(500):
-            ch = rand_channel(rng)
-            s = ((0.4, 0.1), (0.1, 0.3))
-            q = rotation(rng.uniform(0, 2 * math.pi), reflect=rng.random() < 0.5)
-            rotated = WiretapChannel(mk.matmul2(q, ch.H), ch.g, ch.P)
-            assert math.isclose(
-                gaussian_rate(ch, s), gaussian_rate(rotated, s), abs_tol=1e-11
-            )
-
-    def test_transmitter_rotation_invariance(self):
-        # H -> H Q, g -> Q^T g, S -> Q^T S Q leaves the rate unchanged.
-        rng = random.Random(14)
-        for _ in range(500):
-            ch = rand_channel(rng)
-            s_raw = ((0.4, 0.1), (0.1, 0.3))
-            q = rotation(rng.uniform(0, 2 * math.pi), reflect=rng.random() < 0.5)
-            ch_rot = WiretapChannel(
-                mk.matmul2(ch.H, q), mk.matvec2(mk.transpose2(q), ch.g), ch.P
-            )
-            s_rot = mk.matmul2(mk.matmul2(mk.transpose2(q), s_raw), q)
-            r1 = gaussian_rate(ch, s_raw)
-            r2 = gaussian_rate(ch_rot, s_rot)
-            assert math.isclose(r1, r2, abs_tol=1e-11)
-
-
 def _assert_symmetric(m, what):
     """m[0][1] and m[1][0] are the same float, sign bit included."""
     assert m[0][1] == m[1][0], (what, m)
@@ -449,7 +386,7 @@ class TestSymmetricByConstruction:
         rng = random.Random(22)
         checked = dict.fromkeys(
             ("gram", "w", "resolvent_inv", "pencil", "A_star", "bound", "coupling",
-             "beam_covariance", "covariance_from_param", "clipped"),
+             "beam", "covariance_from_param", "clipped"),
             0,
         )
 
@@ -482,7 +419,7 @@ class TestSymmetricByConstruction:
                             pass
                         else:
                             check(tc.A_star, "A_star")
-                            check(beam_covariance(beam.q_a, power).S, "beam_covariance")
+                            check(mk.matscale2(power, mk.outer2(beam.q_a, beam.q_a)), "beam")
                             del pencils[:]  # only this certificate's bound matrix
                             capacity_certificate(ch)
                             for m in pencils:
@@ -496,7 +433,7 @@ class TestSymmetricByConstruction:
                             pass
                     t = rng.uniform(0.0, 2.0 * math.pi)
                     q = (math.cos(t), math.sin(t))
-                    check(beam_covariance(q, power).S, "beam_covariance")
+                    check(mk.matscale2(power, mk.outer2(q, q)), "beam")
                     p1 = power * rng.random()
                     check(covariance_from_param(t, p1, power - p1), "covariance_from_param")
                     # A roundoff-negative eigenvalue: the rebuilt covariance.

@@ -24,6 +24,8 @@ from secrecy221 import (
 )
 from secrecy221.cli import dumps, main
 from secrecy221.converse import LOG2
+from secrecy221.oracle import _beam_excess, _bound_at_most
+from secrecy221.tolerances import EPS_GRID
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,35 +123,44 @@ class TestCapacity:
         assert doc["verdict"] == "Inapplicable"
         assert doc["flags"]["tight_path_error"] == "PreconditionFailed"
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            '{"H": [[1.3876555174965057, 1.1830863365109388], '
-            '[0.3197712146866956, 0.18389087740931595]], '
-            '"g": [123.5296812238942, 150.5091860907951], "P": 605833754515.1425}',
-        ],
-        ids=["sylvester_den"],
-    )
-    def test_large_power_cancellation_falls_back_with_exit_zero(self, capsys, tmp_path, spec):
+    # General channels at large P where the 2x2 matrix forms of 1 + g^T S g
+    # and of det(I + A(a*) S) at the beam S cancel below zero in floats.  The
+    # rate identity takes the beam's exact rate, and the exact bracket
+    # certifies both.
+    LARGE_P_TIGHT = [
+        '{"H": [[1.3876555174965057, 1.1830863365109388], '
+        '[0.3197712146866956, 0.18389087740931595]], '
+        '"g": [123.5296812238942, 150.5091860907951], "P": 605833754515.1425}',
+        '{"H": [[1.1094968675107775, 1.11669000377543], '
+        '[-0.03938338001097003, 0.023625996982681623]], '
+        '"g": [-409.4379219575822, -281.8457096192032], "P": 185479192680.91147}',
+    ]
+
+    @pytest.mark.parametrize("spec", LARGE_P_TIGHT, ids=["sylvester_den", "genie_det2"])
+    def test_large_power_certificate_is_tight_with_exit_zero(self, capsys, tmp_path, spec):
         path = tmp_path / "large_p.json"
         path.write_text(spec)
         code, out, _ = run(capsys, ["capacity", str(path)])
         assert code == 0
         doc = json.loads(out)
-        assert doc["class"] == "General"
-        assert doc["verdict"] == "Inapplicable"
-        assert doc["upper_nats"] is None
-        assert doc["flags"]["tight_path_error"] == "InvariantViolated"
+        assert (doc["class"], doc["verdict"]) == ("General", "Tight")
+        assert "tight_path_error" not in doc["flags"]
         assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 11.0
+        ch = cli.channel_from_dict(json.loads(spec))
+        cert = capacity_certificate(ch)
+        rho = _beam_excess(ch, cert.beam.q_a)
+        assert _bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
 
     def test_large_power_genie_routes_agree_with_exit_two(self, capsys, tmp_path):
-        # A 2x2 genie-bound determinant cancels here in floats; the rank-one
-        # routes agree and only the Sylvester twin misses its gate.
+        # Channel 41 of sample_general_channels(0, 100) at P = 1e24: the two
+        # genie routes agree, but the float beam's exact rate misses
+        # (1/2) log lambda_1 by more than the rate identity's gate, so the
+        # certificate is an honest NotTight.
         path = tmp_path / "large_p.json"
         path.write_text(
-            '{"H": [[1.1094968675107775, 1.11669000377543], '
-            '[-0.03938338001097003, 0.023625996982681623]], '
-            '"g": [-409.4379219575822, -281.8457096192032], "P": 185479192680.91147}'
+            '{"H": [[0.9544222763812404, 0.544462374203177], '
+            '[-0.15405705958282354, 1.080532978717757]], '
+            '"g": [-1.4997987888681947, 1.3575717869331891], "P": 1e24}'
         )
         code, out, _ = run(capsys, ["capacity", str(path)])
         assert code == 2
@@ -158,7 +169,8 @@ class TestCapacity:
         assert "tight_path_error" not in doc["flags"]
         assert doc["residuals"]["sylvester_rel"] > 1e-10
         assert doc["residuals"]["three_path_u_rel"] <= 1e-11
-        assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 11.0
+        assert doc["residuals"]["bound_gap_rel"] <= 1e-15
+        assert doc["capacity_nats"] == doc["beam"]["rate_nats"] > 27.0
 
     def test_zero_channel_has_zero_capacity(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -445,7 +457,14 @@ class TestSweep:
         # Each row's channel is derived from the previous row's, so a
         # P-dependent member leaking between rows would show up here.
         rng = random.Random(SWEEP_SEED)
-        channels = {ChannelKind.GENERAL: sample_general_channels(SWEEP_SEED, 3)[0]}
+        general = sample_general_channels(SWEEP_SEED, 3)[0]
+        # Channel 31 of seed 0, swept one row per decade from 1e-16 to 1e27,
+        # is Inapplicable at 1e-16 (||a*|| off the disk), Tight in between and
+        # NotTight on top, where its float beam misses the rate identity; its
+        # beam solve holds to 1e27, which it does not on most channels.  The
+        # others are Tight throughout.
+        general.append(sample_general_channels(0, 32)[0][31])
+        channels = {ChannelKind.GENERAL: general}
         for kind, rank_one in ((ChannelKind.DEGRADED, False), (ChannelKind.REDUCED_RANK, True)):
             found = channels.setdefault(kind, [])
             while len(found) < 2:
@@ -459,15 +478,17 @@ class TestSweep:
             for ch in found:
                 path = tmp_path / "channel.json"
                 path.write_text(dumps(ch._asdict()))
+                pmin, pmax, steps = ("1e-16", "1e27", 44) if ch is general[-1] else (
+                    "1e-14", "1e20", 35)
                 code, out, err = run(
                     capsys,
                     [
-                        "sweep", str(path), "--pmin", "1e-14", "--pmax", "1e20",
-                        "--steps", "35", "--log-spacing",
+                        "sweep", str(path), "--pmin", pmin, "--pmax", pmax,
+                        "--steps", str(steps), "--log-spacing",
                     ],
                 )
                 rows = out.splitlines()[1:]
-                assert (code, len(rows)) == (0, 35), err
+                assert (code, len(rows)) == (0, steps), err
                 for row in rows:
                     power = float(row.split(",")[0])
                     cert = capacity_certificate(WiretapChannel(ch.H, ch.g, power))

@@ -1,7 +1,8 @@
 """Tooling: the suite's pytest settings (a failing property test reports its
 falsifying example instead of aborting the run), what importing the
 command-line front end loads, that its numpy-free outputs are the same on
-every supported interpreter, and that every tolerance has a reader."""
+every supported interpreter, and that every tolerance, function and class
+of the library has a reader."""
 
 import ast
 import json
@@ -184,13 +185,29 @@ def test_numpy_free_outputs_match_across_interpreters(tmp_path):
         pytest.skip("no other CPython 3.10-3.13 starts on PATH")
 
 
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name the node refers to: bare, attribute and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_tolerance_is_read_by_another_module():
     # tolerances.py promises one definition per tolerance; a constant that no
     # other module reads is a gate that nothing applies.
-    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
     defined = {
         target.id
-        for stmt in tree.body
+        for stmt in _parse(SRC / "tolerances.py").body
         if isinstance(stmt, ast.Assign)
         for target in stmt.targets
         if isinstance(target, ast.Name)
@@ -198,12 +215,26 @@ def test_every_tolerance_is_read_by_another_module():
     read = set()
     for path in SRC.glob("*.py"):
         if path.name != "tolerances.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    read.add(node.name)
+            read |= _names_read(_parse(path))
     assert defined
     assert sorted(defined - read) == []
+
+
+def test_every_function_has_a_reader():
+    # Every module-level function and class is named by another statement of
+    # the library; __init__.py only re-exports, so its imports are not
+    # readers.  Code whose last caller went is deleted with it.
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in _parse(path).body
+    ]
+    uses = [(stmt, _names_read(stmt)) for _, stmt in statements]
+    unread = [
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in uses if other is not stmt)
+    ]
+    assert unread == []
