@@ -125,8 +125,8 @@ class TestCapacity:
 
     # General channels at large P where the 2x2 matrix forms of 1 + g^T S g
     # and of det(I + A(a*) S) at the beam S cancel below zero in floats.  The
-    # rate identity takes the beam's exact rate, and the exact bracket
-    # certifies both.
+    # rate identity falls back to the beam's exact rate, and the exact bracket
+    # certifies both: the verdict is Tight.
     LARGE_P_TIGHT = [
         '{"H": [[1.3876555174965057, 1.1830863365109388], '
         '[0.3197712146866956, 0.18389087740931595]], '
@@ -137,7 +137,7 @@ class TestCapacity:
     ]
 
     @pytest.mark.parametrize("spec", LARGE_P_TIGHT, ids=["sylvester_den", "genie_det2"])
-    def test_large_power_certificate_is_tight_with_exit_zero(self, capsys, tmp_path, spec):
+    def test_large_power_cancellation_falls_back_with_exit_zero(self, capsys, tmp_path, spec):
         path = tmp_path / "large_p.json"
         path.write_text(spec)
         code, out, _ = run(capsys, ["capacity", str(path)])

@@ -597,6 +597,32 @@ class TestCapacityCertificate:
         assert cert.flags["tight_path_error"] == "PreconditionFailed"
         assert cert.lower == cert.beam.rate == optimal_beam(ch).rate
 
+    # A General channel at huge P whose beam is nearly orthogonal to g, so the
+    # 2x2 form of 1 + g^T S g in the Gaussian rate cancels below zero in
+    # floats.  The rate identity falls back to the beam's exact rate,
+    # (1/2) log1p(rho), which meets (1/2) log lambda_1, and the exact bracket
+    # certifies the beam.
+    LARGE_P_CANCELLING = [
+        (
+            ((1.3876555174965057, 1.1830863365109388), (0.3197712146866956, 0.18389087740931595)),
+            (123.5296812238942, 150.5091860907951),
+            605833754515.1425,
+            "Gaussian rate",
+        ),
+    ]
+
+    @pytest.mark.parametrize("h,g,power,route", LARGE_P_CANCELLING)
+    def test_cancelled_log_argument_falls_back_to_beam(self, h, g, power, route):
+        ch = WiretapChannel(h, g, power)
+        cert = capacity_certificate(ch)
+        assert cert.kind is ChannelKind.GENERAL
+        assert cert.verdict == "Tight", route
+        assert "tight_path_error" not in cert.flags
+        assert cert.residuals["sylvester_rel"] <= EPS_ID
+        assert cert.lower == cert.beam.rate == optimal_beam(ch).rate > 11.0
+        rho = oracle._beam_excess(ch, cert.beam.q_a)
+        assert oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
+
     def test_genie_routes_agree_where_a_determinant_cancelled(self):
         # At this P the 2x2 determinant det(I + A(a*) S) cancels below zero
         # in floats.  The rank-one genie routes are sums of non-negative terms
