@@ -7,7 +7,7 @@ checks the match independently: a solved search over every covariance, and
 an exact-arithmetic bracket on the beam.
 """
 
-from .achievable import beam_rate, optimal_beam
+from .achievable import optimal_beam
 from .channel import (
     ChannelKind,
     WiretapChannel,
@@ -30,7 +30,6 @@ __all__ = [
     "TightCorrelation",
     "WiretapChannel",
     "a_zero_witness",
-    "beam_rate",
     "brute_force_gaussian",
     "capacity_certificate",
     "classify",

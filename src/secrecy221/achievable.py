@@ -20,7 +20,7 @@ from . import matkit as mk
 from .channel import WiretapChannel
 from .errors import InvariantViolated, RankDeficient
 from .matkit import Vec2
-from .tolerances import EPS_EIG, EPS_ID
+from .tolerances import EPS_EIG
 
 
 class BeamSolution(NamedTuple):
@@ -36,22 +36,15 @@ class BeamSolution(NamedTuple):
     degenerate: bool
 
 
-def beam_rate(ch: WiretapChannel, q: Vec2) -> float:
-    """Secrecy rate (nats) of the unit-rank covariance P q q^T, directly."""
-    hq = mk.matvec2(ch.H, q)
-    num = 1.0 + ch.P * mk.dot2(hq, hq)
-    den = 1.0 + ch.P * mk.dot2(ch.g, q) ** 2
-    return 0.5 * math.log(num / den)
-
-
 def optimal_beam(ch: WiretapChannel) -> BeamSolution:
-    """Solve the beam problem and verify the solution two independent ways.
+    """Solve the beam problem and verify the eigenpair.
 
     The eigenvector is checked against its fixed-point relation
-    (I + P g g^T)^{-1} (I + P H^T H) q = lambda_1 q, and the eigenvalue rate
-    against the rate evaluated directly from the beam.  Requires a full-rank
-    main channel; works for degraded channels too (there it is the best
-    unit-rank strategy rather than the capacity).
+    (I + P g g^T)^{-1} (I + P H^T H) q = lambda_1 q.  Whether the beam
+    reaches the rate (1/2) log lambda_1 is left to the certificate, which
+    evaluates the beam's rate exactly (its ``sylvester_rel`` residual).
+    Requires a full-rank main channel; works for degraded channels too
+    (there it is the best unit-rank strategy rather than the capacity).
     """
     if ch._rank_deficient:
         raise RankDeficient("main channel gain is rank deficient")
@@ -73,11 +66,5 @@ def optimal_beam(ch: WiretapChannel) -> BeamSolution:
         )
 
     rate = 0.5 * math.log(l1)
-    direct = beam_rate(ch, q1)
-    if abs(rate - direct) > EPS_ID * max(1.0, abs(rate)):
-        raise InvariantViolated(
-            f"eigenvalue rate {rate!r} disagrees with direct beam rate {direct!r}"
-        )
-
     degenerate = (l1 - l2) <= EPS_EIG * max(1.0, abs(l1))
     return BeamSolution(q_a=q1, lambda1=l1, rate=rate, degenerate=degenerate)

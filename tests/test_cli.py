@@ -83,7 +83,7 @@ class TestCapacity:
         assert doc["capacity_nats"] > 0.0
 
     def test_degraded_without_a_beam_resolves_at_huge_power(self, capsys, tmp_path):
-        # The float beam of this Degraded channel fails its own rate check at
+        # The float beam of this Degraded channel misses (1/2) log lambda_1 at
         # P = 1e26; the certificate and the oracle report read lambda_1 from
         # the beam pencil and never solve for the beam.
         path = tmp_path / "degraded_1e26.json"
@@ -458,12 +458,15 @@ class TestSweep:
         # P-dependent member leaking between rows would show up here.
         rng = random.Random(SWEEP_SEED)
         general = sample_general_channels(SWEEP_SEED, 3)[0]
-        # Channel 31 of seed 0, swept one row per decade from 1e-16 to 1e27,
-        # is Inapplicable at 1e-16 (||a*|| off the disk), Tight in between and
-        # NotTight on top, where its float beam misses the rate identity; its
-        # beam solve holds to 1e27, which it does not on most channels.  The
-        # others are Tight throughout.
-        general.append(sample_general_channels(0, 32)[0][31])
+        # Channels 31 and 18 of seed 0 are swept one row per decade from 1e-16
+        # to 1e27.  Channel 31 is Inapplicable at 1e-16 (||a*|| off the disk),
+        # Tight in between and NotTight on top, where its float beam misses
+        # the rate identity.  Channel 18's float beam misses it from its 41st
+        # power on, and each of those rows must still be printed.  The others
+        # are swept from 1e-14 to 1e20 and are Tight throughout.
+        seed_zero = sample_general_channels(0, 32)[0]
+        wide = [seed_zero[31], seed_zero[18]]
+        general.extend(wide)
         channels = {ChannelKind.GENERAL: general}
         for kind, rank_one in ((ChannelKind.DEGRADED, False), (ChannelKind.REDUCED_RANK, True)):
             found = channels.setdefault(kind, [])
@@ -478,7 +481,7 @@ class TestSweep:
             for ch in found:
                 path = tmp_path / "channel.json"
                 path.write_text(dumps(ch._asdict()))
-                pmin, pmax, steps = ("1e-16", "1e27", 44) if ch is general[-1] else (
+                pmin, pmax, steps = ("1e-16", "1e27", 44) if ch in wide else (
                     "1e-14", "1e20", 35)
                 code, out, err = run(
                     capsys,
@@ -557,7 +560,7 @@ class TestOracleCommand:
             c, s = math.cos(0.05), math.sin(0.05)
             q = (c * beam.q_a[0] - s * beam.q_a[1], s * beam.q_a[0] + c * beam.q_a[1])
             (_, l2), _ = ch._beam_eig
-            ch.__dict__["_beam_eig"] = ((math.exp(2.0 * achievable.beam_rate(ch, q)), l2), q)
+            ch.__dict__["_beam_eig"] = ((1.0 + _beam_excess(ch, q), l2), q)
             return beam._replace(q_a=q)
 
         monkeypatch.setattr(achievable, "optimal_beam", rotated)
@@ -570,7 +573,8 @@ class TestOracleCommand:
     def test_overstated_rate_fails(self, capsys, monkeypatch, example_a_path):
         # A closed-form rate overstated by one part in a million, with the
         # right beam: the solved search misses it by far more than EPS_GRID.
-        # The beam is solved first, so its own rate check sees the true pencil.
+        # The beam is solved first, so its fixed-point check sees the true
+        # pencil; the overstated lambda_1 reaches only the report.
         from secrecy221 import achievable
 
         real = achievable.optimal_beam
@@ -612,6 +616,20 @@ class TestOracleCommand:
         assert doc["passes"]
         # the full covariance search may beat the best unit-rank beam
         assert doc["grid_search"]["rate_nats"] >= doc["closed_form"]["rate_nats"] - 1e-9
+
+    def test_large_power_reports_never_exit_one(self, capsys, monkeypatch):
+        # Where the float beam's exact rate misses (1/2) log lambda_1 (1e23 to
+        # 1e27 on these channels), the report judges the beam and exits 2;
+        # it does not refuse the beam with exit 1.
+        channels, _ = sample_general_channels(0, 100)
+        codes = []
+        for power in (1e23, 1e24, 1e25, 1e26, 1e27):
+            for ch in channels:
+                spec = {"H": [list(row) for row in ch.H], "g": list(ch.g), "P": power}
+                monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+                codes.append(main(["oracle", "-"]))
+                capsys.readouterr()
+        assert set(codes) == {0, 2}
 
     @pytest.mark.parametrize("power", [1e12, 1e14])
     def test_high_snr_reports_pass(self, capsys, monkeypatch, power):
