@@ -66,7 +66,7 @@ _ChannelFields = NamedTuple("_ChannelFields", [("H", Mat2), ("g", Vec2), ("P", f
 # from one power to the next; the beam pencil, its B^{-1/2} factor and its
 # eigenpairs depend on P.
 _P_FREE_MEMBERS = ("_gram", "_sv_ratio", "_rank_deficient", "_ht_inv", "_w", "_resolvent_inv",
-                   "_class")
+                   "_class", "_image")
 
 
 class WiretapChannel(_ChannelFields):
@@ -129,6 +129,16 @@ class WiretapChannel(_ChannelFields):
     def _resolvent_inv(self) -> Mat2:
         """(H^T H - g g^T)^{-1}."""
         return mk.inv2(mk.matadd2(self._gram, mk.matscale2(-1.0, mk.outer2(self.g, self.g))))
+
+    @_member
+    def _image(self) -> tuple[int, ...]:
+        """What the exact kernels read: H's and g's entries as integers over one
+        power of two d, H^T H - g g^T's (m11, m12, m22) over d^2, and d."""
+        (h11, h12, h21, h22, g1, g2), d = mk._dyadic(*self.H[0], *self.H[1], *self.g)
+        m11 = h11 * h11 + h21 * h21 - g1 * g1
+        m12 = h11 * h12 + h21 * h22 - g1 * g2
+        m22 = h12 * h12 + h22 * h22 - g2 * g2
+        return h11, h12, h21, h22, g1, g2, m11, m12, m22, d
 
     @_member
     def _beam_pencil(self) -> tuple[Mat2, Mat2]:

@@ -24,7 +24,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import matkit as mk
+from . import achievable, converse, matkit as mk, oracle
 from .channel import ChannelKind, WiretapChannel, classify
 from .converse import LOG2, CapacityCertificate, capacity_certificate
 from .errors import ChannelSpecError
@@ -285,16 +285,14 @@ def cmd_sweep(args) -> int:
                 f"({_fmt_float(cap)} < {_fmt_float(previous)})\n"
             )
         previous = cap
-        row = map(_fmt_float, (power, cap, cap / LOG2, cert.lambda1))
-        sys.stdout.write(",".join((*row, cert.verdict)) + "\n")
+        row = (power, cap, cap / LOG2, cert.lambda1)
+        if not all(map(math.isfinite, row)):
+            list(map(_fmt_float, row))  # raises at the first non-finite value
+        sys.stdout.write("%.17g,%.17g,%.17g,%.17g,%s\n" % (*row, cert.verdict))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle
-    from .achievable import optimal_beam
-    from .converse import optimize_alpha
-
     ch = read_channel(args.channel)
     cls = classify(ch)
     doc: dict = {"channel": ch._asdict(), "class": cls.kind.value}
@@ -308,7 +306,7 @@ def cmd_oracle(args) -> int:
 
     # lambda_1 comes from the beam pencil, as in the certificate; only a
     # General channel's bracket needs the beam's direction.
-    beam = optimal_beam(ch) if cls.kind is ChannelKind.GENERAL else None
+    beam = achievable.optimal_beam(ch) if cls.kind is ChannelKind.GENERAL else None
     lam = ch._beam_eig[0][0]
     rate = 0.5 * math.log(lam)
     s_best, grid_rate = oracle.brute_force_gaussian(ch)
@@ -331,7 +329,7 @@ def cmd_oracle(args) -> int:
         # 0.1 rad must fall provably below its bottom.
         rho = oracle._beam_excess(ch, beam.q_a)
         rho_lo, rho_hi = rho * (1.0 - EPS_GRID), rho * (1.0 + EPS_GRID)
-        a_star = optimize_alpha(ch, mk.orth_perp(beam.q_a)).a_star
+        a_star = converse.optimize_alpha(ch, mk.orth_perp(beam.q_a)).a_star
         certified = oracle._bound_at_most(ch, a_star, rho_hi)
         rot = 0.1
         q_rot = (
@@ -353,14 +351,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_random(args) -> int:
-    from .oracle import sample_general_channels
-
     if args.count < 1:
         raise ChannelSpecError("count must be at least 1")
     if args.seed < 0:
         raise ChannelSpecError("random requires --seed >= 0")
     try:
-        channels, attempts = sample_general_channels(args.seed, args.count, args.power)
+        channels, attempts = oracle.sample_general_channels(args.seed, args.count, args.power)
     except ValueError as exc:
         raise ChannelSpecError(f"invalid channel: {exc}") from exc
     for ch in channels:

@@ -2,7 +2,8 @@
 
 Everything here is exact-formula arithmetic on plain tuples: determinants,
 inverses, the symmetric eigenproblem, and the generalized eigenproblem for
-a pencil whose second matrix is a rank-one update of the identity.
+a pencil whose second matrix is a rank-one update of the identity, and
+the exact integer image of floats that the exact kernels compute with.
 No iterative solver is used anywhere, so there is no convergence ambiguity
 and results are bit-reproducible.
 
@@ -224,3 +225,16 @@ def gen_eig2_rank1(a: Mat2, factor: tuple[Mat2, float]) -> tuple[tuple[float, fl
 def orth_perp(v: Vec2) -> Vec2:
     """90-degree counterclockwise rotation (-y, x) of a unit vector."""
     return (-v[1], v[0])
+
+
+# --------------------------------------------------------------------------
+# exact integer form
+# --------------------------------------------------------------------------
+
+def _dyadic(*xs: float) -> tuple[list[int], int]:
+    """The floats xs as integers over one power-of-two denominator d:
+    ([x * d for x in xs], d), exactly.  A quotient of two integer
+    polynomials in them rounds once, since int / int rounds correctly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d

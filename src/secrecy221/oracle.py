@@ -16,11 +16,15 @@ origin or at full power.  So the side-m power lattice peaks, at each angle,
 at the origin or at one of its m + 1 full-power points, which is all that
 the lattice witness ``_grid_max_ratio`` evaluates.
 
-The bracket judges a beam exactly, from the float inputs as integers over a
-power of two.  ``_beam_excess`` rounds the beam's excess ratio once, and
-``_bound_at_most`` compares the genie bound at a with 1 + rho on the same
-disk.  The genie-aided channel is degraded, so its Gaussian maximum is its
-secrecy capacity, which bounds the channel's at any a inside the unit disk.
+The bracket judges a beam exactly, from the float inputs as integers over
+powers of two.  The channel's part, H, g and H^T H - g g^T over one
+denominator, is its cached image (``WiretapChannel._image``), made once per
+(H, g) and carried along a power sweep, so each kernel converts only its own
+floats: ``_beam_excess`` converts q and P and rounds the beam's excess ratio
+once, and ``_bound_at_most`` converts a, P and rho and compares the genie
+bound at a with 1 + rho on the same disk.  The genie-aided channel is
+degraded, so its Gaussian maximum is its secrecy capacity, which bounds the
+channel's at any a inside the unit disk.
 
 Only ``sample_general_channels`` draws random numbers, from the caller's
 seed, and the witness reduces in a fixed order, so identical seeds give
@@ -56,20 +60,11 @@ def covariance_from_param(phi: float, p1: float, p2: float) -> Mat2:
 # covariance search
 # --------------------------------------------------------------------------
 
-def _dyadic(*xs: float) -> tuple[list[int], int]:
-    """The floats xs as integers over one power-of-two denominator d:
-    ([x * d for x in xs], d), exactly.  A quotient of two integer
-    polynomials in them rounds once, since int / int rounds correctly."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    d = max(den for _, den in ratios)
-    return [num * (d // den) for num, den in ratios], d
-
-
 def _sym_det(d_mat: Mat2) -> float:
     """d11 d22 - d12^2 from exact integer products, rounded once: the float
     formula cancels, and its cond(D) roundings would reach the ratio."""
     (d11, d12), (_, d22) = d_mat
-    (a, b, c), d = _dyadic(d11, d12, d22)
+    (a, b, c), d = mk._dyadic(d11, d12, d22)
     return (a * c - b * b) / (d * d)
 
 
@@ -205,11 +200,13 @@ def brute_force_gaussian(ch: WiretapChannel) -> tuple[CovMat, float]:
 def _beam_excess(ch: WiretapChannel, q: Vec2) -> float:
     """(q^T q + P ||Hq||^2) / (q^T q + P (g^T q)^2) - 1 for a nonzero q, exact
     for the float inputs and rounded once.  S = P q q^T / q^T q is feasible,
-    so (1/2) log1p of the exact value is an achievable secrecy rate."""
-    (h11, h12, h21, h22, g1, g2, q1, q2, p), d = _dyadic(*ch.H[0], *ch.H[1], *ch.g, *q, ch.P)
-    hq1, hq2, gq = h11 * q1 + h12 * q2, h21 * q1 + h22 * q2, g1 * q1 + g2 * q2
-    num = p * (hq1 * hq1 + hq2 * hq2 - gq * gq)  # both terms scaled by d^5
-    return num / (d**3 * (q1 * q1 + q2 * q2) + p * gq * gq)
+    so (1/2) log1p of the exact value is an achievable secrecy rate.  The
+    numerator is P q^T (H^T H - g g^T) q, with the matrix from the image."""
+    _, _, _, _, g1, g2, m11, m12, m22, d = ch._image
+    (q1, q2, p), e = mk._dyadic(*q, ch.P)
+    gq = g1 * q1 + g2 * q2
+    num = p * (m11 * q1 * q1 + 2 * m12 * q1 * q2 + m22 * q2 * q2)  # both terms scaled by e^3 d^2
+    return num / (e * d * d * (q1 * q1 + q2 * q2) + p * gq * gq)
 
 
 def _bound_at_most(ch: WiretapChannel, a: Vec2, rho: float) -> bool:
@@ -221,11 +218,13 @@ def _bound_at_most(ch: WiretapChannel, a: Vec2, rho: float) -> bool:
     peaks, as in ``_disk_max``, at c0 + |w|^2 / 4 gamma when |w| <= 2 gamma
     and at c0 - gamma + |w| on the rim otherwise.  kA = k H^T H + v v^T, with
     k = 1 - ||a||^2 and v = H^T a - g, is a polynomial, so both comparisons
-    are squared and made in integers scaled by 4 k^2.
+    are squared and made in integers scaled by 4 k^2, with the image and the
+    converted a, P and rho rescaled to the larger of their denominators.
     """
-    (h11, h12, h21, h22, g1, g2, a1, a2, p, rh), d = _dyadic(
-        *ch.H[0], *ch.H[1], *ch.g, *a, ch.P, rho
-    )
+    image, (xs, e) = ch._image, mk._dyadic(*a, ch.P, rho)
+    d = max(image[-1], e)
+    h11, h12, h21, h22, g1, g2 = [x * (d // image[-1]) for x in image[:6]]
+    a1, a2, p, rh = [x * (d // e) for x in xs]
     k = d * d - a1 * a1 - a2 * a2  # k d^2
     if k <= 0:
         return False

@@ -123,7 +123,7 @@ def test_criterion_3_tightness_suite(suite1000):
     )
 
 
-def test_criterion_4_unit_rank_and_kkt_suite(suite1000):
+def test_criterion_4_unit_rank_and_bracket_suite(suite1000):
     t0 = time.perf_counter()
     worst_gap = -math.inf
     worst_eig = 0.0

@@ -392,6 +392,28 @@ class TestSweep:
         fields = (3.0, 0.25, 0.25 / LOG2, 4.0)
         assert lines[3] == ",".join([*map(cli._fmt_float, fields), "Tight"])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lambda1", math.inf), ("lambda1", math.nan), ("capacity_nats", math.inf)],
+        ids=["lambda-inf", "lambda-nan", "capacity-inf"],
+    )
+    def test_non_finite_row_is_refused_by_the_serializer(
+        self, capsys, monkeypatch, example_a_path, field, value
+    ):
+        argv = ["sweep", example_a_path, "--pmin", "1", "--pmax", "4", "--steps", "4"]
+        _, rows, _ = run(capsys, argv)
+        real = cli.capacity_certificate
+
+        def broken_at_3(ch):
+            cert = real(ch)
+            return cert._replace(**{field: value}) if ch.P == 3.0 else cert
+
+        monkeypatch.setattr(cli, "capacity_certificate", broken_at_3)
+        code, out, err = run(capsys, argv)
+        assert (code, out.splitlines()) == (1, rows.splitlines()[:3])
+        message = f"cannot serialize non-finite number {value!r}"
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
     def test_setup_does_not_grow_with_steps(self, capsys, monkeypatch, example_a_path):
         # The header is the first write; the stub stops the sweep at its
         # first row, so tracemalloc's peak covers the set-up and one row.

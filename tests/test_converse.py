@@ -1,6 +1,7 @@
 """Upper-bound tests: the correlation family, its optimizer, the bound
 evaluations, and the capacity certificate."""
 
+import itertools
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from secrecy221 import (
     a_zero_witness,
     brute_force_gaussian,
     capacity_certificate,
+    classify,
     coupling_gain_matrix,
     optimal_beam,
     optimize_alpha,
@@ -43,7 +45,7 @@ from secrecy221.errors import (
     PreconditionFailed,
     SingularMatrix,
 )
-from secrecy221.tolerances import EPS_CERT, EPS_GRID, EPS_ID
+from secrecy221.tolerances import EPS_CERT, EPS_GRID, EPS_ID, EPS_MONOTONE
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -740,6 +742,52 @@ class TestCertificateInvariance:
             ),
             gain=c * c,
         )
+
+
+class TestCertificateMonotonicity:
+    """More power never lowers the capacity, and nor does a weaker
+    eavesdropper: for 0 <= t < 1 the output t g^T x + z is g^T x + z scaled
+    by t with independent noise of variance 1 - t^2 added, so the capacity
+    is nonincreasing in |t| under g -> t g.  Each step may fall by at most
+    EPS_MONOTONE, the slack of the sweep's warning, and the channels are
+    General and Degraded alike."""
+
+    @staticmethod
+    def _channels(seed, count):
+        channels = TestCertificateInvariance._channels(random.Random(seed))
+        return [ch for ch, _ in itertools.islice(channels, count)]
+
+    @staticmethod
+    def _capacities(channels):
+        """The reported capacity, clamped at zero as the CLI prints it, and
+        the class of each certificate."""
+        for ch in channels:
+            cert = capacity_certificate(ch)
+            yield max(0.0, cert.capacity_nats), cert.kind
+
+    def test_capacity_rises_with_power(self):
+        powers = [10.0 ** (k / 4) for k in range(-32, 41)]  # 1e-8 to 1e10
+        for ch in self._channels(17, 100):
+            caps = [cap for cap, _ in self._capacities(ch.with_power(p) for p in powers)]
+            for power, lo, hi in zip(powers[1:], caps, caps[1:]):
+                assert hi >= lo - EPS_MONOTONE, (ch, power, lo, hi)
+
+    def test_capacity_rises_as_the_eavesdropper_weakens(self):
+        # t from 2 down to 0.02, and a step of 2e-12 across the switch at
+        # ||H^-T g|| t = 1, where the capacity is continuous but its formula
+        # changes from the beam's to the covariance search's.
+        switches = 0
+        for ch in self._channels(18, 60):
+            switch = 1.0 / classify(ch).eve_norm
+            scales = [2.0 * 0.01 ** (k / 24) for k in range(25)]
+            scales = sorted([*scales, switch * (1.0 + 1e-12), switch * (1.0 - 1e-12)])[::-1]
+            for power in (1e-4, 1.0, 1e4):
+                weakened = (WiretapChannel(ch.H, mk.scale2(t, ch.g), power) for t in scales)
+                steps = list(self._capacities(weakened))
+                for t, (lo, before), (hi, after) in zip(scales[1:], steps, steps[1:]):
+                    assert hi >= lo - EPS_MONOTONE, (ch, power, t, lo, hi)
+                    switches += (before, after) == (ChannelKind.GENERAL, ChannelKind.DEGRADED)
+        assert switches > 0
 
 
 def best_beam_reference(h, g, power) -> float:

@@ -31,7 +31,7 @@ from secrecy221 import matkit as mk
 from secrecy221 import oracle
 from secrecy221.errors import NoiseDegenerate
 from secrecy221.oracle import covariance_from_param
-from secrecy221.tolerances import EPS_GRID, EPS_GRID_EXCESS
+from secrecy221.tolerances import EPS_GRID, EPS_GRID_EXCESS, MAX_GAIN_SQ, MAX_SNR
 
 I2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -547,7 +547,7 @@ def _excess_reference(ch, a):
         raise AssertionError("the reference iteration did not converge")
 
 
-class TestKKTCheck:
+class TestOptimalityBracket:
     """First-order optimality, proved by the exact bracket: the beam's exact
     excess rho, widened by EPS_GRID, bounds the genie bound at a* from
     above, and a beam 0.1 rad away falls below rho (1 - EPS_GRID)."""
@@ -627,12 +627,86 @@ class TestExactBracket:
     )
     def test_beam_excess_is_the_exact_ratio_rounded_once(self, q):
         ch = WiretapChannel(((1.5, -0.3), (0.7, 2.0)), (0.9, -1.1), 3e-7)
-        q1, q2 = Fraction(q[0]), Fraction(q[1])
-        hq = [Fraction(r[0]) * q1 + Fraction(r[1]) * q2 for r in ch.H]
-        gq = Fraction(ch.g[0]) * q1 + Fraction(ch.g[1]) * q2
-        qq, hh, p = q1 * q1 + q2 * q2, hq[0] ** 2 + hq[1] ** 2, Fraction(ch.P)
-        exact = (qq + p * hh) / (qq + p * gq * gq) - 1
-        assert oracle._beam_excess(ch, q) == float(exact)
+        assert oracle._beam_excess(ch, q) == float(_exact_excess(ch, q))
+
+    @staticmethod
+    def _power_chains(seed, count):
+        """(fresh, child) pairs with equal (H, g, P): each of ``count`` random
+        channels, with entries from 1e-150 up to what MAX_GAIN_SQ admits, is
+        walked up and down a chain of powers from 1e-20 to 1e28 that MAX_SNR
+        admits (or one power below 1e-20 if none is), so every child reads the
+        integer image its chain's first channel made."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            scale = 10.0 ** rng.uniform(-150, 74)
+            h = tuple(tuple(scale * rng.gauss(0, 1) for _ in range(2)) for _ in range(2))
+            g = (scale * rng.gauss(0, 1), scale * rng.gauss(0, 1))
+            gain_sq = max(mk.fro2(h) ** 2, mk.dot2(g, g))
+            if gain_sq > MAX_GAIN_SQ:
+                continue
+            powers = [10.0**k for k in range(-20, 29, 4) if 10.0**k * gain_sq <= MAX_SNR]
+            powers = powers or [MAX_SNR / (10.0 * gain_sq)]
+            chain = WiretapChannel(h, g, powers[0])
+            for power in powers + powers[::-1]:
+                chain = chain.with_power(power)
+                yield WiretapChannel(h, g, power), chain
+
+    def test_beam_excess_is_exact_on_fresh_channels_and_power_chains(self):
+        rng = random.Random(32)
+        special = [(0.0, 1.5), (-0.0, -2.0), (2.5, -0.0), (5e-324, 1.0), (-0.7, -3e-310)]
+        pairs = 0
+        for fresh, child in self._power_chains(32, 50):
+            pairs += 1
+            drawn = (rng.gauss(0, 1) * 10.0 ** rng.uniform(-100, 100), rng.gauss(0, 1))
+            for q in [*special, drawn]:
+                exact = float(_exact_excess(fresh, q))
+                assert oracle._beam_excess(fresh, q) == exact, (fresh, q)
+                assert oracle._beam_excess(child, q) == exact, (child, q)
+        assert pairs > 500
+
+    def test_bound_decision_is_the_same_on_a_power_chain(self):
+        # The image's denominator is the larger one on the tiny channels and
+        # the per-call floats' on the others, so both rescalings are taken.
+        rng = random.Random(33)
+        decisions = set()
+        for fresh, child in self._power_chains(33, 50):
+            r, t = math.sqrt(rng.random()) * (1.0 - 1e-6), rng.uniform(0.0, 2.0 * math.pi)
+            a = (r * math.cos(t), r * math.sin(t))
+            rho = float(_excess_reference(fresh, a)[0])
+            for scaled in (rho * (1.0 + 1e-12), rho * (1.0 - 1e-12), 0.0):
+                decision = oracle._bound_at_most(fresh, a, scaled)
+                assert oracle._bound_at_most(child, a, scaled) is decision, (fresh, a, scaled)
+                decisions.add(decision)
+        assert decisions == {True, False}
+
+    def test_a_power_chain_converts_h_and_g_once(self, monkeypatch):
+        # Every row reads both exact kernels; only the image converts H and g.
+        real, h, g = mk._dyadic, ((1.0, 0.5), (0.2, 1.2)), (1.1, 0.9)
+        conversions = []
+
+        def counted(*xs):
+            if xs[:6] == (*h[0], *h[1], *g):
+                conversions.append(xs)
+            return real(*xs)
+
+        monkeypatch.setattr(mk, "_dyadic", counted)
+        ch = WiretapChannel(h, g, 1e-2)
+        steps = 121
+        for i in range(steps):
+            ch = ch.with_power(10.0 ** (-2 + 12 * i / (steps - 1)))
+            cert = capacity_certificate(ch)
+            rho = oracle._beam_excess(ch, cert.beam.q_a)
+            assert oracle._bound_at_most(ch, cert.correlation.a_star, rho * (1.0 + EPS_GRID))
+        assert len(conversions) == 1
+
+
+def _exact_excess(ch, q):
+    """(q^T q + P ||Hq||^2) / (q^T q + P (g^T q)^2) - 1 in exact rationals."""
+    q1, q2 = Fraction(q[0]), Fraction(q[1])
+    hq = [Fraction(r[0]) * q1 + Fraction(r[1]) * q2 for r in ch.H]
+    gq = Fraction(ch.g[0]) * q1 + Fraction(ch.g[1]) * q2
+    qq, hh, p = q1 * q1 + q2 * q2, hq[0] ** 2 + hq[1] ** 2, Fraction(ch.P)
+    return (qq + p * hh) / (qq + p * gq * gq) - 1
 
 
 class TestNoNonnegRoots:
